@@ -6,6 +6,9 @@ measures it from the client side:
 
 * **load** — concurrent blocking clients submit-and-wait p2p jobs;
   requests/s and p50/p99 submit→terminal latency;
+* **idle** — one client sends sequential submit-and-wait jobs to the
+  warmed, otherwise idle service: the round trip of a single request,
+  which no queueing hides;
 * **overload** — with the workers stalled, a burst past the queue bound
   must come back ``429 Retry-After`` (shed), never buffer unboundedly;
 * **chaos** — worker ``SIGKILL`` (one scripted, more on a cadence),
@@ -17,10 +20,11 @@ measures it from the client side:
 
     PYTHONPATH=src python benchmarks/bench_e20_service.py --smoke --check
 
-It enforces a requests/s floor, a p99 latency bound, at least one
-scripted worker-kill recovery, shed > 0, and the zero-lost-jobs
-invariant.  A plain run (no ``--check``) records the measured numbers
-in the ``service`` section of ``BENCH_routing.json``.
+It enforces a requests/s floor, a p99 latency bound, an idle p50
+round-trip bound, at least one scripted worker-kill recovery, shed > 0,
+and the zero-lost-jobs invariant.  A plain run (no ``--check``) records
+the measured numbers in the ``service`` section of
+``BENCH_routing.json``.
 """
 
 from __future__ import annotations
@@ -51,6 +55,12 @@ BASELINE = Path(__file__).resolve().parent.parent / "BENCH_routing.json"
 RPS_FLOOR = 8.0
 #: p99 submit→terminal bound; covers one kill + respawn + re-dispatch
 P99_BOUND_S = 12.0
+#: idle-phase p50 round trip.  A request that meets an idle worker is
+#: dispatched at once (~4 ms on a 2-CPU host); a dispatcher that waits
+#: for a second job before sending the first fails this bound
+IDLE_P50_BOUND_MS = 12.0
+#: sequential jobs in the idle phase
+N_IDLE = 30
 
 
 def _pairs(n: int, seed: int) -> list[tuple[tuple, tuple]]:
@@ -80,7 +90,9 @@ def run_phases(smoke: bool, seed: int = 20) -> dict:
         # the post-run audit needs the full accepted/terminal trail
         journal_max_bytes=None,
     )
-    pairs = _pairs(n_load + n_chaos + config.queue_depth * 2, seed)
+    n_burst = config.queue_depth * 2
+    # the idle phase's pairs come last, so the other phases keep theirs
+    pairs = _pairs(n_load + n_burst + n_chaos + N_IDLE, seed)
     data_dir = tempfile.mkdtemp(prefix="e20-bench-")
     results: dict = {
         "mode": "smoke" if smoke else "full",
@@ -103,14 +115,24 @@ def run_phases(smoke: bool, seed: int = 20) -> dict:
         }
         print(f"load     {load.row()}")
 
+        idle = drive_load(host, port, pairs[-N_IDLE:], threads=1)
+        results["idle"] = {
+            "jobs": N_IDLE,
+            "p50_ms": round(idle.p(50) * 1e3, 1),
+            "p99_ms": round(idle.p(99) * 1e3, 1),
+            "succeeded": idle.succeeded,
+            "failed": idle.failed,
+        }
+        print(f"idle     {idle.row()}")
+
         for wid in range(config.workers):
             svc.supervisor.send_chaos(wid, {"stall_s": 1.0})
         accepted, rejected = burst(
-            host, port, pairs[n_load:n_load + config.queue_depth * 2]
+            host, port, pairs[n_load:n_load + n_burst]
         )
         await_terminal(host, port, accepted)
         results["overload"] = {
-            "burst": config.queue_depth * 2,
+            "burst": n_burst,
             "shed": rejected,
             "accepted": len(accepted),
         }
@@ -131,7 +153,7 @@ def run_phases(smoke: bool, seed: int = 20) -> dict:
         t0 = time.monotonic()
         chaos = drive_load(
             host, port,
-            pairs[n_load + config.queue_depth * 2:][:n_chaos],
+            pairs[n_load + n_burst:][:n_chaos],
             threads=4,
         )
         monkey.stop()
@@ -166,7 +188,8 @@ def run_phases(smoke: bool, seed: int = 20) -> dict:
 
 
 def check(results: dict) -> int:
-    """The gate: throughput floor, p99 bound, recovery, zero lost jobs."""
+    """The gate: throughput floor, p99 and idle p50 bounds, recovery,
+    zero lost jobs."""
     failures: list[str] = []
     rps = results["load"]["rps"]
     if rps < RPS_FLOOR:
@@ -174,6 +197,11 @@ def check(results: dict) -> int:
     p99 = max(results["load"]["p99_ms"], results["chaos"]["p99_ms"]) / 1e3
     if p99 > P99_BOUND_S:
         failures.append(f"p99 {p99:.1f}s > bound {P99_BOUND_S}s")
+    idle_p50 = results["idle"]["p50_ms"]
+    if idle_p50 >= IDLE_P50_BOUND_MS:
+        failures.append(
+            f"idle p50 {idle_p50:.1f} ms >= bound {IDLE_P50_BOUND_MS} ms"
+        )
     if results["overload"]["shed"] <= 0:
         failures.append("overload burst was not shed (unbounded queuing?)")
     if results["restarts"] < 1:
@@ -199,7 +227,10 @@ def main(argv: list[str]) -> int:
     if "--check" in argv:
         return check(results)
     data = json.loads(BASELINE.read_text()) if BASELINE.exists() else {}
-    results["floors"] = {"rps": RPS_FLOOR, "p99_s": P99_BOUND_S}
+    results["floors"] = {
+        "rps": RPS_FLOOR, "p99_s": P99_BOUND_S,
+        "idle_p50_ms": IDLE_P50_BOUND_MS,
+    }
     data["service"] = results
     BASELINE.write_text(json.dumps(data, indent=2) + "\n")
     print(f"wrote {BASELINE} (service section)")

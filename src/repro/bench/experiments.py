@@ -956,7 +956,8 @@ def run_e20(
 
     Boots a real ``repro serve`` stack (HTTP front door, admission
     queue, spawned process workers with WAL shards) and drives it
-    through four phases: steady concurrent load, an overload burst that
+    through five phases: steady concurrent load, sequential jobs on the
+    idle service (one request's round trip), an overload burst that
     must shed, a chaos window (worker SIGKILL + WAL truncation during
     live traffic), and a graceful drain — then audits the job journal
     for the zero-lost-jobs / exactly-once invariant.
@@ -971,13 +972,14 @@ def run_e20(
 
     if smoke:
         n_jobs = min(n_jobs, 48)
+    n_idle = 30
     t = Table(
         "E20: routing-as-a-service — load, overload shedding, chaos",
         ["phase", "detail", "result", "time (ms)"],
     )
     arch = VirtexArch("XCV50")
-    nets = random_p2p_nets(arch, n_jobs + 96, seed=seed, min_span=2,
-                           max_span=8)
+    nets = random_p2p_nets(arch, n_jobs + 96 + n_idle, seed=seed,
+                           min_span=2, max_span=8)
     pairs = [
         (
             (net.source.row, net.source.col, net.source.wire),
@@ -1004,6 +1006,12 @@ def run_e20(
             host, port, pairs[:n_jobs], threads=4,
         ))
         t.add("load", f"{n_jobs} jobs, 4 clients", load.row(), dt * 1e3)
+
+        dt, idle = time_call(lambda: drive_load(
+            host, port, pairs[-n_idle:], threads=1,
+        ))
+        t.add("idle", f"{n_idle} sequential jobs, 1 client", idle.row(),
+              dt * 1e3)
 
         # stall both workers through their next batch so the burst hits
         # a queue that cannot drain: depth past the bound must shed 429

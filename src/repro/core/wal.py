@@ -6,9 +6,11 @@ assumption: the process can die mid-session while the (simulated) device
 keeps its configuration.  This module makes routing state *durable*:
 
 * :class:`WriteAheadLog` — every :data:`~repro.device.fabric.PipEvent`
-  the device emits is appended, CRC-framed, to a JSON-lines log before
-  the session moves on.  The tail of a crashed write (a torn record) is
-  detected and ignored on replay.
+  the device emits is appended, CRC-framed, to a JSON-lines log and
+  flushed before the session moves on, so it survives ``kill -9`` of
+  the process (not a host crash or power loss: appends are not
+  fsynced).  The tail of a crashed write (a torn record) is detected
+  and ignored on replay.
 * checkpoints — :func:`write_checkpoint` snapshots the full session
   (:class:`~repro.device.state.RoutingState` as a replay-legal PIP list,
   the :class:`~repro.core.netdb.NetDB` net records, and the
@@ -188,7 +190,13 @@ class WriteAheadLog:
     # -- writing ---------------------------------------------------------------
 
     def append(self, event: PipEvent) -> int:
-        """Durably append one PIP event; returns its sequence number."""
+        """Append one PIP event and flush it; returns its sequence number.
+
+        The flush hands the record to the operating system, so it
+        survives a ``kill -9`` of this process.  There is no fsync: a
+        host crash or power loss can still lose the records the kernel
+        had not yet written out.
+        """
         on, rec = event
         seq = self.next_seq
         payload = {

@@ -18,10 +18,12 @@ Layering (each module is one layer, lower layers know nothing of upper):
   per-tenant quotas and explicit overload shedding.
 * :mod:`~repro.service.worker` — the process-worker entry point: one
   recovered :class:`~repro.core.router.JRouter` + WAL shard per worker,
-  heartbeats, batch execution.
+  heartbeats, batch execution, all over the worker's own duplex pipe.
 * :mod:`~repro.service.supervisor` — dispatcher/collector/monitor
-  threads: coalescing, dead-worker detection, kill+respawn, idempotent
-  re-enqueue, per-tenant circuit breakers, graceful drain.
+  threads: work-conserving dispatch (an idle worker gets every queued
+  job at once; jobs coalesce only while all workers are busy),
+  dead-worker detection, kill+respawn, idempotent re-enqueue,
+  per-tenant circuit breakers, graceful drain.
 * :mod:`~repro.service.server` — the asyncio HTTP/1.1 front end
   (``repro serve``); SIGTERM drains.
 * :mod:`~repro.service.client` — blocking client used by ``repro

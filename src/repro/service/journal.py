@@ -1,13 +1,18 @@
-"""The job journal: accepted/terminal events, durable before dispatch.
+"""The job journal: accepted/terminal events, written before dispatch.
 
 The PIP :class:`~repro.core.wal.WriteAheadLog` makes *device* state
 durable; this journal makes the *promise to the client* durable.  A job
-is appended as ``accepted`` before its admission response leaves the
-process, and as ``terminal`` when (and only when) :meth:`Job.finish`
-performs the exactly-once transition.  A ``kill -9`` at any byte offset
-therefore loses zero accepted jobs: on restart,
-:func:`recover_jobs` replays the journal and returns every accepted job
-with no terminal record, and the supervisor re-enqueues them.
+is appended as ``accepted`` before the dispatcher can see it (and so
+before its admission response leaves the process), and as ``terminal``
+when (and only when) :meth:`Job.finish` performs the exactly-once
+transition.  A ``kill -9`` at any byte offset therefore loses zero
+accepted jobs: on restart, :func:`recover_jobs` replays the journal and
+returns every accepted job with no terminal record, and the supervisor
+re-enqueues them.
+
+Durable here means *survives the process*: every record is flushed to
+the operating system, never fsynced, so a host crash or power loss can
+lose the newest records (the same contract as the PIP WAL).
 
 Same framing discipline as the PIP WAL — one CRC-framed JSON object per
 line, a torn tail (the half-written line of a crash) detected and

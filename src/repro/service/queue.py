@@ -12,6 +12,13 @@ the HTTP layer turns into a 429 + ``Retry-After`` header:
   in-flight) jobs; refusing the hog protects everyone else's latency.
 * ``draining`` — the service is shutting down gracefully.
 
+Admission is two-phase.  :meth:`AdmissionQueue.offer` decides and, on
+acceptance, holds the job's depth and quota slots without queueing it;
+:meth:`AdmissionQueue.publish` then makes it visible to :meth:`take`.
+The caller journals the job in between, so no job reaches a worker
+before its acceptance is journaled (:meth:`AdmissionQueue.withdraw`
+returns the slots of a job whose journaling failed).
+
 Re-admission after a worker loss (:meth:`AdmissionQueue.requeue`)
 deliberately bypasses the depth check: those jobs were *already
 accepted* — journaled, promised — and dropping them would violate the
@@ -68,6 +75,8 @@ class AdmissionQueue:
         self._delayed: list[tuple[float, int, Job]] = []
         self._seq = itertools.count()
         self._outstanding: dict[str, int] = {}
+        #: accepted by offer() but not yet published: counted in depth
+        self._held = 0
         self._draining = False
         self.shed = 0
         self.quota_refused = 0
@@ -75,11 +84,15 @@ class AdmissionQueue:
     # -- admission -----------------------------------------------------------
 
     def offer(self, job: Job) -> Admission:
-        """Admit a *new* job, or refuse it with a reason and a hint."""
+        """Admit a *new* job, or refuse it with a reason and a hint.
+
+        An admitted job holds its depth and quota slots but is not yet
+        queued: :meth:`take` sees it only after :meth:`publish`.
+        """
         with self._lock:
             if self._draining:
                 return Admission(False, "draining", self.retry_after)
-            if len(self._heap) + len(self._delayed) >= self.max_depth:
+            if self._depth() >= self.max_depth:
                 self.shed += 1
                 return Admission(False, "shed", self.retry_after)
             if self._outstanding.get(job.tenant, 0) >= self.tenant_quota:
@@ -88,8 +101,21 @@ class AdmissionQueue:
             self._outstanding[job.tenant] = (
                 self._outstanding.get(job.tenant, 0) + 1
             )
-            self._push(job)
+            self._held += 1
             return Admission(True)
+
+    def publish(self, job: Job) -> None:
+        """Queue a job :meth:`offer` admitted."""
+        with self._lock:
+            self._held -= 1
+            self._push(job)
+
+    def withdraw(self, job: Job) -> None:
+        """Give back the slots of an admitted job that was never
+        published."""
+        with self._lock:
+            self._held -= 1
+        self.release(job.tenant)
 
     def requeue(self, job: Job, *, delay: float = 0.0) -> None:
         """Re-admit an already-accepted job (worker loss / restart).
@@ -160,7 +186,10 @@ class AdmissionQueue:
 
     def depth(self) -> int:
         with self._lock:
-            return len(self._heap) + len(self._delayed)
+            return self._depth()
+
+    def _depth(self) -> int:
+        return len(self._heap) + len(self._delayed) + self._held
 
     def outstanding(self, tenant: str | None = None) -> int:
         with self._lock:

@@ -1,23 +1,34 @@
 """The worker-pool supervisor: scheduling, liveness, exactly-once results.
 
-Three daemon threads around a pool of spawned worker processes:
+Three daemon threads around a pool of spawned worker processes, each
+worker reached through its own duplex :func:`multiprocessing.Pipe`:
 
-* **dispatcher** — drains the admission queue, coalesces up to
-  ``batch_max`` compatible p2p jobs (one device part → always
-  compatible) into one ``route_p2p_batch`` message, and hands it to an
-  idle worker.  Jobs whose deadline expired while queued are failed
-  here, without wasting a worker.
-* **collector** — the only reader of the shared response queue.  Every
-  message refreshes the sender's liveness stamp (judged by *this*
-  process's monotonic clock — cross-process clock comparison is exactly
-  the kind of hazard ``RPR002`` exists for); ``done`` results walk each
-  job through its exactly-once :meth:`~repro.service.jobs.Job.finish`.
-* **monitor** — kills (SIGKILL) any worker whose last message is older
-  than the miss window, re-enqueues its in-flight jobs (idempotent:
-  the respawned worker recovers its WAL shard, so a re-executed job's
-  already-routed sink is a 0-PIP no-op), and respawns it.  Jobs that
-  exhaust ``job_max_attempts`` worker losses go terminal ``failed``
-  rather than cycling forever.
+* **dispatcher** — work-conserving.  It reserves an idle worker, then
+  takes every job already queued (highest priority first, at most
+  ``batch_max``) and sends them as one ``route_p2p_batch`` message.  It
+  never waits for more jobs while a worker is idle, so jobs coalesce
+  only while every worker is busy — the only time batching saves
+  anything.  Jobs whose deadline expired while queued are failed here;
+  if that leaves nothing to send, the worker goes back to idle.
+* **collector** — the only reader of the workers' pipes, woken by
+  :func:`multiprocessing.connection.wait`.  Every message refreshes the
+  sender's liveness stamp, as does every batch the dispatcher sends
+  (judged by *this* process's monotonic clock — cross-process clock
+  comparison is exactly the kind of hazard ``RPR002`` exists for);
+  ``done`` results walk each job through its
+  exactly-once :meth:`~repro.service.jobs.Job.finish`.  A pipe at EOF
+  (its worker died) is set aside until a respawn replaces it.
+* **monitor** — kills (SIGKILL) any worker that died or whose liveness
+  stamp is older than the miss window, re-enqueues its in-flight jobs
+  (idempotent: the respawned worker recovers its WAL shard, so a
+  re-executed job's already-routed sink is a 0-PIP no-op), and
+  respawns it.  Jobs that exhaust ``job_max_attempts`` worker losses go
+  terminal ``failed`` rather than cycling forever.
+
+A pipe has no feeder thread and shares no lock with the other workers'
+pipes: a message costs one write, and a worker SIGKILLed mid-write can
+stall only its own pipe, never the other workers' results and
+heartbeats.
 
 Failure classes seen by clients:
 
@@ -33,10 +44,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as _queue
 import signal
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from threading import Condition, Event, Lock, Thread
 from typing import Callable
 
@@ -59,7 +70,6 @@ class ServiceConfig:
     tenant_quota: int = 64
     retry_after_s: float = 0.5
     batch_max: int = 16
-    batch_linger_s: float = 0.02
     heartbeat_s: float = 0.25
     #: liveness miss window, in heartbeat periods
     heartbeat_misses: float = 8.0
@@ -96,7 +106,7 @@ class _Worker:
     """Supervisor-side view of one worker process."""
 
     __slots__ = (
-        "wid", "proc", "req_q", "ready", "busy", "last_seen",
+        "wid", "proc", "conn", "ready", "busy", "last_seen",
         "in_flight", "restarts", "restarting", "wal_path",
     )
 
@@ -104,7 +114,9 @@ class _Worker:
         self.wid = wid
         self.wal_path = wal_path
         self.proc = None
-        self.req_q = None
+        #: supervisor end of the worker's duplex pipe; replaced (under
+        #: the supervisor's send lock) by every respawn
+        self.conn = None
         self.ready = False
         self.busy = False
         self.last_seen = 0.0
@@ -133,13 +145,14 @@ class RoutingSupervisor:
         )
         self.jobs: dict[str, Job] = {}
         self._mp = multiprocessing.get_context("spawn")
-        self.res_q = self._mp.Queue()
         self._workers = [
             _Worker(i, os.path.join(data_dir, f"worker{i}.wal"))
             for i in range(config.workers)
         ]
         self._wlock = Lock()
         self._idle = Condition(self._wlock)
+        #: serializes writes to the workers' pipes and pipe replacement
+        self._send_lock = Lock()
         self._stop = Event()
         self._draining = False
         self._threads: list[Thread] = []
@@ -177,12 +190,14 @@ class RoutingSupervisor:
 
     def _spawn(self, w: _Worker) -> None:
         cfg = self.config
-        w.req_q = self._mp.Queue()
+        conn, child_conn = self._mp.Pipe()
+        with self._send_lock:
+            w.conn = conn
         w.ready = False
         w.busy = False
         w.proc = self._mp.Process(
             target=worker_main,
-            args=(w.wid, w.req_q, self.res_q),
+            args=(w.wid, child_conn),
             kwargs=dict(
                 part=cfg.part,
                 wal_path=w.wal_path,
@@ -193,6 +208,9 @@ class RoutingSupervisor:
             daemon=True,
         )
         w.proc.start()
+        # the worker holds its own copy now; ours would keep the pipe
+        # open after the worker dies, hiding the EOF the collector sees
+        child_conn.close()
         w.last_seen = time.monotonic() + self.config.boot_grace_s
 
     # -- admission -----------------------------------------------------------
@@ -208,8 +226,10 @@ class RoutingSupervisor:
     ) -> tuple[Admission, Job]:
         """Admit one job, or reject it fast with a retry-after hint.
 
-        An accepted job is journaled *before* this returns: once the
-        client sees the job id, a ``kill -9`` cannot lose the job.
+        An accepted job is journaled *before* the dispatcher can see
+        it, and so before this returns: once the client sees the job
+        id, a ``kill -9`` cannot lose the job, and no worker runs a job
+        the journal does not know.
         """
         if deadline_ms is None:
             deadline_ms = self.config.default_deadline_ms
@@ -239,9 +259,14 @@ class RoutingSupervisor:
                 retry_after=adm.retry_after,
             )
             return adm, job
+        try:
+            self.journal.accepted(job)
+        except BaseException:
+            self.queue.withdraw(job)  # never promised: free its slots
+            raise
         self._adopt(job)
-        self.journal.accepted(job)
         self._bump("accepted")
+        self.queue.publish(job)
         return adm, job
 
     def _adopt(self, job: Job) -> None:
@@ -277,32 +302,22 @@ class RoutingSupervisor:
 
     def _dispatch_loop(self) -> None:
         cfg = self.config
-        while not self._stop.is_set():
-            jobs = self.queue.take(1, timeout=0.05)
-            if not jobs:
-                continue
-            # coalesce: linger briefly to fill the batch
-            jobs += self.queue.take(cfg.batch_max - 1, cfg.batch_linger_s)
+        while True:
+            w = self._acquire_idle()
+            if w is None:  # stopping
+                return
+            jobs: list[Job] = []
+            while not jobs and not self._stop.is_set():
+                jobs = self.queue.take(cfg.batch_max, timeout=0.05)
             live: list[Job] = []
             for job in jobs:
                 if job.expired():
                     self._fail_timeout(job, "deadline expired in queue")
                 elif job.mark_dispatched():
                     live.append(job)
-            if not live:
-                continue
-            w = self._acquire_idle()
-            if w is None:  # stopping; put them back for a later drain pass
-                for job in live:
-                    if job.mark_requeued():
-                        self.queue.requeue(job)
-                continue
-            with self._wlock:
-                w.in_flight = {j.job_id: j for j in live}
-            w.req_q.put(("batch", [j.to_wire() for j in live]))
-            self._bump("batches")
+            self._send_batch(w, live)
 
-    def _acquire_idle(self):
+    def _acquire_idle(self) -> _Worker | None:
         with self._idle:
             while not self._stop.is_set():
                 for w in self._workers:
@@ -312,6 +327,41 @@ class RoutingSupervisor:
                 self._idle.wait(0.1)
         return None
 
+    def _send_batch(self, w: _Worker, live: list[Job]) -> None:
+        """Send ``live`` to the reserved worker ``w``, or hand ``w`` back
+        idle when there is nothing to send."""
+        with self._idle:
+            # only this thread reserves workers, so ready-and-busy means
+            # no kill or respawn has ended the reservation meanwhile
+            reserved = w.ready and w.busy and not w.restarting
+            if reserved and live:
+                w.in_flight = {j.job_id: j for j in live}
+            elif reserved:
+                w.busy = False
+                self._idle.notify_all()
+        if not reserved:
+            for job in live:
+                if job.mark_requeued():
+                    self.queue.requeue(job)
+        elif live:
+            # the worker sends nothing until the batch is done: the
+            # liveness window restarts here
+            w.last_seen = time.monotonic()
+            if self._send(w, ("batch", [j.to_wire() for j in live])):
+                self._bump("batches")
+            # a failed send leaves the jobs in w.in_flight: the worker is
+            # dead, and the monitor's kill_worker re-enqueues them
+
+    def _send(self, w: _Worker, msg: tuple) -> bool:
+        """Write one message down ``w``'s pipe; False if the worker is
+        gone (its death is the monitor's to handle)."""
+        with self._send_lock:
+            try:
+                w.conn.send(msg)
+            except OSError:
+                return False
+        return True
+
     def _fail_timeout(self, job: Job, why: str) -> None:
         if job.finish(JobState.FAILED, error=why, error_class="timeout"):
             self._bump("timeouts")
@@ -320,21 +370,40 @@ class RoutingSupervisor:
     # -- collector -----------------------------------------------------------
 
     def _collect_loop(self) -> None:
+        watched: dict = {}  # pipe -> worker, as of the previous pass
+        at_eof: set = set()
         while not self._stop.is_set():
-            try:
-                msg = self.res_q.get(timeout=0.1)
-            except _queue.Empty:
-                continue
-            kind, wid = msg[0], msg[1]
-            w = self._workers[wid]
-            w.last_seen = time.monotonic()
-            if kind == "ready":
-                with self._idle:
-                    w.ready = True
-                    w.busy = False
-                    self._idle.notify_all()
-            elif kind == "done":
-                self._absorb_results(w, msg[2])
+            current = {w.conn: w for w in self._workers if w.conn is not None}
+            for conn in watched.keys() - current.keys():
+                # replaced by a respawn, under the send lock: no writer
+                # can reach this pipe any more, and this thread is its
+                # only reader
+                conn.close()
+            watched = current
+            at_eof &= current.keys()
+            for conn in wait(
+                [c for c in current if c not in at_eof], timeout=0.1
+            ):
+                w = current[conn]
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    # the worker died.  EOF stays readable, so watching
+                    # the pipe would spin this loop; the monitor
+                    # respawns the worker with a new one
+                    at_eof.add(conn)
+                    with self._idle:
+                        if w.conn is conn:
+                            w.ready = False
+                    continue
+                w.last_seen = time.monotonic()
+                if msg[0] == "ready":
+                    with self._idle:
+                        w.ready = True
+                        w.busy = False
+                        self._idle.notify_all()
+                elif msg[0] == "done":
+                    self._absorb_results(w, msg[1])
 
     def _absorb_results(self, w: _Worker, results: list[tuple]) -> None:
         with self._wlock:
@@ -482,8 +551,7 @@ class RoutingSupervisor:
         w = self._workers[wid]
         if w.proc is None or w.proc.exitcode is not None:
             return False
-        w.req_q.put(("chaos", dict(knobs)))
-        return True
+        return self._send(w, ("chaos", dict(knobs)))
 
     # -- drain / stop --------------------------------------------------------
 
@@ -520,12 +588,15 @@ class RoutingSupervisor:
         for w in self._workers:
             if w.proc is not None and w.proc.exitcode is None:
                 try:
-                    w.req_q.put(("stop",))
+                    self._send(w, ("stop",))
                     w.proc.join(timeout=5.0)
                 finally:
                     if w.proc.exitcode is None:
                         w.proc.kill()
                         w.proc.join(timeout=5.0)
+            with self._send_lock:
+                if w.conn is not None:
+                    w.conn.close()
         self.journal.close()
 
     # -- views ---------------------------------------------------------------
@@ -544,7 +615,9 @@ class RoutingSupervisor:
                 "wid": w.wid,
                 "alive": w.proc is not None and w.proc.exitcode is None,
                 "ready": w.ready,
-                "busy": w.busy,
+                # w.busy also marks the idle worker the dispatcher holds
+                # while it waits for a job
+                "busy": bool(w.in_flight),
                 "restarts": w.restarts,
             }
             for w in self._workers

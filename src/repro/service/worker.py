@@ -6,30 +6,32 @@ it *recovers* that shard if one exists — so a SIGKILL'd worker's respawn
 resumes the same device state and re-executing its in-flight jobs is
 idempotent (an already-routed sink is a 0-PIP no-op).
 
-The control protocol is deliberately dumb — picklable tuples over two
-``multiprocessing`` queues:
+The control protocol is deliberately dumb — picklable tuples over the
+worker's own duplex :func:`multiprocessing.Pipe` (the pipe names the
+worker, so no message carries its id):
 
-request queue (supervisor → worker)
+supervisor → worker
     ``("batch", [job_wire, ...])`` — route the jobs, one
     :meth:`~repro.core.router.JRouter.route_p2p_batch` call.
     ``("chaos", {"stall_s": .., "fault_rate": ..})`` — test hooks.
     ``("stop",)`` — checkpoint and exit 0.
 
-response queue (worker → supervisor)
-    ``("ready", wid, pid)`` once at boot (after recovery),
-    ``("hb", wid)`` heartbeats — emitted when the request queue is idle
-    *and* before starting a batch, so a stalled batch is indistinguishable
-    from a dead process and the monitor treats both the same way,
-    ``("done", wid, [(job_id, ok, pips, method, error), ...])`` results.
+worker → supervisor
+    ``("ready", pid, recovered)`` once at boot (after recovery),
+    ``("hb",)`` heartbeats while the pipe is idle,
+    ``("done", [(job_id, ok, pips, method, error), ...])`` results.
 
-Liveness is judged by the *supervisor's* clock on message arrival, never
-by comparing timestamps across processes.
+Liveness is judged by the *supervisor's* clock, never by comparing
+timestamps across processes: its window restarts at every message from
+the worker and at every batch sent to it.  No heartbeat flows during a
+batch, so a stalled batch is indistinguishable from a dead process and
+the monitor treats both the same way.  EOF on the pipe means the
+supervisor is gone, and the worker exits.
 """
 
 from __future__ import annotations
 
 import os
-import queue as _queue
 import time
 
 from ..core.recovery import RetryPolicy
@@ -146,8 +148,7 @@ def build_worker_router(
 
 def worker_main(
     wid: int,
-    req_q,
-    res_q,
+    conn,
     *,
     part: str = "XCV50",
     wal_path: str,
@@ -160,14 +161,18 @@ def worker_main(
         wal_path, part=part, deadline_ms=deadline_ms
     )
     stall_s = 0.0
-    with DurableSession(router, wal_path, checkpoint_every=checkpoint_every):
-        res_q.put(("ready", wid, os.getpid(), recovered))
+    with conn, DurableSession(
+        router, wal_path, checkpoint_every=checkpoint_every
+    ):
+        conn.send(("ready", os.getpid(), recovered))
         while True:
-            try:
-                msg = req_q.get(timeout=heartbeat_s)
-            except _queue.Empty:
-                res_q.put(("hb", wid))
+            if not conn.poll(heartbeat_s):
+                conn.send(("hb",))
                 continue
+            try:
+                msg = conn.recv()
+            except EOFError:  # the supervisor is gone
+                return
             kind = msg[0]
             if kind == "stop":
                 return
@@ -188,13 +193,11 @@ def worker_main(
                 continue
             if kind != "batch":  # pragma: no cover - protocol guard
                 continue
-            res_q.put(("hb", wid))
             if stall_s > 0.0:
                 # injected hang: no heartbeats while sleeping, so the
                 # monitor's miss window fires and SIGKILLs this process
                 time.sleep(stall_s)
-            results = execute_batch(router, msg[1])
-            res_q.put(("done", wid, results))
+            conn.send(("done", execute_batch(router, msg[1])))
 
 
 def make_job(d: dict) -> Job:

@@ -7,6 +7,10 @@ small; the full HTTP stack and the chaos cadence are exercised by
 that needs no worker pool (probe accounting, kill reentrancy, bounds).
 """
 
+import contextlib
+import os
+import signal
+import sys
 import threading
 import time
 
@@ -15,6 +19,7 @@ import pytest
 from repro.arch.virtex import VirtexArch
 from repro.bench.workloads import random_p2p_nets
 from repro.service import RoutingSupervisor, ServiceConfig
+from repro.service import supervisor as supervisor_mod
 from repro.service.jobs import JobState
 from repro.service.journal import JobJournal
 from repro.service.loadgen import audit_journal
@@ -53,6 +58,22 @@ def _await_terminal(jobs, timeout: float = 60.0) -> None:
             time.sleep(0.02)
 
 
+def _await_ready(sup, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not all(w["ready"] for w in sup.stats()["workers"]):
+        if time.monotonic() > deadline:
+            pytest.fail("workers never became ready")
+        time.sleep(0.02)
+
+
+def _await_state(job, state: JobState, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while job.state is not state:
+        if time.monotonic() > deadline:
+            pytest.fail(f"{job.job_id} stuck in {job.state}")
+        time.sleep(0.005)
+
+
 def test_kill_midstream_loses_no_accepted_job(tmp_path):
     sup = RoutingSupervisor(_config(), str(tmp_path))
     sup.start()
@@ -76,6 +97,199 @@ def test_kill_midstream_loses_no_accepted_job(tmp_path):
     assert audit["accepted"] == 8
     assert audit["lost"] == [] and audit["duplicates"] == []
     assert audit["drained"]
+
+
+class TestDispatch:
+    """The dispatcher sends what is queued to an idle worker at once."""
+
+    def test_job_is_not_dispatched_before_it_is_journaled(
+        self, tmp_path, monkeypatch
+    ):
+        sup = RoutingSupervisor(_config(), str(tmp_path))
+        seen, release = [], threading.Event()
+        sup.start()
+        try:
+            _await_ready(sup)
+            accepted = sup.journal.accepted
+
+            def slow_accepted(job):
+                seen.append(job)
+                release.wait(10.0)
+                accepted(job)
+
+            monkeypatch.setattr(sup.journal, "accepted", slow_accepted)
+            (src, sink), = _pairs(1)
+            t = threading.Thread(target=sup.submit, args=("t", src, sink))
+            t.start()
+            time.sleep(0.3)  # the worker is idle all along
+            assert seen and seen[0].state is JobState.QUEUED
+            assert sup.counters["batches"] == 0
+            release.set()
+            t.join(10.0)
+            assert not t.is_alive()
+            _await_terminal(seen)
+            assert seen[0].state is JobState.SUCCEEDED
+            assert sup.counters["batches"] == 1
+            assert sup.drain(timeout=30.0)
+        finally:
+            release.set()
+            sup.stop()
+
+    def test_jobs_queued_behind_busy_workers_leave_in_one_batch(
+        self, tmp_path
+    ):
+        sup = RoutingSupervisor(_config(workers=2), str(tmp_path))
+        sup.start()
+        try:
+            _await_ready(sup)
+            # 0.5 s per batch, well inside the 1.6 s liveness window
+            for wid in range(2):
+                assert sup.send_chaos(wid, {"stall_s": 0.5})
+            pairs = _pairs(6)
+            jobs = []
+            for src, sink in pairs[:2]:  # one per worker
+                _, job = sup.submit("t", src, sink)
+                _await_state(job, JobState.DISPATCHED)
+                jobs.append(job)
+            for src, sink in pairs[2:]:  # both workers stalled
+                jobs.append(sup.submit("t", src, sink)[1])
+            _await_terminal(jobs)
+            assert all(j.state is JobState.SUCCEEDED for j in jobs)
+            assert sup.counters["batches"] == 3
+            assert sup.counters["worker_restarts"] == 0
+            assert sup.drain(timeout=30.0)
+        finally:
+            sup.stop()
+
+    def test_worker_reserved_for_expired_jobs_is_handed_back(
+        self, tmp_path
+    ):
+        sup = RoutingSupervisor(_config(), str(tmp_path))  # one worker
+        sup.start()
+        try:
+            _await_ready(sup)
+            (src, sink), (src2, sink2) = _pairs(2)
+            # expired before the dispatcher, holding the idle worker,
+            # takes it: nothing is left to send
+            _, dead = sup.submit("t", src, sink, deadline_ms=0.001)
+            _await_terminal([dead])
+            assert dead.state is JobState.FAILED
+            assert dead.result["error_class"] == "timeout"
+            _, job = sup.submit("t", src2, sink2)
+            _await_terminal([job], timeout=10.0)
+            assert job.state is JobState.SUCCEEDED
+            assert sup.counters["batches"] == 1
+            assert sup.drain(timeout=30.0)
+        finally:
+            sup.stop()
+
+    def test_respawn_ends_the_dispatchers_reservation(self, tmp_path):
+        # the dispatcher holds the idle worker while it waits for a job;
+        # a kill and respawn during that wait must not let it send the
+        # respawned worker a second batch while one is in flight
+        sup = RoutingSupervisor(_config(), str(tmp_path))  # one worker
+        sup.start()
+        try:
+            _await_ready(sup)
+            time.sleep(0.1)  # the dispatcher now holds the idle worker
+            sup.kill_worker(0, reason="test")
+            _await_ready(sup)
+            assert sup.send_chaos(0, {"stall_s": 0.5})
+            (a_src, a_sink), (b_src, b_sink) = _pairs(2)
+            _, a = sup.submit("t", a_src, a_sink)
+            deadline = time.monotonic() + 10.0
+            while sup.counters["batches"] < 1:
+                assert time.monotonic() < deadline, "job a never sent"
+                time.sleep(0.005)
+            _, b = sup.submit("t", b_src, b_sink)
+            time.sleep(0.2)
+            assert b.state is JobState.QUEUED  # the worker still has a
+            _await_terminal([a, b])
+            assert a.state is b.state is JobState.SUCCEEDED
+            assert sup.counters["batches"] == 2
+            assert sup.drain(timeout=30.0)
+        finally:
+            sup.stop()
+
+    def test_worker_sigkilled_behind_the_supervisors_back(
+        self, tmp_path, monkeypatch
+    ):
+        # os.kill, not kill_worker: the supervisor learns of the death
+        # from the pipe's EOF and the monitor's exitcode check
+        sup = RoutingSupervisor(_config(workers=2), str(tmp_path))
+        respawn, spawn = threading.Event(), sup._spawn
+        sup.start()
+        try:
+            _await_ready(sup)
+            waits = []
+            real_wait = supervisor_mod.wait
+
+            def counting_wait(conns, timeout=None):
+                waits.append(len(conns))
+                return real_wait(conns, timeout)
+
+            monkeypatch.setattr(supervisor_mod, "wait", counting_wait)
+
+            def held_spawn(w):  # keep the dead pipe current for a while
+                respawn.wait(10.0)
+                spawn(w)
+
+            monkeypatch.setattr(sup, "_spawn", held_spawn)
+            os.kill(sup._workers[0].proc.pid, signal.SIGKILL)
+            jobs = [sup.submit("t", src, sink)[1] for src, sink in _pairs(8)]
+            _await_terminal(jobs)
+            assert all(j.state is JobState.SUCCEEDED for j in jobs)
+            # worker 0's pipe is at EOF and not yet replaced; a
+            # collector that kept watching it would spin
+            n0 = len(waits)
+            time.sleep(0.5)
+            assert len(waits) - n0 < 25
+            respawn.set()
+            _await_ready(sup)
+            assert sup.stats()["workers"][0]["restarts"] == 1
+            threads = {t.name: t for t in sup._threads}
+            assert threads["svc-dispatcher"].is_alive()
+            assert threads["svc-collector"].is_alive()
+            more = [sup.submit("t", s, k)[1] for s, k in _pairs(4, seed=9)]
+            _await_terminal(more)
+            assert all(j.state is JobState.SUCCEEDED for j in more)
+            assert sup.drain(timeout=30.0)
+        finally:
+            respawn.set()
+            sup.stop()
+
+
+def test_kills_by_both_routes_under_thread_churn(tmp_path):
+    # stress: more workers than CPUs, a tiny switch interval, and kills
+    # through kill_worker and behind its back while jobs flow — a lost
+    # reservation or in-flight handover leaves a job stuck or doubled
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    sup = RoutingSupervisor(
+        _config(workers=3, queue_depth=64, job_max_attempts=10),
+        str(tmp_path),
+    )
+    sup.start()
+    try:
+        _await_ready(sup)
+        jobs = []
+        for i, (src, sink) in enumerate(_pairs(36, seed=11)):
+            jobs.append(sup.submit(f"t{i % 3}", src, sink)[1])
+            if i % 12 == 5:
+                sup.kill_worker(i % 3, reason="stress")
+            elif i % 12 == 11:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(sup._workers[(i + 1) % 3].proc.pid,
+                            signal.SIGKILL)
+        _await_terminal(jobs, timeout=120.0)
+        assert all(j.state is JobState.SUCCEEDED for j in jobs)
+        assert sup.drain(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+        sup.stop()
+    audit = audit_journal(str(tmp_path / "jobs.journal"))
+    assert audit["accepted"] == 36
+    assert audit["lost"] == [] and audit["duplicates"] == []
 
 
 class _FakeClock:
@@ -235,6 +449,40 @@ class TestSupervisorUnits:
             sup.kill_worker(0, reason="later")  # cycle done: works again
             assert spawned == [0, 0]
         finally:
+            sup.journal.close()
+
+    def test_batch_sent_down_a_dead_pipe_is_left_for_the_monitor(
+        self, tmp_path
+    ):
+        import multiprocessing
+
+        sup = self._sup(tmp_path)
+        w = sup._workers[0]
+        w.conn, worker_end = multiprocessing.Pipe()
+        worker_end.close()  # the worker died; its end of the pipe with it
+        try:
+            adm, job = sup.submit("t", (0, 0, 0), (1, 1, 0))
+            assert adm.accepted
+            assert sup.queue.take(1, 0.0) == [job] and job.mark_dispatched()
+            w.ready = w.busy = True  # reserved by the dispatcher
+            sup._send_batch(w, [job])  # must not raise
+            assert w.in_flight == {job.job_id: job}
+            assert sup.counters["batches"] == 0
+
+            class _DeadProc:
+                exitcode = -9
+                pid = 0
+
+                def join(self, timeout=None):
+                    pass
+
+            w.proc = _DeadProc()
+            sup._spawn = lambda worker: None
+            sup.kill_worker(0, reason="dead")  # what the monitor does
+            assert job.state is JobState.QUEUED
+            assert sup.counters["requeued"] == 1
+        finally:
+            w.conn.close()
             sup.journal.close()
 
     def test_terminal_jobs_evicted_after_ttl(self, tmp_path):

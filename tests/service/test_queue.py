@@ -33,7 +33,9 @@ class TestOffer:
 
     def test_quota_counts_in_flight_until_release(self):
         q = AdmissionQueue(max_depth=16, tenant_quota=1)
-        assert q.offer(_job("t")).accepted
+        job = _job("t")
+        assert q.offer(job).accepted
+        q.publish(job)
         assert q.take(1, 0.0)  # dequeued, but still outstanding
         assert not q.offer(_job("t")).accepted
         q.release("t")
@@ -50,8 +52,9 @@ class TestOrdering:
     def test_higher_priority_dequeues_first(self):
         q = AdmissionQueue(max_depth=16)
         low, high = _job(priority=0), _job(priority=5)
-        q.offer(low)
-        q.offer(high)
+        for j in (low, high):
+            q.offer(j)
+            q.publish(j)
         assert q.take(2, 0.0) == [high, low]
 
     def test_fifo_within_a_priority_class(self):
@@ -59,11 +62,38 @@ class TestOrdering:
         jobs = [_job() for _ in range(4)]
         for j in jobs:
             q.offer(j)
+            q.publish(j)
         assert q.take(4, 0.0) == jobs
 
     def test_take_returns_empty_on_timeout(self):
         q = AdmissionQueue(max_depth=4)
         assert q.take(1, 0.01) == []
+
+
+class TestTwoPhaseAdmission:
+    def test_offered_job_is_invisible_until_published(self):
+        q = AdmissionQueue(max_depth=4)
+        job = _job()
+        assert q.offer(job).accepted
+        assert q.depth() == 1  # holds its depth slot already
+        assert q.take(1, 0.0) == []
+        q.publish(job)
+        assert q.take(1, 0.0) == [job]
+
+    def test_held_jobs_count_against_the_depth_bound(self):
+        q = AdmissionQueue(max_depth=2, tenant_quota=10)
+        assert q.offer(_job()).accepted
+        assert q.offer(_job()).accepted
+        adm = q.offer(_job())
+        assert not adm.accepted and adm.reason == "shed"
+
+    def test_withdraw_frees_depth_and_quota(self):
+        q = AdmissionQueue(max_depth=1, tenant_quota=1)
+        job = _job("t")
+        assert q.offer(job).accepted
+        q.withdraw(job)
+        assert q.depth() == 0 and q.outstanding("t") == 0
+        assert q.offer(_job("t")).accepted
 
 
 class TestRequeue:
