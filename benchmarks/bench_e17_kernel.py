@@ -2,7 +2,7 @@
 
 Measures the compiled-graph kernel (:mod:`repro.core.kernel` over
 :mod:`repro.arch.graph`) against the preserved dict-Dijkstra reference
-implementations (:mod:`repro.routers._reference`) on three workload
+implementations (``tests/routers/_reference.py``) on three workload
 families:
 
 * **E10-style point-to-point scaling** — cross-chip and medium-span A*
@@ -53,12 +53,15 @@ from pathlib import Path
 from repro.bench.workloads import high_fanout_net, random_p2p_nets
 from repro.device.fabric import Device
 from repro.routers import NetSpec, route_maze, route_maze_batch, route_pathfinder
-from repro.routers._reference import (
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))  # the reference routers live in the test tree
+from tests.routers._reference import (
     route_maze_reference,
     route_pathfinder_reference,
 )
 
-BASELINE = Path(__file__).resolve().parent.parent / "BENCH_routing.json"
+BASELINE = ROOT / "BENCH_routing.json"
 
 #: speedups may drop to this fraction of the committed baseline before
 #: the --check mode fails (CI perf-smoke tolerance)
@@ -311,9 +314,9 @@ def batched_p2p_workload(part: str, n_requests: int):
 
 def measure_batched_p2p(part: str, n_requests: int, *, reps: int) -> dict:
     """Lockstepped batch vs the same searches run one kernel call at a
-    time.  ``heuristic_weight=0`` keeps every lane on the level-synchronous
-    Dijkstra fast path (A* lanes intentionally fall back to the scalar
-    drain loop for bit-parity — see the kernel docstring)."""
+    time.  ``heuristic_weight=0`` because only plain-Dijkstra batches run
+    the vectorized wavefront: an A*-weighted batch runs the scalar
+    kernel once per request (see ``route_maze_batch``)."""
     device, reqs = batched_p2p_workload(part, n_requests)
     kw = dict(heuristic_weight=0.0)
     batch = route_maze_batch(device, reqs, **kw)  # warm + parity oracle

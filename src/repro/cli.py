@@ -20,8 +20,7 @@ Usage (``python -m repro <command> ...``)::
                                   resulting trace; --batch instead pairs
                                   the pins up (SRC1 SINK1 SRC2 SINK2 ...)
                                   and routes all pairs as one batched
-                                  point-to-point request on the
-                                  vectorized SoA kernel
+                                  point-to-point request
                                   (JRouter.route_p2p_batch);
                                   --fault-rate injects a
                                   seeded stuck-open PIP rate, --retry

@@ -14,6 +14,14 @@ three mechanics here:
 * **pluggable costs** — an optional A* heuristic and PathFinder's
   negotiated congestion (present + history) plug into the same loop.
 
+That loop is :func:`dijkstra`.  Beside it, :func:`dijkstra_batch` runs
+many plain-Dijkstra point-to-point searches at once as one numpy
+wavefront over the same arrays.  It takes no A* heuristic, because a
+biased key breaks its exactness proof, so
+:func:`~repro.routers.maze.route_maze_batch` sends A*-weighted batches
+(every ``JRouter`` batch at its default ``heuristic_weight=0.8``)
+through :func:`dijkstra`, one request at a time.
+
 Instrumentation (node expansions, heap pushes, faulty edges avoided) is
 unified behind :class:`SearchStats`.  The process-wide accumulator
 :data:`GLOBAL_STATS` (printed by ``repro bench --profile``) is fed by
@@ -249,24 +257,20 @@ class CongestionLedger:
 
 
 class BatchSearchState:
-    """Epoch-stamped state of ``k`` lockstepped searches over one graph.
+    """State of ``k`` lockstepped wavefront searches over one graph.
 
-    The 2-D struct-of-arrays twin of :class:`SearchState`: row ``i`` of
-    :attr:`cost`/:attr:`backptr`/:attr:`node_epoch` is lane ``i``'s flat
-    search state, and :attr:`heaps` holds the per-lane frontier heaps
-    (parallel arrays of ``(f, g, node)`` entries, one list per lane).
-    Vectorized relax steps scatter into the 2-D columns with fancy
-    indexing; the per-lane pop phase reads them through the cached row
-    memoryviews in :attr:`cost_rows` (C-speed scalar indexing).
+    The 2-D struct-of-arrays counterpart of :class:`SearchState`: row
+    ``i`` of :attr:`cost`/:attr:`backptr` is lane ``i``'s flat search
+    state, which :func:`dijkstra_batch` gathers from and scatters into
+    with fancy indexing.  A lane is reset by filling its cost row with
+    ``+inf`` when its search starts, so no epoch stamps are kept.
 
-    Lanes are invalidated in O(1) by bumping their :attr:`epoch` entry;
     :meth:`ensure` grows the state for larger batches while reusing the
     allocation for anything smaller.  One state serves one batch at a
     time — concurrent batches each own a state.
     """
 
-    __slots__ = ("n", "k", "cost", "backptr", "node_epoch", "epoch", "heaps",
-                 "cost_rows", "stamp_rows", "back_rows", "scratch")
+    __slots__ = ("n", "k", "cost", "backptr", "scratch")
 
     def __init__(self, n: int, k: int = 1) -> None:
         self.n = n
@@ -280,13 +284,6 @@ class BatchSearchState:
         n = self.n
         self.cost = np.zeros((k, n), dtype=np.float64)
         self.backptr = np.full((k, n), -1, dtype=np.int32)
-        self.node_epoch = np.zeros((k, n), dtype=np.int32)
-        #: per-lane current epoch (fresh columns start all-stale at 0)
-        self.epoch = np.zeros(k, dtype=np.int64)
-        self.heaps: list[list[tuple[float, float, int]]] = [[] for _ in range(k)]
-        self.cost_rows = [memoryview(row) for row in self.cost]
-        self.stamp_rows = [memoryview(row) for row in self.node_epoch]
-        self.back_rows = [memoryview(row) for row in self.backptr]
         #: per-(lane, node) slot for the relax phase's duplicate-target
         #: resolution; every slot read was written the same pass, so the
         #: contents never need clearing between rounds or batches
@@ -582,29 +579,26 @@ def dijkstra_batch(
     occupied: Sequence[bool] | None = None,
     allows: Sequence[Collection[int]] | None = None,
     name_blocked: Sequence[int] | None = None,
-    hs: Sequence[Callable[[int, int, int, int], float] | None] | None = None,
-    congestion: tuple[Sequence[float], Sequence[float], float] | None = None,
     fault_node: Sequence[bool] | None = None,
-    fault_edge: "FaultEdgeMask | Sequence[int] | None" = None,
+    fault_edge: Sequence[int] | None = None,
     max_nodes: int = 200_000,
     stats: SearchStats | None = None,
     deadline: "Deadline | None" = None,
 ) -> list[tuple[int, float, int, int, int, bool, bool]]:
-    """``k`` independent searches, level-synchronous over the CSR arrays.
+    """``k`` independent plain-Dijkstra searches as one vectorized wavefront.
 
     Each entry of ``requests`` is one ``(starts, targets)`` search.  The
-    engine is a vectorized wavefront: per round, every lane expands its
+    engine is level-synchronous: per round, every lane expands its
     whole *safe prefix* — all frontier entries cheaper than
     ``frontier_min + min_edge_cost`` — then one numpy relax pass runs
     over the union of all expanded nodes' edge runs (gather / mask /
-    congestion-priced compare / scatter on the CSR columns).  The safe
-    prefix is what makes batching exact: any cost produced this round is
-    at least the prefix bound, so no same-round relaxation can improve,
-    reorder, or tie with a prefix member, and expanding the prefix
-    together replays the scalar heap's pop order (ascending ``(cost,
-    node)``) exactly.  Results — plans, costs, and every
-    :class:`SearchStats` counter — are **bit-identical** to ``k``
-    sequential :func:`dijkstra` calls:
+    compare / scatter on the CSR columns).  The safe prefix is what
+    makes batching exact: any cost produced this round is at least the
+    prefix bound, so no same-round relaxation can improve, reorder, or
+    tie with a prefix member, and expanding the prefix together replays
+    the scalar heap's pop order (ascending ``(cost, node)``) exactly.
+    Results — plans, costs, and every :class:`SearchStats` counter — are
+    **bit-identical** to ``k`` sequential :func:`dijkstra` calls:
 
     * masks apply in the scalar loop's order (name filter, fault edges
       counted, occupancy with per-lane allow lists);
@@ -616,20 +610,19 @@ def dijkstra_batch(
       deadline poll points every ``_DEADLINE_MASK + 1`` expansions)
       replay the scalar loop's per-pop precedence inside each prefix.
 
-    Lanes given an A* heuristic (``hs[lane]``) cannot be
-    level-decomposed — biased keys do not guarantee the safe-prefix
-    property — so they run the scalar loop per lane over their slice of
-    the batch state instead: exact by construction, and still sharing
-    the batch's single fault-mask sync and stats publication.
+    The proof needs unbiased keys and a positive minimum edge cost, so
+    there is no A* heuristic here and a graph without a positive
+    :meth:`~repro.arch.graph.RoutingGraph.min_edge_cost` is refused
+    (:func:`~repro.routers.maze.route_maze_batch` runs such batches
+    through :func:`dijkstra`, one request at a time).
 
-    Parameters mirror :func:`dijkstra`, with three batch extensions:
-    ``allows`` is an optional per-lane collection of allowed occupied
-    wires; ``hs`` is an optional per-lane sequence of scalar A*
-    heuristics ``h(canon_to, to_name, row, col)``; ``fault_edge`` may be
-    a raw per-edge mask buffer (process workers ship bytes) as well as a
-    :class:`~repro.arch.graph.FaultEdgeMask`, which is synced **once for
-    the whole batch** — the graph is force-compiled up front, so no
-    mid-search materialization can invalidate any flat view.
+    Parameters mirror :func:`dijkstra`, with two batch forms: ``allows``
+    is an optional per-lane collection of allowed occupied wires, and
+    ``fault_edge`` is a raw per-edge mask buffer (the ``mask`` of a
+    synced :class:`~repro.arch.graph.FaultEdgeMask`, or the bytes a
+    process worker receives).  The graph is force-compiled up front, so
+    no mid-search materialization can outgrow the mask or invalidate
+    any flat view.
 
     Returns one ``(goal, cost, expanded, pushes, faults_avoided,
     exceeded, timed_out)`` tuple per request.  With ``stats=None`` the
@@ -639,99 +632,51 @@ def dijkstra_batch(
     k = len(requests)
     if k == 0:
         return []
-    off_v, deg_v, e_to_v, e_cost_v, e_toname_v, e_row_v, e_col_v = (
-        graph.np_columns()  # force-compiles the graph
-    )
+    # force-compiles the graph; the trailing tile columns go unused
+    off_v, deg_v, e_to_v, e_cost_v, e_toname_v = graph.np_columns()[:5]
     n = graph.n_nodes
     c_min = graph.min_edge_cost()
-    # scalar columns for the per-lane scalar loop (A* lanes)
-    e_to = graph.e_to
-    e_toname = graph.e_toname
-    e_cost = graph.e_cost
-    e_row = graph.e_row
-    e_col = graph.e_col
-    off = graph.off
-    deg = graph.deg
+    if c_min <= 0.0:
+        raise ValueError(
+            "dijkstra_batch needs a positive minimum edge cost "
+            f"(the safe-prefix bound), got {c_min}"
+        )
 
-    if fault_edge is None:
-        femask_sc = None
-        femask_np = None
-    else:
-        if isinstance(fault_edge, FaultEdgeMask):
-            fault_edge.sync()  # the one mask application for the batch
-            femask_sc = fault_edge.mask
-        else:
-            femask_sc = fault_edge
-        femask_np = np.frombuffer(femask_sc, dtype=np.uint8)
+    femask_np = (
+        None if fault_edge is None else np.frombuffer(fault_edge, dtype=np.uint8)
+    )
     nb_v = (
         None
         if name_blocked is None
         else np.frombuffer(name_blocked, dtype=np.uint8)
     )
-    if occupied is None:
-        occ_v = occ_sc = None
-    else:
-        occ_v = np.asarray(occupied, dtype=bool)
-        occ_sc = occupied
-        if not isinstance(occ_sc, (list, memoryview)):
-            try:
-                occ_sc = memoryview(occ_sc)  # cheaper scalar indexing
-            except TypeError:
-                pass
+    occ_v = None if occupied is None else np.asarray(occupied, dtype=bool)
     fault_np = (
         np.asarray(fault_node, dtype=bool) if fault_node is not None else None
     )
-    fault_mv = fault_node
-    if isinstance(fault_mv, np.ndarray):
-        fault_mv = memoryview(fault_mv)  # cheaper scalar indexing
-    if congestion is not None:
-        use_count, history, pf = congestion
-        use_v = np.asarray(use_count, dtype=np.float64)
-        hist_v = np.asarray(history, dtype=np.float64)
-    allow_sets: list[Collection[int]] = (
-        [a if a else frozenset() for a in allows]
-        if allows is not None
-        else [frozenset()] * k
-    )
     allow_np: list[np.ndarray | None] = [
         np.fromiter(a, dtype=np.int64, count=len(a)) if a else None
-        for a in allow_sets
+        for a in (allows if allows is not None else [()] * k)
     ]
-    if hs is None:
-        hs = [None] * k
     # an all-clear mask is semantically identical to no mask at all;
     # eliding it up front spares every round its per-edge gathers
     if nb_v is not None and not nb_v.any():
         nb_v = None
     if femask_np is not None and not femask_np.any():
         femask_np = None
-        femask_sc = None
     if occ_v is not None and not occ_v.any():
         occ_v = None
-        occ_sc = None
     if fault_np is not None and not fault_np.any():
         fault_np = None
-        fault_mv = None
 
     bstate.ensure(k)
     cost2d = bstate.cost
     back2d = bstate.backptr
-    stamp2d = bstate.node_epoch
-    epochs = bstate.epoch
-    heaps = bstate.heaps
-    cost_rows = bstate.cost_rows
-    stamp_rows = bstate.stamp_rows
-    back_rows = bstate.back_rows
     # flat views: one (lane * n + node) index serves gather and scatter
     cost_flat = cost2d.reshape(-1)
     back_flat = back2d.reshape(-1)
     scratch = bstate.scratch
 
-    push = heapq.heappush
-    pop = heapq.heappop
-    p_tiles = graph.tiles() if any(h is not None for h in hs) else None
-
-    target_sets: list[Collection[int]] = []
     targ_np: list[np.ndarray | None] = [None] * k
     fr_g: list[np.ndarray | None] = [None] * k
     fr_node: list[np.ndarray | None] = [None] * k
@@ -742,130 +687,23 @@ def dijkstra_batch(
     goal_cost = [0.0] * k
     exceeded = [False] * k
     timed_out = [False] * k
-    fast: list[int] = []
-    slow: list[int] = []
+    active: list[int] = []
     for lane, (starts, targets) in enumerate(requests):
-        epochs[lane] += 1
-        ep = int(epochs[lane])
-        heap = heaps[lane]
-        heap.clear()
-        tset = targets if isinstance(targets, (set, frozenset)) else set(targets)
-        target_sets.append(tset)
-        hl = hs[lane]
-        if hl is None and c_min > 0.0:
-            ss = np.fromiter(starts, dtype=np.int64, count=len(starts))
-            if ss.size == 0:
-                continue
-            # fast lanes trade the epoch-stamp protocol for an up-front
-            # +inf fill: "unvisited always loses" becomes a plain cost
-            # compare, sparing every relax round its stamp gathers
-            row = cost2d[lane]
-            row.fill(np.inf)
-            row[ss] = 0.0
-            back2d[lane, ss] = -1
-            fr_g[lane] = np.zeros(ss.size, dtype=np.float64)
-            fr_node[lane] = ss
-            targ_np[lane] = np.fromiter(
-                tset, dtype=np.int64, count=len(tset)
-            )
-            fast.append(lane)
-        else:
-            crow = cost_rows[lane]
-            srow = stamp_rows[lane]
-            brow = back_rows[lane]
-            any_start = False
-            if hl is None:
-                for s in starts:
-                    crow[s] = 0.0
-                    srow[s] = ep
-                    brow[s] = -1
-                    heap.append((0.0, 0.0, s))
-                    any_start = True
-                heapq.heapify(heap)
-            else:
-                p_row, p_col, p_name = p_tiles
-                for s in starts:
-                    crow[s] = 0.0
-                    srow[s] = ep
-                    brow[s] = -1
-                    push(heap, (hl(s, p_name[s], p_row[s], p_col[s]), 0.0, s))
-                    any_start = True
-            if any_start:
-                slow.append(lane)
+        ss = np.fromiter(starts, dtype=np.int64, count=len(starts))
+        if ss.size == 0:
+            continue
+        # an up-front +inf fill replaces the scalar epoch-stamp protocol:
+        # "unvisited always loses" becomes a plain cost compare, sparing
+        # every relax round its stamp gathers
+        row = cost2d[lane]
+        row.fill(np.inf)
+        row[ss] = 0.0
+        back2d[lane, ss] = -1
+        fr_g[lane] = np.zeros(ss.size, dtype=np.float64)
+        fr_node[lane] = ss
+        targ_np[lane] = np.fromiter(targets, dtype=np.int64, count=len(targets))
+        active.append(lane)
 
-    def drain(lane: int) -> None:
-        # One lane on the scalar loop (the exact op order of
-        # :func:`dijkstra`'s general loop, over this lane's row state) —
-        # for lanes whose A* keys rule out safe-prefix vectorization.
-        heap = heaps[lane]
-        crow = cost_rows[lane]
-        srow = stamp_rows[lane]
-        brow = back_rows[lane]
-        ep = int(epochs[lane])
-        tset = target_sets[lane]
-        allow = allow_sets[lane]
-        hl = hs[lane]
-        e_l = expanded[lane]
-        p_l = pushes[lane]
-        f_l = fav[lane]
-        while heap:
-            f, g, canon = pop(heap)
-            if g > crow[canon]:
-                continue  # stale entry
-            if canon in tset:
-                goal[lane] = canon
-                goal_cost[lane] = g
-                break
-            if fault_mv is not None and fault_mv[canon]:
-                f_l += 1
-                continue
-            if (
-                deadline is not None
-                and (e_l & _DEADLINE_MASK) == 0
-                and deadline.expired()
-            ):
-                timed_out[lane] = True
-                break
-            e_l += 1
-            if e_l > max_nodes:
-                exceeded[lane] = True
-                break
-            o = off[canon]
-            for e in range(o, o + deg[canon]):
-                to = e_to[e]
-                if nb_v is not None and name_blocked[e_toname[e]]:
-                    continue
-                if femask_sc is not None and femask_sc[e]:
-                    f_l += 1
-                    continue
-                if occ_sc is not None and occ_sc[to] and to not in allow:
-                    continue
-                if congestion is None:
-                    ng = g + e_cost[e]
-                else:
-                    ng = g + e_cost[e] * (1.0 + pf * use_count[to]) + history[to]
-                if srow[to] != ep:
-                    srow[to] = ep
-                elif ng >= crow[to]:
-                    continue
-                crow[to] = ng
-                brow[to] = e
-                p_l += 1
-                if hl is None:
-                    push(heap, (ng, ng, to))
-                else:
-                    push(
-                        heap,
-                        (ng + hl(to, e_toname[e], e_row[e], e_col[e]), ng, to),
-                    )
-        expanded[lane] = e_l
-        pushes[lane] = p_l
-        fav[lane] = f_l
-
-    for lane in slow:
-        drain(lane)
-
-    active = fast
     while active:
         expired = deadline is not None and deadline.expired()
         still: list[int] = []
@@ -1003,14 +841,7 @@ def dijkstra_batch(
             lane_k = lane_e[kidx]
             to_k = to_e[kidx]
             g_k = np.repeat(g_a, degs)[kidx]
-        if congestion is None:
-            ng_k = g_k + e_cost_v[e_k]
-        else:
-            ng_k = (
-                g_k
-                + e_cost_v[e_k] * (1.0 + pf * use_v[to_k])
-                + hist_v[to_k]
-            )
+        ng_k = g_k + e_cost_v[e_k]
         # an edge that cannot beat the pre-round cost can never win
         # mid-round either (costs only decrease), so filter early;
         # unvisited rows hold +inf, so one gather doubles as the

@@ -722,10 +722,13 @@ class JRouter:
 
         Each entry is a ``(source, sink)`` endpoint pair routed with
         level-4 semantics.  Template attempts stay scalar (they are
-        lookup-bound); every template miss rides a single lockstepped
-        maze batch over the compiled graph, so the per-search fixed
-        costs (fault-mask sync, stats publication, graph traversal
-        setup) are paid once per batch instead of once per net.
+        lookup-bound); every template miss rides a single
+        :func:`~repro.routers.maze.route_maze_batch` call, so the fixed
+        costs (graph compile, fault-mask sync, stats publication) are
+        paid once per batch instead of once per net.  At an A*
+        ``heuristic_weight`` (the default) the batch runs its searches
+        on the scalar kernel one after another; at 0 it runs them as
+        one vectorized wavefront.
 
         All searches see the device state as of the call; plans are
         applied in request order, and a pair whose plan lost a wire to

@@ -10,7 +10,7 @@ keeps its configuration.  This module makes routing state *durable*:
   flushed before the session moves on, so it survives ``kill -9`` of
   the process (not a host crash or power loss: appends are not
   fsynced).  The tail of a crashed write (a torn record) is detected
-  and ignored on replay.
+  and ignored on replay, and cut off when a session resumes the log.
 * checkpoints — :func:`write_checkpoint` snapshots the full session
   (:class:`~repro.device.state.RoutingState` as a replay-legal PIP list,
   the :class:`~repro.core.netdb.NetDB` net records, and the
@@ -108,6 +108,29 @@ def _crc(payload: dict) -> int:
     return zlib.crc32(json.dumps(payload, sort_keys=True).encode("ascii"))
 
 
+def _trim_torn_tail(path: str) -> None:
+    """Drop an unterminated last line before resume-appending.
+
+    A crash mid-append leaves a partial line with no newline.  Appending
+    after it would weld the next record onto the torn one and turn a
+    tolerated torn *tail* into mid-file corruption: the WAL scan stops
+    there and drops every later record, and the job journal's scan
+    refuses the file as tampered with.
+    """
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return
+    with open(path, "rb+") as fh:
+        fh.seek(0, os.SEEK_END)
+        size = fh.tell()
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        data = fh.read()
+        keep = data.rfind(b"\n") + 1  # 0 when no newline at all
+        fh.truncate(keep)
+
+
 def iter_wal_frames(path: str) -> tuple[dict | None, list[WalFrame]]:
     """Scan a WAL file frame by frame without judging it.
 
@@ -162,7 +185,9 @@ class WriteAheadLog:
     The first line is a header naming the part; every further line is one
     event with a sequence number and a CRC over its own payload.  Opening
     an existing log scans it to find the next sequence number, so a
-    session can resume appending after a restart.
+    session can resume appending after a restart; a torn last line (a
+    crash mid-append) is cut off first, so new records follow the intact
+    prefix.
     """
 
     def __init__(self, path: str, *, part: str) -> None:
@@ -179,9 +204,12 @@ class WriteAheadLog:
                 )
             if records:
                 self.next_seq = records[-1].seq + 1
-            self._fh = open(path, "a", encoding="ascii")
-        else:
-            self._fh = open(path, "w", encoding="ascii")
+            # trim only a file that scanned as this part's WAL; a header
+            # torn before its newline leaves the file empty
+            _trim_torn_tail(path)
+        fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+        self._fh = open(path, "a", encoding="ascii")
+        if fresh:
             self._fh.write(
                 json.dumps({"wal": WAL_VERSION, "part": part}) + "\n"
             )

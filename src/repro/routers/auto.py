@@ -155,9 +155,9 @@ def route_point_to_point_batch(
     ``pairs`` is a sequence of ``(source, sink)`` wire pairs.  Each pair
     goes through the same two phases as :func:`route_point_to_point`:
     the (cheap, scalar) predefined-template attempts first, then every
-    template miss rides a single :func:`route_maze_batch` call — the
-    lockstepped SoA kernel amortizes graph traversal, fault-mask sync
-    and the global-stats publication across the whole fallback set.
+    template miss rides a single :func:`route_maze_batch` call, which
+    pays the graph compile, the fault-mask sync and the global-stats
+    publication once for the whole fallback set.
 
     Returns one entry per pair **in request order**: a
     :class:`P2PResult` on success, or the :class:`~repro.errors.JRouteError`

@@ -14,15 +14,15 @@ as possible").
 The search itself runs on the shared compiled-graph kernel
 (:mod:`repro.core.kernel`): flat CSR adjacency, epoch-stamped state and
 unified :class:`~repro.core.kernel.SearchStats` instrumentation.  The
-pre-kernel implementation survives as
-:func:`repro.routers._reference.route_maze_reference` (parity oracle and
-benchmark baseline).
+pre-kernel implementation survives in the test tree as
+``tests/routers/_reference.py`` (parity oracle and benchmark baseline).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from ..arch.wires import WireClass
 from ..core.deadline import Deadline
 from ..core.kernel import (
     BatchSearchState,
+    SearchState,
     SearchStats,
     dijkstra,
     dijkstra_batch,
@@ -54,6 +55,9 @@ _NAME_LENGTH: tuple[int, ...] = tuple(
 )
 _LONG_LO = wires.LONG_H[0]
 _LONG_HI = wires.LONG_V[-1]
+
+#: A checked request: ``(start_set, target_set, reuse_set, source_set)``.
+_Request = tuple[set[int], set[int], set[int], set[int]]
 
 class MazeResult:
     """Outcome of a maze search: the plan and the target it reached."""
@@ -116,6 +120,100 @@ def _name_block_table(
     )
 
 
+def _check_request(
+    arch, fault_mask, sources: Iterable[int], targets: Iterable[int],
+    reuse: Iterable[int],
+) -> "_Request | MazeResult | errors.UnroutableError":
+    """Validate one maze request before any search.
+
+    Returns ``(start_set, target_set, reuse_set, source_set)`` for a
+    request that needs a search.  Otherwise returns what the request
+    comes to without one: the :class:`~repro.errors.UnroutableError`
+    for no targets, no sources or a faulty target, or a zero-cost
+    :class:`MazeResult` when a start wire already is a target.
+    """
+    target_set = set(targets)
+    if not target_set:
+        return errors.UnroutableError("no targets given")
+    reuse_set = set(reuse)
+    source_set = set(sources)
+    start_set = source_set | reuse_set
+    if not start_set:
+        return errors.UnroutableError("no sources given")
+    if fault_mask is not None:
+        faulty = next((t for t in target_set if fault_mask[t]), None)
+        if faulty is not None:
+            r, c, n = arch.primary_name(faulty)
+            return errors.UnroutableError(
+                "target wire is a faulty fabric resource",
+                row=r,
+                col=c,
+                wire=wires.wire_name(n),
+            )
+    hit = target_set & start_set
+    if hit:
+        return MazeResult([], hit.pop(), 0.0, 0)
+    return start_set, target_set, reuse_set, source_set
+
+
+def _search(graph, state: SearchState, request: _Request, **kw) -> tuple:
+    """One checked request on the scalar kernel.
+
+    ``kw`` are :func:`~repro.core.kernel.dijkstra` options.  Returns its
+    outcome tuple with the extracted plan appended (``[]`` when no
+    target was reached).
+    """
+    start_set, target_set, reuse_set, _source_set = request
+    found = dijkstra(graph, state, start_set, target_set, allow=reuse_set, **kw)
+    plan = extract_plan(graph, state, found[0]) if found[0] >= 0 else []
+    return (*found, plan)
+
+
+def _outcome(
+    arch,
+    found: tuple,
+    request: _Request,
+    use_longs: bool,
+    max_nodes: int,
+) -> "MazeResult | errors.JRouteError":
+    """The :class:`MazeResult`, or the error, one finished search yields."""
+    goal, goal_cost, expanded, pushes, fav, exceeded, timed_out, plan = found
+    _start_set, target_set, _reuse_set, source_set = request
+    stats = SearchStats(1, expanded, pushes, fav)
+    net = min(source_set) if source_set else None
+    if timed_out:
+        tr, tc, tn = arch.primary_name(next(iter(target_set)))
+        return errors.DeadlineExceededError(
+            "maze search abandoned: deadline expired",
+            row=tr,
+            col=tc,
+            wire=wires.wire_name(tn),
+            net=net,
+            faults_avoided=fav,
+            search_stats=stats,
+        )
+    if exceeded:
+        return errors.UnroutableError(
+            f"maze search exceeded {max_nodes} node expansions",
+            net=net,
+            faults_avoided=fav,
+            search_stats=stats,
+        )
+    if goal < 0:
+        tr, tc, tn = arch.primary_name(next(iter(target_set)))
+        return errors.UnroutableError(
+            "no free path from sources to targets"
+            + ("" if use_longs else " (long lines disabled)"),
+            row=tr,
+            col=tc,
+            wire=wires.wire_name(tn),
+            net=net,
+            faults_avoided=fav,
+            search_stats=stats,
+        )
+    return MazeResult(plan, goal, goal_cost, expanded, fav, stats)
+
+
 def route_maze(
     device: Device,
     sources: Iterable[int],
@@ -162,52 +260,34 @@ def route_maze(
     Returns a :class:`MazeResult` whose plan drives wires in source-to-
     sink order.  Raises :class:`~repro.errors.UnroutableError` when no
     free path exists.
+
+    The graph stays lazy: the search compiles only the nodes it expands.
     """
     arch = device.arch
     faults = device.faults
     fault_mask = faults.unusable if faults is not None else None
-    target_set = set(targets)
-    if not target_set:
-        raise errors.UnroutableError("no targets given")
-    reuse_set = set(reuse)
-    source_set = set(sources)
-    start_set = source_set | reuse_set
-    if not start_set:
-        raise errors.UnroutableError("no sources given")
-    if fault_mask is not None:
-        for t in target_set:
-            if fault_mask[t]:
-                r, c, n = arch.primary_name(t)
-                raise errors.UnroutableError(
-                    "target wire is a faulty fabric resource",
-                    row=r,
-                    col=c,
-                    wire=wires.wire_name(n),
-                )
-    hit = target_set & start_set
-    if hit:
-        return MazeResult([], hit.pop(), 0.0, 0)
+    request = _check_request(arch, fault_mask, sources, targets, reuse)
+    if isinstance(request, errors.JRouteError):
+        raise request
+    if isinstance(request, MazeResult):
+        return request
 
     graph = device.routing_graph()
-    state = device.search_state()
-
-    if heuristic_weight > 0.0:
-        h = _make_heuristic(
+    h = (
+        _make_heuristic(
             graph,
-            _target_tiles(device, target_set),
+            _target_tiles(device, request[1]),
             _heuristic_rate(arch, heuristic_weight),
         )
-    else:
-        h = None
-
+        if heuristic_weight > 0.0
+        else None
+    )
     stats = SearchStats()
-    goal, goal_cost, expanded, _pushes, faults_avoided, exceeded, timed_out = dijkstra(
+    found = _search(
         graph,
-        state,
-        start_set,
-        target_set,
+        device.search_state(),
+        request,
         occupied=device.state.occupied,
-        allow=reuse_set,
         name_blocked=_name_block_table(use_longs, frozenset(avoid_classes)),
         h=h,
         fault_node=fault_mask,
@@ -218,40 +298,10 @@ def route_maze(
     )
     # publish before the outcome branches: failed searches count too
     record_global(stats)
-
-    if timed_out:
-        tr, tc, tn = arch.primary_name(next(iter(target_set)))
-        raise errors.DeadlineExceededError(
-            "maze search abandoned: deadline expired",
-            row=tr,
-            col=tc,
-            wire=wires.wire_name(tn),
-            net=min(source_set) if source_set else None,
-            faults_avoided=faults_avoided,
-            search_stats=stats,
-        )
-    if exceeded:
-        raise errors.UnroutableError(
-            f"maze search exceeded {max_nodes} node expansions",
-            net=min(source_set) if source_set else None,
-            faults_avoided=faults_avoided,
-            search_stats=stats,
-        )
-    if goal < 0:
-        tr, tc, tn = arch.primary_name(next(iter(target_set)))
-        raise errors.UnroutableError(
-            "no free path from sources to targets"
-            + ("" if use_longs else " (long lines disabled)"),
-            row=tr,
-            col=tc,
-            wire=wires.wire_name(tn),
-            net=min(source_set) if source_set else None,
-            faults_avoided=faults_avoided,
-            search_stats=stats,
-        )
-
-    plan = extract_plan(graph, state, goal)
-    return MazeResult(plan, goal, goal_cost, expanded, faults_avoided, stats)
+    result = _outcome(arch, found, request, use_longs, max_nodes)
+    if isinstance(result, errors.JRouteError):
+        raise result
+    return result
 
 
 # -- batched maze routing ------------------------------------------------------
@@ -307,10 +357,9 @@ def _make_heuristic(
 ) -> Callable[[int, int, int, int], float]:
     """Build the A* distance-to-target closure for one goal set.
 
-    Shared by the scalar :func:`route_maze` and (per lane) the batched
-    path — one definition, so batch estimates are the scalar estimates.
-    Batch lanes call it per winner push; winner sets per lockstep round
-    are small, so scalar calls beat tiny-array vectorization.
+    Shared by :func:`route_maze` and, one closure per request, the A*
+    batch path — one definition, so batch estimates are the scalar
+    estimates.
     """
     hex_n0 = wires.HEX_N[0]
     single_n0 = wires.SINGLE_N[0]
@@ -377,9 +426,9 @@ def _make_heuristic(
     return h
 
 
-def _dispatch_batch(
+def _route_chunk(
     graph,
-    lane_req: Sequence[tuple[set[int], set[int], set[int], set[int]]],
+    lane_req: Sequence[_Request],
     occupied,
     name_blocked,
     femask_buf,
@@ -388,43 +437,54 @@ def _dispatch_batch(
     rate: float | None,
     max_nodes: int,
     deadline: Deadline | None,
-    bstate: BatchSearchState,
+    state: "BatchSearchState | SearchState",
     stats: SearchStats,
 ) -> list[tuple]:
-    """Run one lane chunk through the batched kernel; plans extracted here.
+    """Run one lane chunk; plans extracted here.
 
-    Returns one ``(goal, cost, expanded, pushes, faults_avoided,
-    exceeded, timed_out, plan)`` tuple per lane.  Runs identically
-    inline, in a thread, or inside a process-backend worker.
+    A :class:`BatchSearchState` runs the chunk as one
+    :func:`~repro.core.kernel.dijkstra_batch` wavefront; a
+    :class:`SearchState` runs its lanes through the scalar kernel one
+    after another, exactly as :func:`route_maze` would.  Returns one
+    ``(goal, cost, expanded, pushes, faults_avoided, exceeded,
+    timed_out, plan)`` tuple per lane.  Runs identically inline, in a
+    thread, or inside a process-backend worker.
     """
-    reqs = [(sr[0], sr[1]) for sr in lane_req]
-    allows = [sr[2] for sr in lane_req]
-    hs = (
-        [_make_heuristic(graph, goals, rate) for goals in lane_goals]
-        if rate is not None
-        else None
-    )
-    res = dijkstra_batch(
-        graph,
-        bstate,
-        reqs,
+    kw = dict(
         occupied=occupied,
-        allows=allows,
         name_blocked=name_blocked,
-        hs=hs,
         fault_node=fault_mask,
-        fault_edge=femask_buf,
         max_nodes=max_nodes,
         stats=stats,
         deadline=deadline,
     )
-    out = []
-    for lane, r in enumerate(res):
-        plan = (
-            extract_plan_lane(graph, bstate, lane, r[0]) if r[0] >= 0 else []
+    if isinstance(state, BatchSearchState):
+        res = dijkstra_batch(
+            graph,
+            state,
+            [(sr[0], sr[1]) for sr in lane_req],
+            allows=[sr[2] for sr in lane_req],
+            fault_edge=femask_buf,
+            **kw,
         )
-        out.append((*r, plan))
-    return out
+        return [
+            (*r, extract_plan_lane(graph, state, lane, r[0]) if r[0] >= 0 else [])
+            for lane, r in enumerate(res)
+        ]
+    # the graph is compiled, so dijkstra never asks the mask to sync and
+    # reads only its buffer — the bytes a process worker receives
+    fault_edge = SimpleNamespace(mask=femask_buf) if femask_buf is not None else None
+    return [
+        _search(
+            graph,
+            state,
+            req,
+            h=_make_heuristic(graph, goals, rate) if rate is not None else None,
+            fault_edge=fault_edge,
+            **kw,
+        )
+        for req, goals in zip(lane_req, lane_goals)
+    ]
 
 
 #: Worker-process cached batch state (lives beside pathfinder's _W_STATE).
@@ -444,12 +504,14 @@ def _process_batch_task(payload: tuple) -> tuple[list[tuple], dict]:
     """Route one lane chunk inside a process-backend worker.
 
     The whole chunk ships as one task (amortized IPC) and runs on the
-    worker's attached shared-memory graph; the parent merges the
-    returned stats and publishes once for the batch.
+    worker's attached shared-memory graph and its cached search state;
+    the parent merges the returned stats and publishes once for the
+    batch.
     """
     from . import pathfinder  # lazy: pathfinder imports maze at load time
 
     (
+        wavefront,
         lane_req,
         occupied_b,
         name_blocked,
@@ -466,7 +528,7 @@ def _process_batch_task(payload: tuple) -> tuple[list[tuple], dict]:
         np.frombuffer(fault_b, dtype=bool) if fault_b is not None else None
     )
     stats = SearchStats()
-    out = _dispatch_batch(
+    out = _route_chunk(
         g,
         lane_req,
         occupied,
@@ -477,7 +539,9 @@ def _process_batch_task(payload: tuple) -> tuple[list[tuple], dict]:
         rate,
         max_nodes,
         Deadline.after_ms(deadline_ms),
-        _worker_batch_state(g.n_nodes, len(lane_req)),
+        _worker_batch_state(g.n_nodes, len(lane_req))
+        if wavefront
+        else pathfinder._W_STATE,
         stats,
     )
     return out, stats.as_dict()
@@ -495,12 +559,20 @@ def route_maze_batch(
     workers: int = 1,
     backend: str = "thread",
 ) -> MazeBatchResult:
-    """Route ``K`` independent maze requests as one lockstepped batch.
+    """Route ``K`` independent maze requests as one batch.
 
     Each request is ``(sources, targets)`` or ``(sources, targets,
     reuse)`` with :func:`route_maze` semantics; the keyword knobs apply
     to every request.  All searches run against the device state as of
     the call — requests do not see each other's (unapplied) plans.
+
+    Plain-Dijkstra batches (``heuristic_weight == 0`` on a graph with a
+    positive minimum edge cost) run lockstepped as one
+    :func:`~repro.core.kernel.dijkstra_batch` wavefront.  Every other
+    batch — A*-weighted, as ``JRouter`` sends by default — runs each
+    request through the scalar :func:`~repro.core.kernel.dijkstra` in
+    turn.  Either way the batch pays the graph compile, the fault-mask
+    sync and the stats publication once.
 
     Results are **bit-identical** to calling :func:`route_maze` once per
     request: per-request plans, costs and stats match exactly, failures
@@ -518,40 +590,14 @@ def route_maze_batch(
     arch = device.arch
     faults = device.faults
     fault_mask = faults.unusable if faults is not None else None
-    k = len(requests)
-    results: list[MazeResult | errors.JRouteError | None] = [None] * k
-    live: list[int] = []
-    lane_req: list[tuple[set[int], set[int], set[int], set[int]]] = []
-    for i, req in enumerate(requests):
-        sources, targets = req[0], req[1]
-        reuse = req[2] if len(req) > 2 else ()
-        target_set = set(targets)
-        if not target_set:
-            results[i] = errors.UnroutableError("no targets given")
-            continue
-        reuse_set = set(reuse)
-        source_set = set(sources)
-        start_set = source_set | reuse_set
-        if not start_set:
-            results[i] = errors.UnroutableError("no sources given")
-            continue
-        if fault_mask is not None:
-            faulty = next((t for t in target_set if fault_mask[t]), None)
-            if faulty is not None:
-                r, c, n = arch.primary_name(faulty)
-                results[i] = errors.UnroutableError(
-                    "target wire is a faulty fabric resource",
-                    row=r,
-                    col=c,
-                    wire=wires.wire_name(n),
-                )
-                continue
-        hit = target_set & start_set
-        if hit:
-            results[i] = MazeResult([], hit.pop(), 0.0, 0)
-            continue
-        live.append(i)
-        lane_req.append((start_set, target_set, reuse_set, source_set))
+    results: list = [
+        _check_request(
+            arch, fault_mask, req[0], req[1], req[2] if len(req) > 2 else ()
+        )
+        for req in requests
+    ]
+    live = [i for i, r in enumerate(results) if isinstance(r, tuple)]
+    lane_req = [results[i] for i in live]
 
     merged = SearchStats()
     if not live:
@@ -560,7 +606,7 @@ def route_maze_batch(
     graph = device.routing_graph()
     graph.np_columns()  # force-compile before masks/threads touch the CSR
     name_blocked = _name_block_table(use_longs, frozenset(avoid_classes))
-    # the one fault-mask application for the whole batch: the kernel(s)
+    # the one fault-mask application for the whole batch: the searches
     # receive the raw buffer, not the mask object, so nothing re-syncs
     femask_buf = (
         bytes(graph.fault_edge_mask(faults).mask) if faults is not None else None
@@ -576,11 +622,14 @@ def route_maze_batch(
         if rate is not None
         else [() for _ in lane_req]
     )
+    # the wavefront's exactness proof needs unbiased keys and a positive
+    # edge-cost bound; anything else runs the scalar kernel per lane
+    wavefront = rate is None and graph.min_edge_cost() > 0.0
 
     n_lanes = len(live)
     workers = max(1, min(workers, n_lanes))
     if workers == 1:
-        out = _dispatch_batch(
+        out = _route_chunk(
             graph,
             lane_req,
             occupied,
@@ -591,7 +640,9 @@ def route_maze_batch(
             rate,
             max_nodes,
             deadline,
-            device.batch_search_state(n_lanes),
+            device.batch_search_state(n_lanes)
+            if wavefront
+            else device.search_state(),
             merged,
         )
     else:
@@ -616,6 +667,7 @@ def route_maze_batch(
                 pool.submit(
                     _process_batch_task,
                     (
+                        wavefront,
                         lane_req[a:b],
                         occ_b,
                         name_blocked,
@@ -639,7 +691,7 @@ def route_maze_batch(
             with ThreadPoolExecutor(max_workers=workers) as ex:
                 futs = [
                     ex.submit(
-                        _dispatch_batch,
+                        _route_chunk,
                         graph,
                         lane_req[a:b],
                         occupied,
@@ -650,7 +702,7 @@ def route_maze_batch(
                         rate,
                         max_nodes,
                         deadline,
-                        BatchSearchState(n, b - a),
+                        BatchSearchState(n, b - a) if wavefront else SearchState(n),
                         chunk_stats[w],
                     )
                     for w, (a, b) in enumerate(bounds)
@@ -663,43 +715,5 @@ def route_maze_batch(
     record_global(merged)
 
     for lane, i in enumerate(live):
-        goal, goal_cost, expanded, pushes, fav, exceeded, timed_out, plan = out[
-            lane
-        ]
-        lane_stats = SearchStats(1, expanded, pushes, fav)
-        start_set, target_set, _reuse_set, source_set = lane_req[lane]
-        if timed_out:
-            tr, tc, tn = arch.primary_name(next(iter(target_set)))
-            results[i] = errors.DeadlineExceededError(
-                "maze search abandoned: deadline expired",
-                row=tr,
-                col=tc,
-                wire=wires.wire_name(tn),
-                net=min(source_set) if source_set else None,
-                faults_avoided=fav,
-                search_stats=lane_stats,
-            )
-        elif exceeded:
-            results[i] = errors.UnroutableError(
-                f"maze search exceeded {max_nodes} node expansions",
-                net=min(source_set) if source_set else None,
-                faults_avoided=fav,
-                search_stats=lane_stats,
-            )
-        elif goal < 0:
-            tr, tc, tn = arch.primary_name(next(iter(target_set)))
-            results[i] = errors.UnroutableError(
-                "no free path from sources to targets"
-                + ("" if use_longs else " (long lines disabled)"),
-                row=tr,
-                col=tc,
-                wire=wires.wire_name(tn),
-                net=min(source_set) if source_set else None,
-                faults_avoided=fav,
-                search_stats=lane_stats,
-            )
-        else:
-            results[i] = MazeResult(
-                plan, goal, goal_cost, expanded, fav, lane_stats
-            )
+        results[i] = _outcome(arch, out[lane], lane_req[lane], use_longs, max_nodes)
     return MazeBatchResult(results, merged)

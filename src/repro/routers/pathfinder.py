@@ -57,7 +57,7 @@ iteration-start congestion state plus its descendants' results, so
 thread and process executions produce bit-identical plans, costs and
 :class:`~repro.core.kernel.SearchStats`.  ``workers=1`` bypasses the
 tree entirely and reproduces the serial algorithm exactly (the
-bit-identical parity oracle against ``routers._reference``).
+bit-identical parity oracle against ``tests/routers/_reference.py``).
 
 It serves as the quality/time baseline for experiment E8: slower than
 JRoute's greedy one-shot calls, but able to resolve congestion that

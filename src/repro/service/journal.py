@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from threading import Lock
 
+from ..core.wal import _crc, _trim_torn_tail
 from .jobs import Job, JobState
 
 __all__ = ["JobJournal", "iter_journal", "recover_jobs"]
@@ -33,36 +33,10 @@ __all__ = ["JobJournal", "iter_journal", "recover_jobs"]
 JOURNAL_VERSION = 1
 
 
-def _crc(payload: dict) -> int:
-    return zlib.crc32(json.dumps(payload, sort_keys=True).encode("ascii"))
-
-
 def _frame(payload: dict) -> str:
     frame = dict(payload)
     frame["crc"] = _crc(payload)
     return json.dumps(frame, sort_keys=True) + "\n"
-
-
-def _trim_torn_tail(path: str) -> None:
-    """Drop an unterminated last line before resume-appending.
-
-    A crash mid-append leaves a partial line with no newline; appending
-    after it would weld the next record onto the torn one, turning a
-    tolerated torn *tail* into mid-file corruption that the scanner
-    correctly refuses as tampering.
-    """
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return
-    with open(path, "rb+") as fh:
-        fh.seek(0, os.SEEK_END)
-        size = fh.tell()
-        fh.seek(size - 1)
-        if fh.read(1) == b"\n":
-            return
-        fh.seek(0)
-        data = fh.read()
-        keep = data.rfind(b"\n") + 1  # 0 when no newline at all
-        fh.truncate(keep)
 
 
 class JobJournal:

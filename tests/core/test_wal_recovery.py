@@ -24,6 +24,9 @@ from repro.core.wal import (
 
 SRC = Pin(5, 5, wires.S0_YQ)
 SINK = Pin(7, 7, wires.S0F[1])
+#: a net clear of the workload's, routable after any crash point
+LATE_SRC = Pin(13, 18, wires.S0_YQ)
+LATE_SINK = Pin(14, 20, wires.S1F[2])
 
 
 def _session_workload(router):
@@ -101,6 +104,26 @@ class TestWriteAheadLog:
         assert torn
         assert records  # the intact prefix survives
 
+    def test_resume_trims_only_this_parts_torn_tail(self, wal_path, device):
+        _journal(wal_path)
+        with open(wal_path, "rb") as fh:
+            torn = fh.read()[:-9]
+        with open(wal_path, "wb") as fh:
+            fh.write(torn)
+        with pytest.raises(errors.TransactionError):
+            WriteAheadLog(wal_path, part="XCV100")
+        with open(wal_path, "rb") as fh:
+            assert fh.read() == torn  # a refused log is left untouched
+        # a header torn before its newline: the resumed log starts afresh
+        with open(wal_path, "w") as fh:
+            fh.write(json.dumps({"wal": 1, "part": "XCV50"}))
+        wal = WriteAheadLog(wal_path, part="XCV50")
+        device.add_listener(wal.append)
+        device.turn_on(5, 7, wires.S1_YQ, wires.OUT[1])
+        wal.close()
+        _, records, torn_tail = WriteAheadLog.replay(wal_path)
+        assert [r.seq for r in records] == [0] and not torn_tail
+
     def test_corrupt_crc_stops_scan(self, wal_path):
         _journal(wal_path)
         lines = open(wal_path).read().splitlines()
@@ -145,6 +168,28 @@ class TestCrashAtAnyOffset:
                 f"crash at record {cut} diverged"
             )
             assert report.replayed == cut
+
+    def test_resume_after_torn_record_keeps_new_records(self, wal_path, tmp_path):
+        """A respawned service worker's path: crash a few bytes into a
+        record, recover, resume a session on the same WAL and route on.
+        A second recovery must replay what the resumed session wrote."""
+        _journal(wal_path)
+        with open(wal_path, "rb") as fh:
+            header, *records = fh.readlines()
+        for cut, record in enumerate(records):
+            crash = str(tmp_path / f"torn{cut}.wal")
+            with open(crash, "wb") as fh:
+                fh.write(header)
+                fh.writelines(records[:cut])
+                fh.write(record[:4])
+            router, report = recover(crash)
+            assert report.torn_tail
+            with DurableSession(router, crash):
+                assert router.route(LATE_SRC, LATE_SINK) > 0
+            again, _ = recover(crash)
+            assert again.device.state.fingerprint() == (
+                router.device.state.fingerprint()
+            ), f"records written after a tear in record {cut} were lost"
 
     def test_crash_mid_record_recovers_prefix(self, wal_path):
         _journal(wal_path)

@@ -27,12 +27,12 @@ from hypothesis import strategies as st
 import repro.core.router as router_mod
 import repro.routers.maze as maze_mod
 from repro import errors
-from repro.arch.graph import FaultEdgeMask
+from repro.arch.graph import FaultEdgeMask, RoutingGraph
 from repro.bench.workloads import random_p2p_nets
 from repro.cli import main
 from repro.core import JRouter
 from repro.core.deadline import Deadline
-from repro.core.kernel import GLOBAL_STATS, SearchStats
+from repro.core.kernel import GLOBAL_STATS, BatchSearchState, SearchStats
 from repro.device.fabric import Device
 from repro.device.faults import FaultModel
 from repro.routers import (
@@ -110,20 +110,27 @@ class TestMazeBatchParity:
         scalar = _sequential(device, reqs, heuristic_weight=weight)
         _assert_batch_matches(batch, scalar)
 
+    @pytest.mark.parametrize("heuristic_weight", [0.0, 0.8])
     @pytest.mark.parametrize(
         "backend,workers",
         [("thread", 1), ("thread", 4), ("process", 1), ("process", 4)],
     )
-    def test_backends_and_workers_with_faults(self, backend, workers):
+    def test_backends_and_workers_with_faults(
+        self, backend, workers, heuristic_weight
+    ):
         faults = FaultModel.random(
             Device(PART).arch, seed=5, stuck_open_rate=0.02, dead_wire_rate=0.004
         )
         device = Device(PART, faults=faults)
         reqs = _maze_requests(device, 8, 21, max_span=10)
         batch = route_maze_batch(
-            device, reqs, workers=workers, backend=backend
+            device,
+            reqs,
+            workers=workers,
+            backend=backend,
+            heuristic_weight=heuristic_weight,
         )
-        scalar = _sequential(device, reqs)
+        scalar = _sequential(device, reqs, heuristic_weight=heuristic_weight)
         _assert_batch_matches(batch, scalar)
         ok = [r for r in batch.results if not isinstance(r, errors.JRouteError)]
         assert ok, "fault workload routed nothing — workload too hostile"
@@ -209,6 +216,38 @@ class TestMazeBatchParity:
         assert any(
             isinstance(r, errors.UnroutableError) for r in batch.results
         ), "budget of 300 nodes should exhaust at least one span-4+ search"
+
+    def test_heuristic_weight_picks_the_engine(self, monkeypatch):
+        """A* batches run the scalar kernel; plain ones the wavefront."""
+        wavefronts = []
+        allocations = []
+        real_batch = maze_mod.dijkstra_batch
+        real_ensure = BatchSearchState.ensure
+
+        def counting_batch(*args, **kwargs):
+            wavefronts.append(1)
+            return real_batch(*args, **kwargs)
+
+        def counting_ensure(self, k):
+            allocations.append(k)
+            return real_ensure(self, k)
+
+        monkeypatch.setattr(maze_mod, "dijkstra_batch", counting_batch)
+        monkeypatch.setattr(BatchSearchState, "ensure", counting_ensure)
+        device = Device(PART)
+        reqs = _maze_requests(device, 4, 3)
+        for workers in (1, 2):
+            route_maze_batch(
+                device, reqs, heuristic_weight=0.8, workers=workers
+            )
+        assert wavefronts == [] and allocations == []
+        route_maze_batch(device, reqs, heuristic_weight=0.0)
+        assert len(wavefronts) == 1 and allocations
+        # without a positive edge-cost bound the wavefront is not exact
+        monkeypatch.setattr(RoutingGraph, "min_edge_cost", lambda self: 0.0)
+        batch = route_maze_batch(device, reqs, heuristic_weight=0.0)
+        assert len(wavefronts) == 1
+        _assert_batch_matches(batch, _sequential(device, reqs))
 
     def test_trivial_and_empty_batches(self):
         device = Device(PART)

@@ -4,7 +4,7 @@ The shared search kernel (:mod:`repro.core.kernel` over the CSR graph of
 :mod:`repro.arch.graph`) replaced the dict-Dijkstra implementations on
 the hot path of :func:`route_maze` and :func:`route_pathfinder`.  These
 tests pin the replacement to the preserved originals
-(:mod:`repro.routers._reference`) over randomized workloads:
+(``tests/routers/_reference.py``) over randomized workloads:
 
 * identical plans and costs for point-to-point, A*, fanout-with-reuse
   and negotiated-congestion routing, with and without fault models;
@@ -30,11 +30,11 @@ from repro.device.contention import audit_no_contention
 from repro.device.fabric import Device
 from repro.device.faults import FaultModel, _splitmix64
 from repro.routers import NetSpec, route_maze, route_pathfinder
-from repro.routers._reference import (
+from repro.routers.base import apply_plan
+from tests.routers._reference import (
     route_maze_reference,
     route_pathfinder_reference,
 )
-from repro.routers.base import apply_plan
 
 common = settings(
     max_examples=15,

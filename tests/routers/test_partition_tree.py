@@ -22,8 +22,8 @@ from repro.bench.workloads import random_p2p_nets
 from repro.core.deadline import Deadline
 from repro.device.fabric import Device
 from repro.routers import NetSpec, route_pathfinder
-from repro.routers._reference import route_pathfinder_reference
 from repro.routers.pathfinder import PartitionNode, build_partition_tree
+from tests.routers._reference import route_pathfinder_reference
 
 PART = "XCV50"
 
