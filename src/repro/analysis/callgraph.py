@@ -46,7 +46,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 __all__ = [
     "FunctionInfo",
@@ -1030,11 +1030,3 @@ class _FunctionResolver:
             self._walk_expr(kw.value, awaited=False, locks=locks)
         if isinstance(func, ast.Attribute):
             self._walk_expr(func.value, awaited=False, locks=locks)
-
-
-def iter_calls(
-    node: ast.AST,
-) -> Iterator[ast.Call]:  # pragma: no cover - debugging helper
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            yield sub

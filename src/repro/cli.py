@@ -13,24 +13,21 @@ Usage (``python -m repro <command> ...``)::
     wires [SUBSTRING]             list wire names (optionally filtered)
     route PART R1 C1 WIRE1 R2 C2 WIRE2 [R3 C3 WIRE3 ...]
           [--batch] [--fault-rate R] [--fault-seed N] [--retry N]
-          [--workers N] [--backend thread|process] [--deadline-ms MS]
-          [--wal FILE]
+          [--workers N] [--deadline-ms MS] [--wal FILE]
                                   auto-route from the first named pin to
                                   the remaining pin(s) and print the
                                   resulting trace; --batch instead pairs
                                   the pins up (SRC1 SINK1 SRC2 SINK2 ...)
                                   and routes all pairs as one batched
                                   point-to-point request
-                                  (JRouter.route_p2p_batch);
+                                  (JRouter.route_p2p_batch, in-process;
+                                  it takes no --workers > 1);
                                   --fault-rate injects a
                                   seeded stuck-open PIP rate, --retry
                                   enables rip-up/retry recovery with N
                                   attempts, --workers > 1 routes via
-                                  the partitioned negotiated-congestion
-                                  router (--backend process runs the
-                                  workers as OS processes over a
-                                  shared-memory graph), --deadline-ms
-                                  bounds each
+                                  the negotiated-congestion router,
+                                  --deadline-ms bounds each
                                   request (a partial report instead of a
                                   hang), and --wal journals every PIP
                                   event to FILE for crash recovery
@@ -134,14 +131,12 @@ def _cmd_wires(args: list[str]) -> int:
 def _cmd_route(args: list[str]) -> int:
     usage = ("usage: route PART R1 C1 WIRE1 R2 C2 WIRE2 [R3 C3 WIRE3 ...] "
              "[--batch] [--fault-rate R] [--fault-seed N] [--retry N] "
-             "[--workers N] [--backend thread|process] [--deadline-ms MS] "
-             "[--wal FILE]")
+             "[--workers N] [--deadline-ms MS] [--wal FILE]")
     batch = False
     fault_rate = 0.0
     fault_seed = 0
     retry_attempts = 0
     workers = 1
-    backend = "thread"
     deadline_ms: float | None = None
     wal_path: str | None = None
     pos: list[str] = []
@@ -158,8 +153,6 @@ def _cmd_route(args: list[str]) -> int:
                 retry_attempts = int(next(it))
             elif a == "--workers":
                 workers = int(next(it))
-            elif a == "--backend":
-                backend = next(it)
             elif a == "--deadline-ms":
                 deadline_ms = float(next(it))
             elif a == "--wal":
@@ -175,7 +168,6 @@ def _cmd_route(args: list[str]) -> int:
         or fault_rate < 0
         or retry_attempts < 0
         or workers < 1
-        or backend not in ("thread", "process")
         or (deadline_ms is not None and deadline_ms <= 0)
     ):
         print(usage, file=sys.stderr)
@@ -183,6 +175,10 @@ def _cmd_route(args: list[str]) -> int:
     if batch and (len(pos) - 1) % 6 != 0:
         print("--batch pairs pins up: need an even number of pins "
               "(SRC1 SINK1 SRC2 SINK2 ...)", file=sys.stderr)
+        return 2
+    if batch and workers > 1:
+        print("--batch routes in-process: --workers must be 1",
+              file=sys.stderr)
         return 2
     part = pos[0]
     try:
@@ -212,7 +208,6 @@ def _cmd_route(args: list[str]) -> int:
         faults=faults,
         retry=retry,
         workers=workers,
-        backend=backend,
         deadline_ms=deadline_ms,
     )
     session = None
@@ -225,9 +220,7 @@ def _cmd_route(args: list[str]) -> int:
         if batch:
             # consecutive pin pairs ride one lockstepped batch search
             pairs = list(zip(pins[0::2], pins[1::2]))
-            outcomes = router.route_p2p_batch(
-                pairs, workers=workers, backend=backend
-            )
+            outcomes = router.route_p2p_batch(pairs)
             n = 0
             failed = 0
             for o in outcomes:

@@ -328,7 +328,7 @@ def dijkstra(
     deadline:
         Optional cooperative :class:`~repro.core.deadline.Deadline`;
         polled every 1024 expansions.  A tripped deadline abandons the
-        search with ``timed_out`` set (the deadline-free fast loops are
+        search with ``timed_out`` set (the deadline-free fast loop is
         untouched, so a ``None`` deadline costs nothing).
 
     Returns ``(goal, cost, expanded, pushes, faults_avoided, exceeded,
@@ -381,9 +381,10 @@ def dijkstra(
     exceeded = False
     timed_out = False
     # The hot maze configuration (no fault masks, no name filtering, no
-    # congestion pricing, no deadline) runs specialized loops with every
-    # per-edge branch hoisted out; everything else takes the general loop
-    # below.  Keeping deadline-bounded searches out of the fast loops is
+    # congestion pricing, no deadline) runs a fast loop with every
+    # per-edge mask branch hoisted out, plain and A* alike (only the push
+    # key branches on ``h``); everything else takes the general loop
+    # below.  Keeping deadline-bounded searches out of the fast loop is
     # what makes a ``None`` deadline genuinely free.
     fast = (
         name_blocked is None
@@ -398,7 +399,7 @@ def dijkstra(
             occupied = memoryview(occupied)  # cheaper scalar indexing
         except TypeError:
             pass
-    if fast and h is None:
+    if fast:
         # `fast` requires deadline is None (checked above): this loop is
         # intentionally poll-free — that is the point of the fast path
         while heap:
@@ -428,37 +429,13 @@ def dijkstra(
                 dist[to] = ng
                 prev[to] = e
                 pushes += 1
-                push(heap, (ng, ng, to))
-    elif fast:
-        # same contract: fast implies deadline is None
-        while heap:
-            f, g, canon = pop(heap)
-            if g > dist[canon]:
-                continue  # stale entry
-            if canon in target_set:
-                goal = canon
-                goal_cost = g
-                break
-            expanded += 1
-            if expanded > max_nodes:
-                exceeded = True
-                break
-            o = off[canon]
-            if o < 0:
-                o = materialize(canon)
-            for e in range(o, o + deg[canon]):
-                to = e_to[e]
-                if occupied[to] and to not in allow:
-                    continue
-                ng = g + e_cost[e]
-                if stamp[to] != epoch:
-                    stamp[to] = epoch
-                elif ng >= dist[to]:
-                    continue
-                dist[to] = ng
-                prev[to] = e
-                pushes += 1
-                push(heap, (ng + h(to, e_toname[e], e_row[e], e_col[e]), ng, to))
+                if h is None:
+                    push(heap, (ng, ng, to))
+                else:
+                    push(
+                        heap,
+                        (ng + h(to, e_toname[e], e_row[e], e_col[e]), ng, to),
+                    )
     else:
         while heap:
             f, g, canon = pop(heap)
@@ -619,10 +596,9 @@ def dijkstra_batch(
     Parameters mirror :func:`dijkstra`, with two batch forms: ``allows``
     is an optional per-lane collection of allowed occupied wires, and
     ``fault_edge`` is a raw per-edge mask buffer (the ``mask`` of a
-    synced :class:`~repro.arch.graph.FaultEdgeMask`, or the bytes a
-    process worker receives).  The graph is force-compiled up front, so
-    no mid-search materialization can outgrow the mask or invalidate
-    any flat view.
+    synced :class:`~repro.arch.graph.FaultEdgeMask`).  The graph is
+    force-compiled up front, so no mid-search materialization can
+    outgrow the mask or invalidate any flat view.
 
     Returns one ``(goal, cost, expanded, pushes, faults_avoided,
     exceeded, timed_out)`` tuple per request.  With ``stats=None`` the

@@ -712,11 +712,7 @@ class JRouter:
         return result
 
     def route_p2p_batch(
-        self,
-        pairs: Sequence[tuple[EndPoint, EndPoint]],
-        *,
-        workers: int | None = None,
-        backend: str | None = None,
+        self, pairs: Sequence[tuple[EndPoint, EndPoint]]
     ) -> list[P2PRouteOutcome]:
         """Route many independent point-to-point pairs in one batched search.
 
@@ -728,7 +724,9 @@ class JRouter:
         paid once per batch instead of once per net.  At an A*
         ``heuristic_weight`` (the default) the batch runs its searches
         on the scalar kernel one after another; at 0 it runs them as
-        one vectorized wavefront.
+        one vectorized wavefront.  Either way the batch runs in the
+        calling thread: the router's ``workers`` and ``backend``
+        configure :meth:`route_nets` only.
 
         All searches see the device state as of the call; plans are
         applied in request order, and a pair whose plan lost a wire to
@@ -806,8 +804,6 @@ class JRouter:
                 heuristic_weight=self.heuristic_weight,
                 max_nodes=self.max_nodes,
                 deadline=deadline,
-                workers=self.workers if workers is None else workers,
-                backend=self.backend if backend is None else backend,
             )
         for i, res in zip(lanes, results):
             src_ep, sink_ep = pairs[i]

@@ -34,11 +34,9 @@ __all__ = ["PipJournal", "RouteTransaction"]
 class PipJournal:
     """An ordered record of the PIP events a device emitted.
 
-    The journaling core shared by :class:`RouteTransaction` (which undoes
-    the journal on failure) and the write-ahead log
-    (:class:`repro.core.wal.DurableSession`, which persists it).  Attach
-    subscribes to the device's listener mechanism; every ``turn_on``/
-    ``turn_off`` is then appended until :meth:`detach`.
+    The journal behind :class:`RouteTransaction`, which undoes it on
+    failure.  Attach subscribes to the device's listener mechanism;
+    every ``turn_on``/``turn_off`` is then appended until :meth:`detach`.
     """
 
     __slots__ = ("device", "events", "_attached")
@@ -146,9 +144,6 @@ class RouteTransaction:
         if exc_type is not None and issubclass(exc_type, errors.JRouteError):
             self.rollback()
         return False
-
-    def _record(self, event: PipEvent) -> None:
-        self._journal.record(event)
 
     # -- rollback -------------------------------------------------------------
 

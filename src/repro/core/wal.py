@@ -17,8 +17,9 @@ keeps its configuration.  This module makes routing state *durable*:
   :class:`~repro.jbits.bitstream.ConfigMemory` bits) atomically, bounding
   replay cost; the WAL suffix past the checkpoint's sequence number is
   all recovery needs to re-apply.
-* :class:`DurableSession` — the listener that does both, extending the
-  :class:`~repro.core.txn.PipJournal` journaling that transactions use.
+* :class:`DurableSession` — the device listener that does both: it
+  appends each event to the WAL (and, with ``checkpoint_every``,
+  checkpoints periodically) and holds no event in memory.
 * :func:`recover` — rebuilds a :class:`~repro.core.router.JRouter` from
   checkpoint + WAL, replaying idempotently (an on-event for an on-PIP
   and an off-event for an off-PIP are no-ops), then reconciles the
@@ -48,7 +49,6 @@ from .. import errors
 from ..device.fabric import Device, PipEvent
 from .endpoints import Pin
 from .netdb import NetDB
-from .txn import PipJournal
 from .unroute import unroute_forward
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -373,24 +373,6 @@ def load_checkpoint(path: str) -> dict:
 # -- the session listener ------------------------------------------------------
 
 
-class _WalJournal(PipJournal):
-    """A :class:`PipJournal` that also persists every event to a WAL."""
-
-    __slots__ = ("wal", "after")
-
-    def __init__(self, device: Device, wal: WriteAheadLog, after=None) -> None:
-        super().__init__(device)
-        self.wal = wal
-        #: called after each persisted event (auto-checkpoint hook)
-        self.after = after
-
-    def record(self, event: PipEvent) -> None:
-        super().record(event)
-        self.wal.append(event)
-        if self.after is not None:
-            self.after()
-
-
 class DurableSession:
     """Write-ahead logging plus periodic checkpoints for one router.
 
@@ -428,9 +410,7 @@ class DurableSession:
         self.wal = WriteAheadLog(wal_path, part=router.device.arch.part.name)
         self.checkpoint_every = checkpoint_every
         self._last_ckpt_seq = self.wal.next_seq
-        self._journal = _WalJournal(
-            router.device, self.wal, after=self._maybe_checkpoint
-        )
+        self._attached = False
 
     @property
     def seq(self) -> int:
@@ -438,17 +418,24 @@ class DurableSession:
         return self.wal.next_seq
 
     def __enter__(self) -> "DurableSession":
-        self._journal.attach()
+        if self._attached:
+            raise errors.TransactionError("session already attached")
+        self.router.device.add_listener(self._record)
+        self._attached = True
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
     def close(self) -> None:
-        self._journal.detach()
+        if self._attached:
+            self.router.device.remove_listener(self._record)
+            self._attached = False
         self.wal.close()
 
-    def _maybe_checkpoint(self) -> None:
+    def _record(self, event: PipEvent) -> None:
+        """The device listener: log the event, then maybe checkpoint."""
+        self.wal.append(event)
         if (
             self.checkpoint_every is not None
             and self.wal.next_seq - self._last_ckpt_seq >= self.checkpoint_every

@@ -75,8 +75,8 @@ class Device:
         """This device's reusable ``k``-lane batched search state.
 
         Grown on demand (lanes are reused across batches); one state
-        serves one batch at a time — concurrent batches (thread-backend
-        chunks) must allocate their own.
+        serves one batch at a time, the same rule as
+        :meth:`search_state`.
         """
         if self._batch_search_state is None:
             from ..core.kernel import BatchSearchState

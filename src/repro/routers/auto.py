@@ -147,8 +147,6 @@ def route_point_to_point_batch(
     heuristic_weight: float = 0.0,
     max_nodes: int = 200_000,
     deadline: Deadline | None = None,
-    workers: int = 1,
-    backend: str = "thread",
 ) -> "list[P2PResult | errors.JRouteError]":
     """Plan ``K`` independent point-to-point routes as one batch.
 
@@ -204,8 +202,6 @@ def route_point_to_point_batch(
             heuristic_weight=heuristic_weight,
             max_nodes=max_nodes,
             deadline=deadline,
-            workers=workers,
-            backend=backend,
         )
         for lane, res in zip(maze_lanes, batch.results):
             if isinstance(res, errors.JRouteError):

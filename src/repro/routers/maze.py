@@ -20,19 +20,14 @@ pre-kernel implementation survives in the test tree as
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import Callable, Collection, Iterable, Sequence
-
-import numpy as np
 
 from .. import errors
 from ..arch import wires
 from ..arch.wires import WireClass
 from ..core.deadline import Deadline
 from ..core.kernel import (
-    BatchSearchState,
     SearchState,
     SearchStats,
     dijkstra,
@@ -357,9 +352,9 @@ def _make_heuristic(
 ) -> Callable[[int, int, int, int], float]:
     """Build the A* distance-to-target closure for one goal set.
 
-    Shared by :func:`route_maze` and, one closure per request, the A*
-    batch path — one definition, so batch estimates are the scalar
-    estimates.
+    Shared by :func:`route_maze` and :func:`route_maze_batch`, which
+    builds one closure per request — one definition, so batch estimates
+    are the scalar estimates.
     """
     hex_n0 = wires.HEX_N[0]
     single_n0 = wires.SINGLE_N[0]
@@ -426,127 +421,6 @@ def _make_heuristic(
     return h
 
 
-def _route_chunk(
-    graph,
-    lane_req: Sequence[_Request],
-    occupied,
-    name_blocked,
-    femask_buf,
-    fault_mask,
-    lane_goals,
-    rate: float | None,
-    max_nodes: int,
-    deadline: Deadline | None,
-    state: "BatchSearchState | SearchState",
-    stats: SearchStats,
-) -> list[tuple]:
-    """Run one lane chunk; plans extracted here.
-
-    A :class:`BatchSearchState` runs the chunk as one
-    :func:`~repro.core.kernel.dijkstra_batch` wavefront; a
-    :class:`SearchState` runs its lanes through the scalar kernel one
-    after another, exactly as :func:`route_maze` would.  Returns one
-    ``(goal, cost, expanded, pushes, faults_avoided, exceeded,
-    timed_out, plan)`` tuple per lane.  Runs identically inline, in a
-    thread, or inside a process-backend worker.
-    """
-    kw = dict(
-        occupied=occupied,
-        name_blocked=name_blocked,
-        fault_node=fault_mask,
-        max_nodes=max_nodes,
-        stats=stats,
-        deadline=deadline,
-    )
-    if isinstance(state, BatchSearchState):
-        res = dijkstra_batch(
-            graph,
-            state,
-            [(sr[0], sr[1]) for sr in lane_req],
-            allows=[sr[2] for sr in lane_req],
-            fault_edge=femask_buf,
-            **kw,
-        )
-        return [
-            (*r, extract_plan_lane(graph, state, lane, r[0]) if r[0] >= 0 else [])
-            for lane, r in enumerate(res)
-        ]
-    # the graph is compiled, so dijkstra never asks the mask to sync and
-    # reads only its buffer — the bytes a process worker receives
-    fault_edge = SimpleNamespace(mask=femask_buf) if femask_buf is not None else None
-    return [
-        _search(
-            graph,
-            state,
-            req,
-            h=_make_heuristic(graph, goals, rate) if rate is not None else None,
-            fault_edge=fault_edge,
-            **kw,
-        )
-        for req, goals in zip(lane_req, lane_goals)
-    ]
-
-
-#: Worker-process cached batch state (lives beside pathfinder's _W_STATE).
-_W_BATCH_STATE: BatchSearchState | None = None
-
-
-def _worker_batch_state(n: int, k: int) -> BatchSearchState:
-    global _W_BATCH_STATE
-    if _W_BATCH_STATE is None or _W_BATCH_STATE.n != n:
-        _W_BATCH_STATE = BatchSearchState(n, k)
-    else:
-        _W_BATCH_STATE.ensure(k)
-    return _W_BATCH_STATE
-
-
-def _process_batch_task(payload: tuple) -> tuple[list[tuple], dict]:
-    """Route one lane chunk inside a process-backend worker.
-
-    The whole chunk ships as one task (amortized IPC) and runs on the
-    worker's attached shared-memory graph and its cached search state;
-    the parent merges the returned stats and publishes once for the
-    batch.
-    """
-    from . import pathfinder  # lazy: pathfinder imports maze at load time
-
-    (
-        wavefront,
-        lane_req,
-        occupied_b,
-        name_blocked,
-        femask_b,
-        fault_b,
-        lane_goals,
-        rate,
-        max_nodes,
-        deadline_ms,
-    ) = payload
-    g = pathfinder._W_GRAPH
-    occupied = np.frombuffer(occupied_b, dtype=bool)
-    fault_mask = (
-        np.frombuffer(fault_b, dtype=bool) if fault_b is not None else None
-    )
-    stats = SearchStats()
-    out = _route_chunk(
-        g,
-        lane_req,
-        occupied,
-        name_blocked,
-        femask_b,
-        fault_mask,
-        lane_goals,
-        rate,
-        max_nodes,
-        Deadline.after_ms(deadline_ms),
-        _worker_batch_state(g.n_nodes, len(lane_req))
-        if wavefront
-        else pathfinder._W_STATE,
-        stats,
-    )
-    return out, stats.as_dict()
-
-
 def route_maze_batch(
     device: Device,
     requests: Sequence[tuple],
@@ -556,8 +430,6 @@ def route_maze_batch(
     heuristic_weight: float = 0.0,
     max_nodes: int = 200_000,
     deadline: Deadline | None = None,
-    workers: int = 1,
-    backend: str = "thread",
 ) -> MazeBatchResult:
     """Route ``K`` independent maze requests as one batch.
 
@@ -581,11 +453,6 @@ def route_maze_batch(
     batch stats are published to the global accumulator via a single
     ``record_global`` call.  The versioned fault-edge mask is synced at
     most once per batch.
-
-    ``workers`` > 1 splits the batch into contiguous lane chunks routed
-    concurrently — in threads, or on the shared-memory process pool with
-    ``backend="process"`` (whole chunks per task, so IPC is amortized
-    across the batch).
     """
     arch = device.arch
     faults = device.faults
@@ -599,121 +466,56 @@ def route_maze_batch(
     live = [i for i, r in enumerate(results) if isinstance(r, tuple)]
     lane_req = [results[i] for i in live]
 
-    merged = SearchStats()
+    stats = SearchStats()
     if not live:
-        return MazeBatchResult(results, merged)
+        return MazeBatchResult(results, stats)
 
     graph = device.routing_graph()
-    graph.np_columns()  # force-compile before masks/threads touch the CSR
-    name_blocked = _name_block_table(use_longs, frozenset(avoid_classes))
-    # the one fault-mask application for the whole batch: the searches
-    # receive the raw buffer, not the mask object, so nothing re-syncs
-    femask_buf = (
-        bytes(graph.fault_edge_mask(faults).mask) if faults is not None else None
-    )
-    occupied = device.state.occupied
-    rate = (
-        _heuristic_rate(arch, heuristic_weight)
-        if heuristic_weight > 0.0
-        else None
-    )
-    lane_goals = (
-        [_target_tiles(device, sr[1]) for sr in lane_req]
-        if rate is not None
-        else [() for _ in lane_req]
+    graph.np_columns()  # force-compile: no search below grows the graph
+    # the one fault-mask sync for the whole batch; with the graph
+    # compiled, no search materializes a node, so none syncs it again
+    fault_edge = graph.fault_edge_mask(faults) if faults is not None else None
+    kw = dict(
+        occupied=device.state.occupied,
+        name_blocked=_name_block_table(use_longs, frozenset(avoid_classes)),
+        fault_node=fault_mask,
+        max_nodes=max_nodes,
+        stats=stats,
+        deadline=deadline,
     )
     # the wavefront's exactness proof needs unbiased keys and a positive
-    # edge-cost bound; anything else runs the scalar kernel per lane
-    wavefront = rate is None and graph.min_edge_cost() > 0.0
-
-    n_lanes = len(live)
-    workers = max(1, min(workers, n_lanes))
-    if workers == 1:
-        out = _route_chunk(
+    # edge-cost bound; anything else runs the scalar kernel per request
+    if heuristic_weight <= 0.0 and graph.min_edge_cost() > 0.0:
+        bstate = device.batch_search_state(len(lane_req))
+        res = dijkstra_batch(
             graph,
-            lane_req,
-            occupied,
-            name_blocked,
-            femask_buf,
-            fault_mask,
-            lane_goals,
-            rate,
-            max_nodes,
-            deadline,
-            device.batch_search_state(n_lanes)
-            if wavefront
-            else device.search_state(),
-            merged,
+            bstate,
+            [(sr[0], sr[1]) for sr in lane_req],
+            allows=[sr[2] for sr in lane_req],
+            fault_edge=fault_edge.mask if fault_edge is not None else None,
+            **kw,
         )
-    else:
-        # contiguous lane chunks, one per worker; chunk stats merge in
-        # lane order so totals match the sequential scalar sweep
-        bounds = [
-            (n_lanes * w // workers, n_lanes * (w + 1) // workers)
-            for w in range(workers)
+        found = [
+            (*r, extract_plan_lane(graph, bstate, lane, r[0]) if r[0] >= 0 else [])
+            for lane, r in enumerate(res)
         ]
-        out = []
-        if backend == "process":
-            from . import pathfinder
-
-            pool = pathfinder._process_pool(arch, workers)
-            fault_b = (
-                np.asarray(fault_mask, dtype=bool).tobytes()
-                if fault_mask is not None
+    else:
+        state = device.search_state()
+        rate = _heuristic_rate(arch, heuristic_weight)
+        found = []
+        for req in lane_req:
+            h = (
+                _make_heuristic(graph, _target_tiles(device, req[1]), rate)
+                if heuristic_weight > 0.0
                 else None
             )
-            occ_b = np.asarray(occupied, dtype=bool).tobytes()
-            futs = [
-                pool.submit(
-                    _process_batch_task,
-                    (
-                        wavefront,
-                        lane_req[a:b],
-                        occ_b,
-                        name_blocked,
-                        femask_buf,
-                        fault_b,
-                        lane_goals[a:b],
-                        rate,
-                        max_nodes,
-                        deadline.remaining_ms() if deadline else None,
-                    ),
-                )
-                for a, b in bounds
-            ]
-            for fut in futs:
-                chunk_out, chunk_stats = fut.result()
-                out.extend(chunk_out)
-                merged.merge(SearchStats(**chunk_stats))
-        else:
-            n = graph.n_nodes
-            chunk_stats = [SearchStats() for _ in bounds]
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                futs = [
-                    ex.submit(
-                        _route_chunk,
-                        graph,
-                        lane_req[a:b],
-                        occupied,
-                        name_blocked,
-                        femask_buf,
-                        fault_mask,
-                        lane_goals[a:b],
-                        rate,
-                        max_nodes,
-                        deadline,
-                        BatchSearchState(n, b - a) if wavefront else SearchState(n),
-                        chunk_stats[w],
-                    )
-                    for w, (a, b) in enumerate(bounds)
-                ]
-                for fut, cs in zip(futs, chunk_stats):
-                    out.extend(fut.result())
-                    merged.merge(cs)
+            found.append(
+                _search(graph, state, req, h=h, fault_edge=fault_edge, **kw)
+            )
 
     # single lock-guarded publication for the whole batch (failures too)
-    record_global(merged)
+    record_global(stats)
 
     for lane, i in enumerate(live):
-        results[i] = _outcome(arch, out[lane], lane_req[lane], use_longs, max_nodes)
-    return MazeBatchResult(results, merged)
+        results[i] = _outcome(arch, found[lane], lane_req[lane], use_longs, max_nodes)
+    return MazeBatchResult(results, stats)

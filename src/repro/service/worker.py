@@ -38,7 +38,6 @@ from ..core.recovery import RetryPolicy
 from ..core.router import JRouter
 from ..core.wal import DurableSession, recover
 from ..device.faults import FaultModel
-from .jobs import Job
 
 __all__ = ["worker_main", "execute_batch"]
 
@@ -198,8 +197,3 @@ def worker_main(
                 # monitor's miss window fires and SIGKILLs this process
                 time.sleep(stall_s)
             conn.send(("done", execute_batch(router, msg[1])))
-
-
-def make_job(d: dict) -> Job:
-    """Convenience for tests: wire dict → Job (mirrors Job.from_wire)."""
-    return Job.from_wire(d)

@@ -4,9 +4,8 @@
 CSR graph (PR 7's vectorized struct-of-arrays kernel).  The scalar
 kernel stays on as the oracle: every batch must be **bit-identical** to
 calling :func:`route_maze` once per request — plans, costs, per-request
-``SearchStats``, fault accounting and failure messages — across both
-execution backends and worker counts, with failures reported in place
-rather than aborting the rest of the batch.
+``SearchStats``, fault accounting and failure messages — with failures
+reported in place rather than aborting the rest of the batch.
 
 The batch also changes *accounting shape*, which these tests pin:
 
@@ -26,6 +25,7 @@ from hypothesis import strategies as st
 
 import repro.core.router as router_mod
 import repro.routers.maze as maze_mod
+import repro.routers.pathfinder as pathfinder_mod
 from repro import errors
 from repro.arch.graph import FaultEdgeMask, RoutingGraph
 from repro.bench.workloads import random_p2p_nets
@@ -111,6 +111,20 @@ class TestMazeBatchParity:
         _assert_batch_matches(batch, scalar)
 
     @pytest.mark.parametrize("heuristic_weight", [0.0, 0.8])
+    def test_with_faults(self, heuristic_weight):
+        faults = FaultModel.random(
+            Device(PART).arch, seed=5, stuck_open_rate=0.02, dead_wire_rate=0.004
+        )
+        device = Device(PART, faults=faults)
+        reqs = _maze_requests(device, 8, 21, max_span=10)
+        batch = route_maze_batch(device, reqs, heuristic_weight=heuristic_weight)
+        scalar = _sequential(device, reqs, heuristic_weight=heuristic_weight)
+        _assert_batch_matches(batch, scalar)
+        ok = [r for r in batch.results if not isinstance(r, errors.JRouteError)]
+        assert ok, "fault workload routed nothing — workload too hostile"
+        assert any(r.faults_avoided for r in ok) or batch.stats.faults_avoided
+
+    @pytest.mark.parametrize("heuristic_weight", [0.0, 0.8])
     @pytest.mark.parametrize(
         "backend,workers",
         [("thread", 1), ("thread", 4), ("process", 1), ("process", 4)],
@@ -118,23 +132,42 @@ class TestMazeBatchParity:
     def test_backends_and_workers_with_faults(
         self, backend, workers, heuristic_weight
     ):
+        """A router's ``workers``/``backend`` leave its batches alone: on
+        a faulty device every configuration routes a batch exactly as
+        the default one does."""
         faults = FaultModel.random(
             Device(PART).arch, seed=5, stuck_open_rate=0.02, dead_wire_rate=0.004
         )
-        device = Device(PART, faults=faults)
-        reqs = _maze_requests(device, 8, 21, max_span=10)
-        batch = route_maze_batch(
-            device,
-            reqs,
-            workers=workers,
-            backend=backend,
-            heuristic_weight=heuristic_weight,
+
+        def router(**kw):
+            return JRouter(
+                part=PART, attach_jbits=False, faults=faults,
+                try_templates=False, heuristic_weight=heuristic_weight, **kw,
+            )
+
+        def shape(outcomes):
+            return [
+                (o.success, o.pips_added, o.method, o.rerouted,
+                 type(o.error), str(o.error))
+                for o in outcomes
+            ]
+
+        configured = router(workers=workers, backend=backend)
+        plain = router()
+        nets = random_p2p_nets(
+            plain.device.arch, 8, seed=21, min_span=2, max_span=10
         )
-        scalar = _sequential(device, reqs, heuristic_weight=heuristic_weight)
-        _assert_batch_matches(batch, scalar)
-        ok = [r for r in batch.results if not isinstance(r, errors.JRouteError)]
-        assert ok, "fault workload routed nothing — workload too hostile"
-        assert any(r.faults_avoided for r in ok) or batch.stats.faults_avoided
+        pairs = [(n.source, n.sinks[0]) for n in nets]
+        got = configured.route_p2p_batch(pairs)
+        assert shape(got) == shape(plain.route_p2p_batch(pairs))
+        assert (
+            configured.device.state.fingerprint()
+            == plain.device.state.fingerprint()
+        )
+        report, want = configured.last_report, plain.last_report
+        assert report.search_stats.as_dict() == want.search_stats.as_dict()
+        assert any(o.success for o in got), "fault workload routed nothing"
+        assert report.faults_avoided == want.faults_avoided > 0
 
     def test_merged_stats_equal_sum_of_sequential(self):
         device = Device(PART)
@@ -236,10 +269,7 @@ class TestMazeBatchParity:
         monkeypatch.setattr(BatchSearchState, "ensure", counting_ensure)
         device = Device(PART)
         reqs = _maze_requests(device, 4, 3)
-        for workers in (1, 2):
-            route_maze_batch(
-                device, reqs, heuristic_weight=0.8, workers=workers
-            )
+        route_maze_batch(device, reqs, heuristic_weight=0.8)
         assert wavefronts == [] and allocations == []
         route_maze_batch(device, reqs, heuristic_weight=0.0)
         assert len(wavefronts) == 1 and allocations
@@ -402,6 +432,27 @@ class TestRouterP2PBatch:
         assert r.last_report.timed_out
         assert len(r.last_report.failures) == len(pairs)
 
+    def test_batch_runs_inline_whatever_the_routers_backend(self, monkeypatch):
+        """``workers``/``backend`` configure route_nets only: a batch
+        never reaches PathFinder's process pool."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("route_p2p_batch reached a process pool")
+
+        monkeypatch.setattr(pathfinder_mod, "_process_pool", no_pool)
+        pooled = JRouter(
+            part=PART, attach_jbits=False, try_templates=False,
+            workers=2, backend="process",
+        )
+        plain = JRouter(part=PART, attach_jbits=False, try_templates=False)
+        pairs = [(n.source, n.sinks[0]) for n in self._nets(plain, 4, seed=9)]
+        got = pooled.route_p2p_batch(pairs)
+        assert [o.success for o in got] == [True] * len(pairs)
+        assert got == plain.route_p2p_batch(pairs)
+        assert (
+            pooled.device.state.fingerprint() == plain.device.state.fingerprint()
+        )
+
 
 class TestCliBatch:
     def test_route_batch_routes_pairs(self, capsys):
@@ -428,3 +479,14 @@ class TestCliBatch:
         )
         assert rc != 0
         assert "even number" in capsys.readouterr().err
+
+    def test_route_batch_refuses_workers(self, capsys):
+        rc = main(
+            [
+                "route", PART,
+                "5", "7", "S1_YQ", "6", "8", "S0F3",
+                "--batch", "--workers", "2",
+            ]
+        )
+        assert rc == 2
+        assert "--workers must be 1" in capsys.readouterr().err
