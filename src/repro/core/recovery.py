@@ -25,6 +25,7 @@ from threading import Lock
 from typing import Callable, Hashable
 
 from ..device.fabric import Device
+from .kernel import SearchStats
 
 __all__ = ["RetryPolicy", "RoutingReport", "CircuitBreaker", "select_victim"]
 
@@ -99,33 +100,37 @@ class RetryPolicy:
 
 @dataclass(slots=True)
 class RoutingReport:
-    """Structured account of one recovered (or failed) route request.
+    """Structured account of one routing request, recovered or failed.
 
     Surfaced as :attr:`repro.core.router.JRouter.last_report` after every
-    level-4/5/6 call when a retry policy is active.
+    level-4/5/6 ``route`` call, every ``route_p2p_batch`` call and every
+    ``route_nets`` call, with or without a retry policy.
     """
 
     #: route attempts made, including the successful one
     attempts: int = 0
     #: source canonical ids of nets ripped up and re-routed
     ripped_nets: list[int] = field(default_factory=list)
-    #: faulty edges the searches masked out across all attempts
-    faults_avoided: int = 0
     #: PIPs on the device added by the final successful attempt
     pips_added: int = 0
     #: whether the original request was ultimately satisfied
     success: bool = False
     #: stringified error of each failed attempt, in order
     failures: list[str] = field(default_factory=list)
-    #: unified kernel instrumentation of the request's searches
-    #: (:class:`repro.core.kernel.SearchStats`; None when no search ran)
-    search_stats: object | None = None
+    #: kernel instrumentation of the request's searches, failed ones
+    #: included: the request's only search counter
+    search_stats: SearchStats = field(default_factory=SearchStats)
     #: the request was abandoned because its deadline expired; the report
     #: is then *partial*: it describes the work done up to the trip
     timed_out: bool = False
     #: the request was refused without searching because its net's
     #: circuit breaker is open (too many deadline trips)
     breaker_open: bool = False
+
+    @property
+    def faults_avoided(self) -> int:
+        """Faulty edges the request's searches masked out, all attempts."""
+        return self.search_stats.faults_avoided
 
     def summary(self) -> str:
         """One-line operator-facing rendering."""
@@ -135,15 +140,12 @@ class RoutingReport:
             state = "TIMED OUT"
         else:
             state = "ok" if self.success else "FAILED"
-        line = (
+        return (
             f"{state}: {self.attempts} attempt(s), "
             f"{len(self.ripped_nets)} net(s) ripped, "
             f"{self.faults_avoided} fault(s) avoided, "
-            f"{self.pips_added} PIPs added"
+            f"{self.pips_added} PIPs added [{self.search_stats.summary()}]"
         )
-        if self.search_stats is not None:
-            line += f" [{self.search_stats.summary()}]"
-        return line
 
 
 @dataclass(slots=True)

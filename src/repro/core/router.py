@@ -24,16 +24,21 @@ reconnection after core replacement).
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .. import errors
 from ..arch import wires
-from ..arch.wires import WireClass
 from ..device.fabric import Device
 from ..device.state import PipRecord
 from ..jbits.jbits import JBits
-from ..routers.auto import route_point_to_point, route_point_to_point_batch
+from ..routers.auto import (
+    P2PResult,
+    route_point_to_point,
+    route_point_to_point_batch,
+)
 from ..routers.base import PlanPip, apply_plan
 from ..routers.maze import route_maze
 from ..routers.pathfinder import NetSpec, PathFinderResult, route_pathfinder
@@ -102,10 +107,10 @@ class JRouter:
         Optional :class:`~repro.device.faults.FaultModel` attached to the
         device; fault-aware searches mask defective resources out.
     retry:
-        Optional :class:`~repro.core.recovery.RetryPolicy` enabling the
-        rip-up/retry loop on :class:`~repro.errors.UnroutableError` for
-        the auto-routing levels (4, 5 and 6).  Each request's outcome is
-        surfaced as :attr:`last_report`.
+        Optional :class:`~repro.core.recovery.RetryPolicy` bounding the
+        rip-up/retry loop every auto-routing request (levels 4, 5 and 6)
+        runs; without one the loop makes a single attempt.  Each
+        request's outcome is surfaced as :attr:`last_report`.
     workers:
         Default concurrency for :meth:`route_nets` bulk requests (the
         negotiated-congestion router's per-iteration net loop is
@@ -162,16 +167,16 @@ class JRouter:
         if breaker is None and deadline_ms is not None:
             breaker = CircuitBreaker()
         self.breaker = breaker
-        #: RoutingReport of the latest level-4/5/6 request (None before any)
+        #: RoutingReport of the latest level-4/5/6, route_p2p_batch or
+        #: route_nets request (None before any)
         self.last_report: RoutingReport | None = None
         #: user-facing route() invocations (Section 4 comparison metric)
         self.call_count = 0
         #: counters for the template-vs-maze statistics (experiment E9)
         self.p2p_template_hits = 0
         self.p2p_maze_fallbacks = 0
-        # faulty edges masked out by searches, accumulated per request
-        self._faults_avoided = 0
-        # kernel instrumentation accumulated per request (-> last_report)
+        # the current request's report.search_stats, where _route_net
+        # accumulates (reconnect() and recover() route outside a request)
         self._search_stats = SearchStats()
 
     # ------------------------------------------------------------------ dispatch
@@ -266,184 +271,107 @@ class JRouter:
                 tiles.extend((p.row, p.col) for p in ep.resolve_pins())
         return tiles
 
-    def _breaker_refusal(self, open_nets: list[int]) -> int:
-        """Refuse a request whose net(s) have an open circuit breaker."""
-        report = RoutingReport(breaker_open=True)
-        rendered = ", ".join(str(n) for n in open_nets)
-        report.failures.append(
-            f"circuit breaker open for net(s) {rendered}: refused without "
-            f"searching (reset the breaker or raise deadline_ms)"
-        )
-        self.last_report = report
-        return 0
-
-    def _deadline_tripped(
-        self, source: int | None, exc: errors.DeadlineExceededError
-    ) -> int:
-        """Turn a deadline trip into a partial report; returns 0 PIPs.
-
-        State has already been rolled back by the transaction machinery
-        before the exception reached the request entry.
-        """
-        report = self.last_report
-        assert report is not None
-        report.timed_out = True
-        report.success = False
-        report.failures.append(str(exc))
-        self._faults_avoided += exc.faults_avoided
-        report.faults_avoided = self._faults_avoided
-        if self.breaker is not None and source is not None:
-            self.breaker.record_trip(source)
-        return 0
-
-    def _note_success(self, source: int | None) -> None:
-        if self.breaker is not None and source is not None:
-            self.breaker.record_success(source)
+    def _new_report(self, attempts: int) -> RoutingReport:
+        """Start a request's report; its searches accumulate into it."""
+        report = self.last_report = RoutingReport(attempts=attempts)
+        self._search_stats = report.search_stats
+        return report
 
     def _route_net_request(
         self, source_ep: EndPoint, sink_eps: list[EndPoint]
     ) -> int:
-        """Level 4/5 entry: transactional, optionally with rip-up/retry."""
-        deadline = Deadline.after_ms(self.deadline_ms)
-        source = self._source_canon(source_ep)
-        if self.breaker is not None and self.breaker.is_open(source):
-            return self._breaker_refusal([source])
-        if self.retry is not None:
-            tiles = self._request_tiles([source_ep, *sink_eps])
-
-            def attempt(budget: int) -> int:
-                applied, _ = self._route_net(
-                    source_ep, sink_eps, max_nodes=budget, deadline=deadline
-                )
-                return len(applied)
-
-            try:
-                pips = self._run_with_recovery(attempt, tiles, deadline=deadline)
-            except errors.DeadlineExceededError as e:
-                return self._deadline_tripped(source, e)
-            self._note_success(source)
-            return pips
-        report = RoutingReport(attempts=1)
-        self.last_report = report
-        self._faults_avoided = 0
-        self._search_stats = SearchStats()
-        report.search_stats = self._search_stats
-        try:
-            if len(sink_eps) > 1:
-                # multi-step fanout: journal + roll back atomically
-                with RouteTransaction(self.device, netdb=self.netdb):
-                    applied, _ = self._route_net(
-                        source_ep, sink_eps, deadline=deadline
-                    )
-            else:
-                applied, _ = self._route_net(source_ep, sink_eps, deadline=deadline)
-        except errors.DeadlineExceededError as e:
-            return self._deadline_tripped(source, e)
-        except errors.JRouteError as e:
-            report.failures.append(str(e))
-            self._faults_avoided += getattr(e, "faults_avoided", 0)
-            report.faults_avoided = self._faults_avoided
-            raise
-        report.success = True
-        report.pips_added = len(applied)
-        report.faults_avoided = self._faults_avoided
-        self._note_success(source)
-        return len(applied)
+        """Level 4/5 entry: a deadline trip charges the source's breaker."""
+        return self._request(
+            partial(self._route_net, source_ep, sink_eps), [source_ep], sink_eps,
+            atomic=len(sink_eps) > 1, charged=True,
+        )
 
     def _route_bus_request(
         self, source_eps: list[EndPoint], sink_eps: list[EndPoint]
     ) -> int:
-        """Level 6 entry: transactional, optionally with rip-up/retry."""
-        deadline = Deadline.after_ms(self.deadline_ms)
-        if self.breaker is not None:
-            open_nets = [
-                s
-                for s in (self._source_canon(ep) for ep in source_eps)
-                if self.breaker.is_open(s)
-            ]
-            if open_nets:
-                return self._breaker_refusal(open_nets)
-        if self.retry is not None:
-            tiles = self._request_tiles([*source_eps, *sink_eps])
+        """Level 6 entry: always atomic; no one net's breaker is charged."""
+        return self._request(
+            partial(self._route_bus, source_eps, sink_eps), source_eps, sink_eps,
+            atomic=True, charged=False,
+        )
 
-            def attempt(budget: int) -> int:
-                return self._route_bus(
-                    source_eps, sink_eps, max_nodes=budget, deadline=deadline
-                )
-
-            try:
-                return self._run_with_recovery(attempt, tiles, deadline=deadline)
-            except errors.DeadlineExceededError as e:
-                # bus trips are not charged to a single net's breaker
-                return self._deadline_tripped(None, e)
-        report = RoutingReport(attempts=1)
-        self.last_report = report
-        self._faults_avoided = 0
-        self._search_stats = SearchStats()
-        report.search_stats = self._search_stats
-        try:
-            with RouteTransaction(self.device, netdb=self.netdb):
-                pips = self._route_bus(source_eps, sink_eps, deadline=deadline)
-        except errors.DeadlineExceededError as e:
-            return self._deadline_tripped(None, e)
-        except errors.JRouteError as e:
-            report.failures.append(str(e))
-            self._faults_avoided += getattr(e, "faults_avoided", 0)
-            report.faults_avoided = self._faults_avoided
-            raise
-        report.success = True
-        report.pips_added = pips
-        report.faults_avoided = self._faults_avoided
-        return pips
-
-    def _run_with_recovery(
-        self, attempt, tiles, *, deadline: Deadline | None = None
+    def _request(
+        self,
+        attempt: Callable[..., list[PlanPip]],
+        source_eps: Sequence[EndPoint],
+        sink_eps: Sequence[EndPoint],
+        *,
+        atomic: bool,
+        charged: bool,
     ) -> int:
-        """Bounded rip-up/retry loop around one routing request.
+        """Run one level-4/5/6 request: the bounded rip-up/retry loop.
 
-        Every round runs inside a :class:`RouteTransaction`: ripping the
-        victim, routing the request, and re-routing the victim either all
-        succeed or the device rolls back to the round's starting state.
+        ``attempt(max_nodes=, deadline=)`` routes the request once and
+        returns the PIPs it applied.  Without a retry policy the loop makes
+        one attempt at ``max_nodes``, with no victim and no backoff.
+        Under a policy, every round after the first rips up a victim,
+        routes the request with a grown budget and re-routes the victim.
+        A round runs inside a :class:`RouteTransaction` when the request
+        is ``atomic`` or a policy is active, so it either all succeeds or
+        the device rolls back to the round's starting state.
+
+        Every failed attempt's error is recorded in the report's
+        ``failures``.  A deadline trip then returns 0 with a partial
+        report (``timed_out``); on a ``charged`` request it counts
+        against the source's circuit breaker, and a success clears it.
+        Any other :class:`~repro.errors.JRouteError` propagates, the
+        retryable ones once the policy's attempts run out.
         """
         policy = self.retry
-        report = RoutingReport()
-        self.last_report = report
-        self._faults_avoided = 0
-        self._search_stats = SearchStats()
-        report.search_stats = self._search_stats
-        exclude: set[int] = set()
-        last_exc: errors.JRouteError | None = None
-        for i in range(1, policy.max_attempts + 1):
-            report.attempts = i
-            budget = policy.budget_for(i, self.max_nodes)
-            victim_restore = None
-            try:
-                with RouteTransaction(self.device, netdb=self.netdb):
-                    if i > 1:
-                        victim = select_victim(
-                            self.device,
-                            self.netdb.nets(),
-                            tiles,
-                            margin=policy.bbox_margin,
-                            exclude=frozenset(exclude),
-                        )
+        deadline = Deadline.after_ms(self.deadline_ms)
+        report = self._new_report(0)
+        nets: list[int] = []
+        try:
+            if self.breaker is not None:
+                nets = [self._source_canon(ep) for ep in source_eps]
+                open_nets = [n for n in nets if self.breaker.is_open(n)]
+                if open_nets:
+                    report.breaker_open = True
+                    report.failures.append(_breaker_message(open_nets))
+                    return 0
+            attempts = 1 if policy is None else policy.max_attempts
+            tiles = [] if policy is None else self._request_tiles(
+                [*source_eps, *sink_eps]
+            )
+            exclude: set[int] = set()
+            for i in range(1, attempts + 1):
+                report.attempts = i
+                budget = self.max_nodes if policy is None else policy.budget_for(
+                    i, self.max_nodes
+                )
+                victim = None
+                scope = (
+                    RouteTransaction(self.device, netdb=self.netdb)
+                    if atomic or policy is not None
+                    else nullcontext()
+                )
+                try:
+                    with scope:
+                        if i > 1:
+                            victim = select_victim(
+                                self.device,
+                                self.netdb.nets(),
+                                tiles,
+                                margin=policy.bbox_margin,
+                                exclude=frozenset(exclude),
+                            )
+                            if victim is not None:
+                                restore = self._rip_up(victim)
+                                exclude.add(victim)
+                        pips = len(attempt(max_nodes=budget, deadline=deadline))
                         if victim is not None:
-                            victim_restore = self._rip_up(victim)
-                            exclude.add(victim)
-                    pips = attempt(budget)
-                    if victim_restore is not None:
-                        self._reroute_victim(
-                            *victim_restore, max_nodes=budget, deadline=deadline
-                        )
-            except (
-                errors.UnroutableError,
-                errors.ContentionError,
-                errors.FaultError,
-            ) as e:
-                report.failures.append(str(e))
-                self._faults_avoided += getattr(e, "faults_avoided", 0)
-                last_exc = e
-                if i < policy.max_attempts:
+                            self._reroute_victim(
+                                *restore, max_nodes=budget, deadline=deadline
+                            )
+                except _RETRYABLE as e:
+                    if i == attempts:
+                        raise
+                    report.failures.append(str(e))
                     # De-synchronize concurrent retriers (service clients
                     # hammering the same congested region) with seeded
                     # full-jitter backoff; token folds in the request's
@@ -459,16 +387,27 @@ class JRouter:
                             delay = min(delay, deadline.remaining_ms() / 1e3)
                         if delay > 0.0:
                             time.sleep(delay)
-                continue
-            if victim_restore is not None:
-                report.ripped_nets.append(victim_restore[2])
-            report.success = True
-            report.pips_added = pips
-            report.faults_avoided = self._faults_avoided
-            return pips
-        report.faults_avoided = self._faults_avoided
-        assert last_exc is not None
-        raise last_exc
+                    continue
+                if victim is not None:
+                    report.ripped_nets.append(victim)
+                report.success = True
+                report.pips_added = pips
+                if charged:
+                    for n in nets:
+                        self.breaker.record_success(n)
+                return pips
+        except errors.DeadlineExceededError as e:
+            # state is already rolled back; the report stays partial
+            report.timed_out = True
+            report.failures.append(str(e))
+            if charged:
+                for n in nets:
+                    self.breaker.record_trip(n)
+            return 0
+        except errors.JRouteError as e:
+            report.failures.append(str(e))
+            raise
+        raise AssertionError("unreachable: the last attempt returns or raises")
 
     def _rip_up(self, source_canon: int):
         """Unroute a victim net, returning what is needed to restore it."""
@@ -478,10 +417,10 @@ class JRouter:
         self.netdb.drop_net(source_canon)
         if src_ep is None:
             src_ep = Pin(*self.device.arch.primary_name(source_canon))
-        return src_ep, sink_canons, source_canon
+        return src_ep, sink_canons
 
     def _reroute_victim(
-        self, src_ep: EndPoint, sink_canons: list[int], source_canon: int, *,
+        self, src_ep: EndPoint, sink_canons: list[int], *,
         max_nodes: int, deadline: Deadline | None = None,
     ) -> None:
         arch = self.device.arch
@@ -501,36 +440,21 @@ class JRouter:
         *,
         max_nodes: int | None = None,
         deadline: Deadline | None = None,
-    ) -> tuple[list[PlanPip], list[int]]:
+    ) -> list[PlanPip]:
         """Route one source endpoint to sink endpoints (fanout-aware).
 
-        Returns ``(applied_pips, sink_canons)``.  Atomic: on failure,
-        everything this call turned on is off again.
+        Returns the applied PIPs.  Atomic: on failure, everything this
+        call turned on is off again.
         """
         device = self.device
-        state = device.state
         budget = self.max_nodes if max_nodes is None else max_nodes
         source = self._source_canon(source_ep)
         sink_canons: list[int] = []
         for ep in sink_eps:
             sink_canons.extend(self._sink_canons(ep))
 
-        tree = set(state.subtree(source))
-        todo: list[int] = []
-        for canon in sink_canons:
-            if canon in tree:
-                continue  # already part of this net
-            if state.is_driven(canon):
-                r, c, n = device.arch.primary_name(canon)
-                raise errors.ContentionError(
-                    f"sink wire {wires.wire_name(n)} is already driven by "
-                    f"another net",
-                    row=r,
-                    col=c,
-                    wire=wires.wire_name(n),
-                    net=state.root_of(canon),
-                )
-            todo.append(canon)
+        tree = set(device.state.subtree(source))
+        todo = [canon for canon in sink_canons if self._needs_route(tree, canon)]
 
         applied: list[PlanPip] = []
         try:
@@ -544,23 +468,8 @@ class JRouter:
             for canon in sorted(set(todo), key=dist):
                 if len(tree) == 1 and not applied:
                     # fresh net, first sink: template fast path applies
-                    res = route_point_to_point(
-                        device,
-                        source,
-                        canon,
-                        try_templates=self.try_templates,
-                        use_longs=self.p2p_use_longs,
-                        heuristic_weight=self.heuristic_weight,
-                        max_nodes=budget,
-                        deadline=deadline,
-                    )
-                    if res.method == "template":
-                        self.p2p_template_hits += 1
-                    else:
-                        self.p2p_maze_fallbacks += 1
-                    self._faults_avoided += res.faults_avoided
-                    if res.stats is not None:
-                        self._search_stats.merge(res.stats)
+                    res = self._plan_p2p(source, canon, budget, deadline)
+                    self._count_p2p(res)
                     plan = res.plan
                 else:
                     use_longs = self.fanout_use_longs if len(todo) > 1 else self.p2p_use_longs
@@ -574,7 +483,6 @@ class JRouter:
                         max_nodes=budget,
                         deadline=deadline,
                     )
-                    self._faults_avoided += maze_res.faults_avoided
                     self._search_stats.merge(maze_res.stats)
                     plan = maze_res.plan
                 apply_plan(device, plan)
@@ -592,10 +500,67 @@ class JRouter:
             raise
 
         if record:
-            self.netdb.record_net(source, source_ep, sink_canons)
-            for ep in sink_eps:
-                self.netdb.remember_connection(source_ep, ep)
-        return applied, sink_canons
+            self._record(source, source_ep, sink_eps, sink_canons)
+        return applied
+
+    def _needs_route(self, tree, canon: int) -> bool:
+        """Level 4's per-sink check against the net's routed ``tree``.
+
+        False for a sink already on this net (nothing to add); raises
+        :class:`~repro.errors.ContentionError` for a sink another net
+        drives.
+        """
+        if canon in tree:
+            return False
+        state = self.device.state
+        if state.is_driven(canon):
+            r, c, n = self.device.arch.primary_name(canon)
+            raise errors.ContentionError(
+                f"sink wire {wires.wire_name(n)} is already driven by "
+                f"another net",
+                row=r,
+                col=c,
+                wire=wires.wire_name(n),
+                net=state.root_of(canon),
+            )
+        return True
+
+    def _plan_p2p(
+        self, source: int, sink: int, budget: int, deadline: Deadline | None
+    ) -> P2PResult:
+        """Plan (not apply) one template-then-maze point-to-point route."""
+        res = route_point_to_point(
+            self.device,
+            source,
+            sink,
+            try_templates=self.try_templates,
+            use_longs=self.p2p_use_longs,
+            heuristic_weight=self.heuristic_weight,
+            max_nodes=budget,
+            deadline=deadline,
+        )
+        if res.stats is not None:
+            self._search_stats.merge(res.stats)
+        return res
+
+    def _count_p2p(self, res: P2PResult) -> None:
+        """Count one point-to-point route as a template hit or maze fallback."""
+        if res.method == "template":
+            self.p2p_template_hits += 1
+        else:
+            self.p2p_maze_fallbacks += 1
+
+    def _record(
+        self,
+        source: int,
+        source_ep: EndPoint,
+        sink_eps: Sequence[EndPoint],
+        sink_canons: list[int],
+    ) -> None:
+        """Record a routed net and remember its endpoint connections."""
+        self.netdb.record_net(source, source_ep, sink_canons)
+        for ep in sink_eps:
+            self.netdb.remember_connection(source_ep, ep)
 
     # -------------------------------------------------------------------- level 6
 
@@ -606,33 +571,36 @@ class JRouter:
         *,
         max_nodes: int | None = None,
         deadline: Deadline | None = None,
-    ) -> int:
-        """Bus routing: sources[i] -> sinks[i], atomic across the bus."""
+    ) -> list[PlanPip]:
+        """Bus routing: sources[i] -> sinks[i], atomic across the bus.
+
+        Returns the applied PIPs of every bit, in bus order.
+        """
         if len(source_eps) != len(sink_eps):
             raise errors.JRouteError(
                 f"bus width mismatch: {len(source_eps)} sources, "
                 f"{len(sink_eps)} sinks"
             )
-        done: list[tuple[EndPoint, EndPoint, list[PlanPip]]] = []
+        done: list[list[PlanPip]] = []
         try:
             for src_ep, sink_ep in zip(source_eps, sink_eps):
-                applied, _ = self._route_net(
-                    src_ep, [sink_ep], record=False, max_nodes=max_nodes,
-                    deadline=deadline,
+                done.append(
+                    self._route_net(
+                        src_ep, [sink_ep], record=False, max_nodes=max_nodes,
+                        deadline=deadline,
+                    )
                 )
-                done.append((src_ep, sink_ep, applied))
         except errors.JRouteError:
-            for _, _, applied in reversed(done):
+            for applied in reversed(done):
                 for row, col, from_name, to_name in reversed(applied):
                     self.device.turn_off(row, col, from_name, to_name)
             raise
-        total = 0
-        for src_ep, sink_ep, applied in done:
-            total += len(applied)
-            source = self._source_canon(src_ep)
-            self.netdb.record_net(source, src_ep, self._sink_canons(sink_ep))
-            self.netdb.remember_connection(src_ep, sink_ep)
-        return total
+        for src_ep, sink_ep in zip(source_eps, sink_eps):
+            self._record(
+                self._source_canon(src_ep), src_ep, [sink_ep],
+                self._sink_canons(sink_ep),
+            )
+        return [pip for applied in done for pip in applied]
 
     # ------------------------------------------------------------- bulk requests
 
@@ -663,8 +631,7 @@ class JRouter:
         (inspect the returned result's ``converged`` flag).
         """
         self.call_count += 1
-        report = RoutingReport(attempts=1)
-        self.last_report = report
+        report = self._new_report(1)
         specs: list[NetSpec] = []
         source_eps: list[EndPoint | None] = []
         for item in nets:
@@ -690,8 +657,7 @@ class JRouter:
             backend=self.backend if backend is None else backend,
             deadline=Deadline.after_ms(self.deadline_ms),
         )
-        report.search_stats = result.stats
-        self._search_stats = result.stats
+        report.search_stats.merge(result.stats)
         report.success = result.converged
         report.pips_added = result.pips_added
         report.timed_out = result.timed_out
@@ -731,160 +697,95 @@ class JRouter:
         All searches see the device state as of the call; plans are
         applied in request order, and a pair whose plan lost a wire to
         an earlier pair is transparently re-routed against the updated
-        state (``rerouted=True`` in its outcome).  Per-pair failures —
-        breaker refusals, driven sinks, unroutable or timed-out
-        searches — are returned in place as outcomes, never raised.
+        state (``rerouted=True`` in its outcome).  Each pair gets level
+        4's sink check (a sink already on its net is a 0-PIP success,
+        one driven by another net a ContentionError), breaker refusal,
+        method counters and net-database record.  Per-pair failures —
+        bad endpoints, breaker refusals, driven sinks, unroutable or
+        timed-out searches, a re-route that fails to apply — are
+        returned in place as outcomes, never raised.
         :attr:`last_report` aggregates the whole batch.
         """
         self.call_count += 1
         deadline = Deadline.after_ms(self.deadline_ms)
-        report = RoutingReport(attempts=1)
-        self.last_report = report
-        self._faults_avoided = 0
-        self._search_stats = SearchStats()
-        report.search_stats = self._search_stats
-        device = self.device
-        state = device.state
-        arch = device.arch
-        k = len(pairs)
-        outcomes: list[P2PRouteOutcome | None] = [None] * k
-        canons: list[tuple[int, int] | None] = [None] * k
-        lanes: list[int] = []
-        lane_pairs: list[tuple[int, int]] = []
+        report = self._new_report(1)
+        breaker = self.breaker
+        state = self.device.state
+        outcomes: list[P2PRouteOutcome | None] = [None] * len(pairs)
+        lanes: list[tuple[int, int, int]] = []  # (index, source, sink)
+
+        def fail(i: int, exc: errors.JRouteError, source: int | None = None) -> None:
+            report.failures.append(str(exc))
+            failed_stats = getattr(exc, "search_stats", None)
+            if failed_stats is not None:
+                report.search_stats.merge(failed_stats)
+            if isinstance(exc, errors.DeadlineExceededError):
+                report.timed_out = True
+                if breaker is not None and source is not None:
+                    breaker.record_trip(source)
+            outcomes[i] = P2PRouteOutcome(i, *pairs[i], False, error=exc)
+
         for i, (src_ep, sink_ep) in enumerate(pairs):
             try:
                 source = self._source_canon(src_ep)
-                sink_list = self._sink_canons(sink_ep)
-                if len(sink_list) != 1:
+                sinks = self._sink_canons(sink_ep)
+                if len(sinks) != 1:
                     raise errors.PortError(
                         "route_p2p_batch needs single-pin sink endpoints; "
                         "route multi-pin ports with route()"
                     )
-                sink = sink_list[0]
+                if breaker is not None and breaker.is_open(source):
+                    report.breaker_open = True
+                    raise errors.UnroutableError(_breaker_message([source]))
+                if not self._needs_route(state.subtree(source), sinks[0]):
+                    outcomes[i] = P2PRouteOutcome(i, src_ep, sink_ep, True)
+                    continue
             except errors.JRouteError as e:
-                report.failures.append(str(e))
-                outcomes[i] = P2PRouteOutcome(i, src_ep, sink_ep, False, error=e)
+                fail(i, e)
                 continue
-            if self.breaker is not None and self.breaker.is_open(source):
-                e = errors.UnroutableError(
-                    f"circuit breaker open for net {source}: refused without "
-                    f"searching (reset the breaker or raise deadline_ms)"
-                )
-                report.breaker_open = True
-                report.failures.append(str(e))
-                outcomes[i] = P2PRouteOutcome(i, src_ep, sink_ep, False, error=e)
-                continue
-            if sink in state.subtree(source):
-                # already part of this net: nothing to add
-                outcomes[i] = P2PRouteOutcome(i, src_ep, sink_ep, True)
-                continue
-            if state.is_driven(sink):
-                r, c, n = arch.primary_name(sink)
-                e = errors.ContentionError(
-                    f"sink wire {wires.wire_name(n)} is already driven by "
-                    f"another net",
-                    row=r,
-                    col=c,
-                    wire=wires.wire_name(n),
-                    net=state.root_of(sink),
-                )
-                report.failures.append(str(e))
-                outcomes[i] = P2PRouteOutcome(i, src_ep, sink_ep, False, error=e)
-                continue
-            canons[i] = (source, sink)
-            lanes.append(i)
-            lane_pairs.append((source, sink))
+            lanes.append((i, source, sinks[0]))
         results: list = []
         if lanes:
             results = route_point_to_point_batch(
-                device,
-                lane_pairs,
+                self.device,
+                [(source, sink) for _, source, sink in lanes],
                 try_templates=self.try_templates,
                 use_longs=self.p2p_use_longs,
                 heuristic_weight=self.heuristic_weight,
                 max_nodes=self.max_nodes,
                 deadline=deadline,
             )
-        for i, res in zip(lanes, results):
+        for (i, source, sink), res in zip(lanes, results):
             src_ep, sink_ep = pairs[i]
-            source, sink = canons[i]
-            if isinstance(res, errors.JRouteError):
-                outcomes[i] = self._p2p_batch_failure(
-                    i, src_ep, sink_ep, source, res
-                )
-                continue
-            plan = res.plan
-            method = res.method
             rerouted = False
-            self._faults_avoided += res.faults_avoided
-            if res.stats is not None:
-                self._search_stats.merge(res.stats)
             try:
-                pips = apply_plan(device, plan)
-            except errors.JRouteError:
-                # an earlier pair claimed a wire of this plan: re-plan
-                # against the device state as it stands now
-                rerouted = True
-                try:
-                    res = route_point_to_point(
-                        device,
-                        source,
-                        sink,
-                        try_templates=self.try_templates,
-                        use_longs=self.p2p_use_longs,
-                        heuristic_weight=self.heuristic_weight,
-                        max_nodes=self.max_nodes,
-                        deadline=deadline,
-                    )
-                except errors.JRouteError as e:
-                    outcomes[i] = self._p2p_batch_failure(
-                        i, src_ep, sink_ep, source, e
-                    )
-                    continue
-                plan = res.plan
-                method = res.method
-                self._faults_avoided += res.faults_avoided
+                if isinstance(res, errors.JRouteError):
+                    raise res
                 if res.stats is not None:
-                    self._search_stats.merge(res.stats)
-                pips = apply_plan(device, plan)
-            if method == "template":
-                self.p2p_template_hits += 1
-            else:
-                self.p2p_maze_fallbacks += 1
-            self.netdb.record_net(source, src_ep, [sink])
-            self.netdb.remember_connection(src_ep, sink_ep)
-            self._note_success(source)
+                    report.search_stats.merge(res.stats)
+                try:
+                    pips = apply_plan(self.device, res.plan)
+                except errors.JRouteError:
+                    # an earlier pair claimed a wire of this plan: re-plan
+                    # against the device state as it stands now
+                    rerouted = True
+                    res = self._plan_p2p(source, sink, self.max_nodes, deadline)
+                    pips = apply_plan(self.device, res.plan)
+            except errors.JRouteError as e:
+                fail(i, e, source)
+                continue
+            self._count_p2p(res)
+            self._record(source, src_ep, [sink_ep], [sink])
+            if breaker is not None:
+                breaker.record_success(source)
             outcomes[i] = P2PRouteOutcome(
-                i, src_ep, sink_ep, True, pips, method, rerouted
+                i, src_ep, sink_ep, True, pips, res.method, rerouted
             )
         done = [o for o in outcomes if o is not None]
-        assert len(done) == k
+        assert len(done) == len(pairs)
         report.pips_added = sum(o.pips_added for o in done)
         report.success = all(o.success for o in done)
-        report.faults_avoided = self._faults_avoided
         return done
-
-    def _p2p_batch_failure(
-        self,
-        index: int,
-        src_ep: EndPoint,
-        sink_ep: EndPoint,
-        source: int,
-        exc: errors.JRouteError,
-    ) -> P2PRouteOutcome:
-        """Fold one failed batch pair into the aggregate report."""
-        report = self.last_report
-        assert report is not None
-        report.failures.append(str(exc))
-        self._faults_avoided += getattr(exc, "faults_avoided", 0)
-        failed_stats = getattr(exc, "search_stats", None)
-        if failed_stats is not None:
-            self._search_stats.merge(failed_stats)
-        if isinstance(exc, errors.DeadlineExceededError):
-            report.timed_out = True
-            if self.breaker is not None:
-                self.breaker.record_trip(source)
-        return P2PRouteOutcome(index, src_ep, sink_ep, False, error=exc)
 
     # ------------------------------------------------------------------- globals
 
@@ -983,13 +884,24 @@ class JRouter:
             mem = self.netdb.memory_of(port)
             for src_ref in mem.sources:
                 src = self.netdb.resolve_ref(src_ref)
-                applied, _ = self._route_net(src, [port])
-                total += len(applied)
+                total += len(self._route_net(src, [port]))
             for sink_ref in mem.sinks:
                 sink = self.netdb.resolve_ref(sink_ref)
-                applied, _ = self._route_net(port, [sink])
-                total += len(applied)
+                total += len(self._route_net(port, [sink]))
         return total
+
+
+#: failures the rip-up/retry loop retries (deadline trips end a request)
+_RETRYABLE = (errors.UnroutableError, errors.ContentionError, errors.FaultError)
+
+
+def _breaker_message(nets: Iterable[int]) -> str:
+    """Why a request was refused without searching."""
+    rendered = ", ".join(str(n) for n in nets)
+    return (
+        f"circuit breaker open for net(s) {rendered}: refused without "
+        f"searching (reset the breaker or raise deadline_ms)"
+    )
 
 
 def _is_endpoint_seq(obj) -> bool:

@@ -117,6 +117,13 @@ class FaultModel:
         model._refresh()
         return model
 
+    def __getstate__(self) -> dict:
+        # the per-graph edge-mask cache holds weak references, which do
+        # not pickle; a copy (a process worker's) rebuilds its own
+        state = self.__dict__.copy()
+        state["_edge_masks"] = {}
+        return state
+
     def _refresh(self) -> None:
         #: unusable[w]: wire w cannot participate in any routed net
         self.unusable = self.dead | self.predriven

@@ -6,15 +6,15 @@ swappable: template DFS (:mod:`~repro.routers.template_router`),
 predefined template sets (:mod:`~repro.routers.template_sets`), maze /
 A* search (:mod:`~repro.routers.maze`), bidirectional search
 (:mod:`~repro.routers.bidir`), the greedy increasing-distance
-fanout router (:mod:`~repro.routers.greedy_fanout`), pairwise bus routing
-(:mod:`~repro.routers.bus`), and the PathFinder negotiated-congestion
-baseline (:mod:`~repro.routers.pathfinder`).
+fanout router (:mod:`~repro.routers.greedy_fanout`), and the PathFinder
+negotiated-congestion baseline (:mod:`~repro.routers.pathfinder`).  Bus
+routing (level 6) needs no algorithm of its own: ``JRouter.route`` runs
+it bit by bit through the level-4 path.
 """
 
 from .auto import P2PResult, route_point_to_point, route_point_to_point_batch
 from .bidir import route_bidirectional
 from .base import PlanPip, apply_plan, plan_cost, plan_wirelength
-from .bus import BusResult, route_bus
 from .greedy_fanout import FanoutResult, route_fanout
 from .maze import MazeBatchResult, MazeResult, route_maze, route_maze_batch
 from .pathfinder import (
@@ -36,8 +36,6 @@ __all__ = [
     "apply_plan",
     "plan_cost",
     "plan_wirelength",
-    "BusResult",
-    "route_bus",
     "FanoutResult",
     "route_fanout",
     "MazeBatchResult",

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .. import errors
 from ..arch import wires
-from ..arch.templates import TemplateValue as TV
 from ..arch.wires import WireClass
 from ..core.deadline import Deadline
+from ..core.kernel import SearchStats
 from ..device.fabric import Device
 from .base import PlanPip
 from .maze import route_maze, route_maze_batch
@@ -32,9 +32,13 @@ class P2PResult:
     method: str               #: "template" or "maze"
     templates_tried: int      #: how many predefined templates were attempted
     template_used: object | None = None  #: set when method == "template"
-    faults_avoided: int = 0   #: faulty edges the maze search routed around
     #: kernel instrumentation of the maze search (None on template hits)
-    stats: object | None = None
+    stats: SearchStats | None = None
+
+    @property
+    def faults_avoided(self) -> int:
+        """Faulty edges the maze search routed around (0 on template hits)."""
+        return self.stats.faults_avoided if self.stats is not None else 0
 
 
 def route_point_to_point(
@@ -57,16 +61,9 @@ def route_point_to_point(
     extension) goes straight to the maze router.  A ``deadline`` is
     checked between template attempts and bounds the maze fallback.
     """
-    arch = device.arch
-    if device.state.occupied[sink]:
-        tr, tc, tn = arch.primary_name(sink)
-        raise errors.ContentionError(
-            "sink wire is already in use; unroute it first",
-            row=tr,
-            col=tc,
-            wire=wires.wire_name(tn),
-            net=device.state.root_of(sink),
-        )
+    busy = _sink_in_use(device, sink)
+    if busy is not None:
+        raise busy
     templates_tried = 0
     if try_templates and not reuse:
         hit, templates_tried = _template_phase(
@@ -84,13 +81,20 @@ def route_point_to_point(
         max_nodes=max_nodes,
         deadline=deadline,
     )
-    return P2PResult(
-        result.plan,
-        "maze",
-        templates_tried,
-        None,
-        result.faults_avoided,
-        result.stats,
+    return P2PResult(result.plan, "maze", templates_tried, stats=result.stats)
+
+
+def _sink_in_use(device: Device, sink: int) -> errors.ContentionError | None:
+    """The error for a ``sink`` wire that is already in use, else None."""
+    if not device.state.occupied[sink]:
+        return None
+    tr, tc, tn = device.arch.primary_name(sink)
+    return errors.ContentionError(
+        "sink wire is already in use; unroute it first",
+        row=tr,
+        col=tc,
+        wire=wires.wire_name(tn),
+        net=device.state.root_of(sink),
     )
 
 
@@ -164,22 +168,14 @@ def route_point_to_point_batch(
     bit-identical to ``K`` sequential :func:`route_point_to_point`
     calls against the same device state.
     """
-    arch = device.arch
     k = len(pairs)
     out: "list[P2PResult | errors.JRouteError | None]" = [None] * k
     tried: list[int] = [0] * k
     maze_lanes: list[int] = []
     maze_reqs: list[tuple[list[int], set[int]]] = []
     for i, (source, sink) in enumerate(pairs):
-        if device.state.occupied[sink]:
-            tr, tc, tn = arch.primary_name(sink)
-            out[i] = errors.ContentionError(
-                "sink wire is already in use; unroute it first",
-                row=tr,
-                col=tc,
-                wire=wires.wire_name(tn),
-                net=device.state.root_of(sink),
-            )
+        out[i] = _sink_in_use(device, sink)
+        if out[i] is not None:
             continue
         if try_templates:
             try:
@@ -207,12 +203,5 @@ def route_point_to_point_batch(
             if isinstance(res, errors.JRouteError):
                 out[lane] = res
             else:
-                out[lane] = P2PResult(
-                    res.plan,
-                    "maze",
-                    tried[lane],
-                    None,
-                    res.faults_avoided,
-                    res.stats,
-                )
+                out[lane] = P2PResult(res.plan, "maze", tried[lane], stats=res.stats)
     return out

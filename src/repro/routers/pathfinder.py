@@ -44,11 +44,12 @@ Two execution backends share that exact decomposition:
   graph is exported once per part into POSIX shared memory
   (:func:`repro.arch.graph.shared_graph_export`) and attached zero-copy
   by each worker.  The call-static configuration (blocked bitmap,
-  endpoint set, name filter) is shipped **once per worker** and cached
-  under the call's graph-derived token; per-iteration tasks then carry
-  only the sparse congestion deltas, the node's nets/overlay and the
-  scalar knobs, so bytes shipped per iteration scale with the *change*,
-  not with the device.  Per-iteration IPC payload sizes are reported in
+  endpoint set, name filter, fault model) is shipped **once per
+  worker** and cached under the call's graph-derived token;
+  per-iteration tasks then carry only the sparse congestion deltas,
+  the node's nets/overlay and the scalar knobs, so bytes shipped per
+  iteration scale with the *change*, not with the device.
+  Per-iteration IPC payload sizes are reported in
   :attr:`PathFinderResult.ipc_bytes`.
 
 For any fixed ``workers`` the result is deterministic and **identical
@@ -286,6 +287,8 @@ class _NetRouter:
         "history",
         "max_nodes",
         "deadline",
+        "fault_node",
+        "fault_edge",
     )
 
     def __init__(
@@ -298,6 +301,8 @@ class _NetRouter:
         history: list[float],
         max_nodes: int,
         deadline: Deadline | None,
+        fault_node,
+        fault_edge,
     ) -> None:
         self.graph = graph
         self.arch = arch
@@ -307,6 +312,8 @@ class _NetRouter:
         self.history = history
         self.max_nodes = max_nodes
         self.deadline = deadline
+        self.fault_node = fault_node
+        self.fault_edge = fault_edge
 
     def sink_order(self, net: NetSpec) -> list[int]:
         tile_coords = self.arch.tile_coords
@@ -348,6 +355,8 @@ class _NetRouter:
                 allow=self.endpoint_ok,
                 name_blocked=self.name_blocked,
                 congestion=(counts, self.history, pf),
+                fault_node=self.fault_node,
+                fault_edge=self.fault_edge,
                 max_nodes=self.max_nodes,
                 stats=stats,
                 deadline=self.deadline,
@@ -413,6 +422,13 @@ class _NetRouter:
         return out
 
 
+def _fault_masks(graph, faults) -> tuple:
+    """``(fault_node, fault_edge)`` search masks of a fault model, or Nones."""
+    if faults is None:
+        return None, None
+    return faults.unusable, graph.fault_edge_mask(faults)
+
+
 # -- thread backend -----------------------------------------------------------
 #
 # Worker contexts (search state + congestion ledger) live in a queue;
@@ -455,6 +471,8 @@ def _thread_node_task(
             ledger.history,
             ctx.max_nodes,
             ctx.deadline,
+            ctx.fault_node,
+            ctx.fault_edge,
         )
         stats = SearchStats()
         journal: list[tuple[int, int]] = []
@@ -549,7 +567,7 @@ def _process_node_task(
             return ("stale", os.getpid())
     ledger = cs.ledger
     ledger.sync(deltas, v_from, v_target)
-    blocked, endpoint_ok, name_blocked, max_nodes = cs.config
+    blocked, endpoint_ok, name_blocked, max_nodes, faults = cs.config
     nets = {i: NetSpec.of(s, sk) for i, (s, sk) in group_nets.items()}
     router = _NetRouter(
         _W_GRAPH,
@@ -560,6 +578,7 @@ def _process_node_task(
         ledger.history,
         max_nodes,
         Deadline.after_ms(deadline_ms),
+        *_fault_masks(_W_GRAPH, faults),
     )
     stats = SearchStats()
     journal: list[tuple[int, int]] = []
@@ -713,8 +732,9 @@ def route_pathfinder(
 ) -> PathFinderResult:
     """Route ``nets`` with negotiated congestion, then apply to the device.
 
-    Wires already used on the device (foreign nets) are impassable;
-    congestion is negotiated only among the given nets.  Raises
+    Wires already used on the device (foreign nets) are impassable, and
+    the device's faulty resources are masked out of every search on
+    every backend; congestion is negotiated only among the given nets.  Raises
     :class:`~repro.errors.UnroutableError` if any single net has no path
     at all, and reports ``converged=False`` when sharing remains after
     ``max_iterations`` (in which case nothing is applied).
@@ -767,17 +787,6 @@ def route_pathfinder(
     #: iteration (the hybrid-update log both backends sync from)
     delta_log: list[tuple[dict[int, int], dict[int, float]]] = []
 
-    ctx = _NetRouter(
-        graph,
-        arch,
-        blocked,
-        endpoint_ok,
-        name_blocked,
-        history,
-        max_nodes_per_net,
-        deadline,
-    )
-
     n_workers = max(1, min(workers, len(nets))) if nets else 1
     tree_nodes: list[PartitionNode] | None = None
     if n_workers > 1:
@@ -789,6 +798,23 @@ def route_pathfinder(
             tree_nodes = None
         else:
             n_workers = n_leaves
+
+    faults = device.faults
+    if faults is not None and n_workers > 1:
+        # thread workers share one fault-edge mask, whose sync() takes
+        # no lock: compile first, so no search materializes (and syncs)
+        graph.np_columns()
+    ctx = _NetRouter(
+        graph,
+        arch,
+        blocked,
+        endpoint_ok,
+        name_blocked,
+        history,
+        max_nodes_per_net,
+        deadline,
+        *_fault_masks(graph, faults),
+    )
 
     pool = None
     shipper: _DeltaShipper | None = None
@@ -808,6 +834,7 @@ def route_pathfinder(
                     frozenset(endpoint_ok),
                     name_blocked,
                     max_nodes_per_net,
+                    faults,
                 ),
                 delta_log=delta_log,
                 pool_size=n_workers,

@@ -34,7 +34,6 @@ from __future__ import annotations
 import os
 import time
 
-from ..core.recovery import RetryPolicy
 from ..core.router import JRouter
 from ..core.wal import DurableSession, recover
 from ..device.faults import FaultModel
@@ -137,7 +136,6 @@ def build_worker_router(
         part=part,
         deadline_ms=deadline_ms,
         max_nodes=max_nodes,
-        retry=RetryPolicy(max_attempts=2),
     )
     if os.path.exists(wal_path) and os.path.getsize(wal_path) > 0:
         router, _report = recover(wal_path, router_kwargs=kwargs)

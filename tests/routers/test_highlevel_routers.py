@@ -4,10 +4,11 @@ import pytest
 
 from repro import errors
 from repro.arch import wires
+from repro.core.endpoints import Pin
+from repro.core.router import JRouter
 from repro.device.contention import audit_no_contention
 from repro.routers.auto import route_point_to_point
 from repro.routers.base import apply_plan
-from repro.routers.bus import route_bus
 from repro.routers.greedy_fanout import route_fanout
 from repro.routers.pathfinder import NetSpec, route_pathfinder
 
@@ -112,17 +113,23 @@ class TestFanout:
 
 
 class TestBus:
+    """Level 6 through the API: ``JRouter.route([src, ...], [sink, ...])``."""
+
+    SRCS = [Pin(2, 2, wires.S0_X), Pin(2, 2, wires.S0_Y)]
+
     def test_pairwise(self, device):
-        srcs = [device.resolve(2, 2, wires.S0_X), device.resolve(2, 2, wires.S0_Y)]
-        sinks = [device.resolve(8, 10, wires.S0F[1]), device.resolve(8, 10, wires.S0F[2])]
-        res = route_bus(device, srcs, sinks)
-        assert len(res.results) == 2
-        for s, k in zip(srcs, sinks):
-            assert device.state.root_of(k) == s
+        sinks = [Pin(8, 10, wires.S0F[1]), Pin(8, 10, wires.S0F[2])]
+        assert JRouter(device=device, attach_jbits=False).route(self.SRCS, sinks) > 0
+        for s, k in zip(self.SRCS, sinks):
+            assert device.state.root_of(
+                device.resolve(k.row, k.col, k.wire)
+            ) == device.resolve(s.row, s.col, s.wire)
 
     def test_width_mismatch(self, device):
         with pytest.raises(errors.JRouteError):
-            route_bus(device, [1], [])
+            JRouter(device=device, attach_jbits=False).route(
+                self.SRCS, [Pin(8, 10, wires.S0F[1])]
+            )
 
     def test_atomicity(self, device):
         blocked = device.resolve(8, 10, wires.S0F[2])
@@ -130,10 +137,9 @@ class TestBus:
         r = route_point_to_point(device, other, blocked, try_templates=False)
         apply_plan(device, r.plan)
         before = device.state.n_pips_on
-        srcs = [device.resolve(2, 2, wires.S0_X), device.resolve(2, 2, wires.S0_Y)]
-        sinks = [device.resolve(8, 10, wires.S0F[1]), blocked]
+        sinks = [Pin(8, 10, wires.S0F[1]), Pin(8, 10, wires.S0F[2])]
         with pytest.raises(errors.JRouteError):
-            route_bus(device, srcs, sinks)
+            JRouter(device=device, attach_jbits=False).route(self.SRCS, sinks)
         assert device.state.n_pips_on == before
 
 

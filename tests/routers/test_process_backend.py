@@ -27,7 +27,9 @@ from repro.arch.virtex import VirtexArch
 from repro.bench.workloads import random_p2p_nets
 from repro.core.deadline import Deadline
 from repro.core.kernel import GLOBAL_STATS
+from repro.core.router import JRouter
 from repro.device.fabric import Device
+from repro.device.faults import FaultModel
 from repro.routers import NetSpec, route_pathfinder
 from repro.routers.pathfinder import build_partition_tree
 
@@ -166,6 +168,37 @@ class TestBackendParity:
             assert not res.converged
             assert res.plans == {}
             assert res.pips_added == 0
+
+
+class TestFaultyFabric:
+    """PathFinder masks faults on the serial, thread and process paths."""
+
+    def test_route_nets_routes_around_faults_on_every_path(self):
+        arch = VirtexArch(PART)
+        for seed in range(6):
+            runs = {}
+            for label, w, backend in (
+                ("serial", 1, "thread"),
+                ("thread", 4, "thread"),
+                ("process", 4, "process"),
+            ):
+                faults = FaultModel.random(arch, seed=seed, stuck_open_rate=0.05)
+                router = JRouter(part=PART, attach_jbits=False, faults=faults)
+                nets = random_p2p_nets(arch, 12, seed=seed)
+                res = router.route_nets(
+                    [(n.source, n.sinks[0]) for n in nets],
+                    workers=w,
+                    backend=backend,
+                )
+                assert res.converged, (seed, label)
+                for rec in router.device.state.pip_of.values():
+                    assert not faults.pip_blocked(rec.canon_from, rec.canon_to)
+                report = router.last_report
+                assert report.faults_avoided == report.search_stats.faults_avoided > 0
+                runs[label] = res
+            t, p = runs["thread"], runs["process"]
+            assert t.plans == p.plans, seed
+            assert t.stats.as_dict() == p.stats.as_dict(), seed
 
 
 class TestDeltaShipping:
