@@ -10,16 +10,16 @@ families:
 * **E3-style fanout** — one high-fanout net routed sink-by-sink with
   tree reuse;
 * **PathFinder** — negotiated congestion over a batch of random nets,
-  serial, with partition-tree thread workers, and with the process
-  backend (OS workers over the shared-memory graph export); the
-  ``workers=1`` run is asserted plan-identical to the serial oracle and
-  every process row is asserted bit-identical (plans *and* stats) to
-  the thread backend at the same worker count — across *different*
-  worker counts the partition tree legitimately negotiates along a
-  different trajectory, so only convergence is asserted there.
-  Process/tree rows also report ``speedup_vs_serial`` (wall-clock gain
-  over the serial kernel run on this machine) and the tree's effective
-  leaf concurrency (``workers_effective``);
+  serial and on partition-tree worker processes (OS workers over the
+  shared-memory graph export); the serial run is asserted
+  plan-identical to the reference, and every process row is asserted
+  to converge and to repeat its plans *and* stats exactly on a second
+  run at the same worker count — across *different* worker counts the
+  partition tree legitimately negotiates along a different trajectory,
+  so only convergence is asserted there.  Process rows also report
+  ``speedup_vs_serial`` (wall-clock gain over the serial kernel run on
+  this machine) and the tree's effective leaf concurrency
+  (``workers_effective``);
 * **Batched p2p** — ``route_maze_batch`` lockstepping 64 independent
   point-to-point searches through the vectorized SoA kernel against the
   same 64 searches run one scalar kernel call at a time; reports
@@ -27,13 +27,20 @@ families:
   timing.  ``--check`` enforces an absolute throughput floor
   (``BATCH_SPEEDUP_FLOOR``) on this workload.
 
+Every timed rival of a row runs in rotation and keeps its best of
+``reps`` wall times (``_interleaved_best_times``); a speedup is the
+ratio of two such times.  The rows keep their historical
+``median_new_s``/``median_ref_s`` keys for those times.
+
 Run as a script to (re)generate ``BENCH_routing.json`` at the repo
-root::
+root, under the interpreter flags the CI check uses::
 
-    PYTHONPATH=src python benchmarks/bench_e17_kernel.py           # full
-    PYTHONPATH=src python benchmarks/bench_e17_kernel.py --smoke   # CI
-    PYTHONPATH=src python benchmarks/bench_e17_kernel.py --smoke --check
+    PYTHONPATH=src python -X dev benchmarks/bench_e17_kernel.py           # full
+    PYTHONPATH=src python -X dev benchmarks/bench_e17_kernel.py --smoke   # CI
+    PYTHONPATH=src python -X dev benchmarks/bench_e17_kernel.py --smoke --check
 
+``-X dev`` lowers the kernel-vs-reference ratios, so a baseline
+recorded without it sits above what the check measures.
 ``--check`` compares freshly measured speedups against the committed
 baseline instead of overwriting it, failing (exit 1) on a >25%
 regression; because it compares kernel-vs-reference *ratios* measured in
@@ -53,6 +60,7 @@ from pathlib import Path
 from repro.bench.workloads import high_fanout_net, random_p2p_nets
 from repro.device.fabric import Device
 from repro.routers import NetSpec, route_maze, route_maze_batch, route_pathfinder
+from repro.routers.pathfinder import shutdown_process_pools
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))  # the reference routers live in the test tree
@@ -67,9 +75,9 @@ BASELINE = ROOT / "BENCH_routing.json"
 #: the --check mode fails (CI perf-smoke tolerance)
 TOLERANCE = 0.25
 
-#: minimum wall-clock speedup the process backend at >= 4 workers must
-#: show over the serial run — enforced by --check only on machines with
-#: at least 4 CPUs (a 1- or 2-core box cannot demonstrate it)
+#: minimum wall-clock speedup PathFinder at >= 4 workers must show over
+#: the serial run — enforced by --check only on machines with at least
+#: 4 CPUs (a 1- or 2-core box cannot demonstrate it)
 PROCESS_SPEEDUP_FLOOR = 1.5
 
 #: minimum routes/s gain the batched SoA kernel must show over the
@@ -77,9 +85,9 @@ PROCESS_SPEEDUP_FLOOR = 1.5
 #: same-process ratio, so --check enforces it on any machine
 BATCH_SPEEDUP_FLOOR = 3.0
 
-#: minimum wall-clock speedup the partition-tree scaling row (process
-#: backend, 8 workers) must show over serial — enforced by --check only
-#: on machines with at least 8 CPUs
+#: minimum wall-clock speedup the partition-tree scaling row (8
+#: workers) must show over serial — enforced by --check only on
+#: machines with at least 8 CPUs
 TREE_SPEEDUP_FLOOR = 3.0
 
 
@@ -92,33 +100,24 @@ def _canon_nets(device, workloads):
     return out
 
 
-def _median_time(fn, reps: int) -> float:
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+def _interleaved_best_times(*fns, reps: int) -> list[float]:
+    """Best-of-``reps`` wall time for each rival, run in rotation.
 
-
-def _interleaved_best_times(fn_a, fn_b, reps: int) -> tuple[float, float]:
-    """Best-of-``reps`` wall time for two rivals, alternating A and B.
-
-    Used where an *absolute* speedup floor is gated (the batched rows):
-    alternating the rivals inside one loop exposes both to the same
-    noise windows, and taking each side's best observed time (timeit's
-    convention — noise only ever adds) discards scheduler spikes that a
-    median over a handful of reps can still absorb.
+    Every gated speedup is a ratio of two of these times.  Rotating the
+    rivals inside one loop exposes all of them to the same noise
+    windows — timing one rival's reps and then the other's lets a load
+    burst on a shared host land on one side only — and taking each
+    side's best observed time (timeit's convention: noise only ever
+    adds) discards scheduler spikes that a median over a handful of reps
+    can still absorb.
     """
-    best_a = best_b = float("inf")
+    best = [float("inf")] * len(fns)
     for _ in range(reps):
-        t0 = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - t0)
-    return best_a, best_b
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
 
 
 def _route_batch(router_fn, device, pairs):
@@ -163,9 +162,10 @@ def e10_workload(part: str, spans):
 def measure_e10(part: str, *, reps: int, spans) -> dict:
     device, pairs = e10_workload(part, spans)
     _route_batch(route_maze, device, pairs)  # warm shared graph + state
-    new = _median_time(lambda: _route_batch(route_maze, device, pairs), reps)
-    ref = _median_time(
-        lambda: _route_batch(route_maze_reference, device, pairs), reps
+    new, ref = _interleaved_best_times(
+        lambda: _route_batch(route_maze, device, pairs),
+        lambda: _route_batch(route_maze_reference, device, pairs),
+        reps=reps,
     )
     return {
         "name": f"e10_p2p_{part}",
@@ -188,9 +188,10 @@ def measure_fanout(part: str, fanout: int, *, reps: int) -> dict:
     sinks = [device.resolve(p.row, p.col, p.wire) for p in net_pins.sinks]
     net = NetSpec.of(src, sinks)
     _route_fanout(route_maze, device, arch, net)  # warm
-    new = _median_time(lambda: _route_fanout(route_maze, device, arch, net), reps)
-    ref = _median_time(
-        lambda: _route_fanout(route_maze_reference, device, arch, net), reps
+    new, ref = _interleaved_best_times(
+        lambda: _route_fanout(route_maze, device, arch, net),
+        lambda: _route_fanout(route_maze_reference, device, arch, net),
+        reps=reps,
     )
     return {
         "name": f"e3_fanout{fanout}_{part}",
@@ -208,7 +209,6 @@ def measure_pathfinder(
     n_nets: int,
     *,
     reps: int,
-    workers=(1,),
     process_workers=(),
     tree_workers=(),
 ) -> list[dict]:
@@ -216,85 +216,50 @@ def measure_pathfinder(
     nets = _canon_nets(
         device, random_p2p_nets(device.arch, n_nets, seed=3, min_span=2, max_span=10)
     )
-    ref_plans = route_pathfinder(device, nets, apply=False).plans  # warm
-    results = []
-    ref = _median_time(
-        lambda: route_pathfinder_reference(device, nets, apply=False), reps
-    )
-    serial = None
-    thread_runs: dict[int, object] = {}
-    for w in workers:
+    oracle = route_pathfinder_reference(device, nets, apply=False).plans
+    warm = route_pathfinder(device, nets, apply=False)
+    assert warm.plans == oracle, "workers=1 diverged from the reference"
+    # (name, workers); the tree_w row is the partition-tree scaling row,
+    # named apart so --check can gate its absolute floor on big hosts
+    stem = f"pathfinder_{n_nets}nets_{part}"
+    rows = [(stem, 1)]
+    rows += [(f"{stem}_proc_w{w}", w) for w in process_workers]
+    rows += [(f"{stem}_tree_w{w}", w) for w in tree_workers]
+    runs = [warm]
+    for _name, w in rows[1:]:
+        # the first run forks the worker pool and attaches the shm graph,
+        # so the timed reps see the cached steady state; with a second
+        # run it is the run-to-run determinism oracle at this worker count
         res = route_pathfinder(device, nets, apply=False, workers=w)
-        if w == 1:
-            assert res.plans == ref_plans, "workers=1 diverged from serial"
-        else:
-            assert res.converged, f"workers={w} failed to converge"
-        thread_runs[w] = res
-        new = _median_time(
-            lambda: route_pathfinder(device, nets, apply=False, workers=w), reps
-        )
-        if w == 1:
-            serial = new
-        results.append(
-            {
-                "name": f"pathfinder_{n_nets}nets_{part}"
-                + ("" if w == 1 else f"_w{w}"),
-                "kind": "pathfinder",
-                "part": part,
-                "nets": n_nets,
-                "workers": w,
-                "workers_effective": res.workers,
-                "backend": "thread",
-                "median_new_s": new,
-                "median_ref_s": ref,
-                "speedup": ref / new,
-                "speedup_vs_serial": serial / new if serial else None,
-            }
-        )
-
-    def proc_row(w: int, name: str) -> None:
-        # warm run forks the worker pool and attaches the shm graph, so
-        # the measured reps see the cached steady state; it doubles as
-        # the cross-backend parity oracle at this worker count
-        res = route_pathfinder(
-            device, nets, apply=False, workers=w, backend="process"
-        )
-        twin = thread_runs.get(w)
-        if twin is None:
-            twin = route_pathfinder(device, nets, apply=False, workers=w)
-            thread_runs[w] = twin
-        assert res.plans == twin.plans and (
-            res.stats.as_dict() == twin.stats.as_dict()
-        ), f"process backend diverged from thread at workers={w}"
-        new = _median_time(
-            lambda: route_pathfinder(
-                device, nets, apply=False, workers=w, backend="process"
-            ),
-            reps,
-        )
-        results.append(
-            {
-                "name": name,
-                "kind": "pathfinder",
-                "part": part,
-                "nets": n_nets,
-                "workers": w,
-                "workers_effective": res.workers,
-                "backend": "process",
-                "median_new_s": new,
-                "median_ref_s": ref,
-                "speedup": ref / new,
-                "speedup_vs_serial": serial / new if serial else None,
-            }
-        )
-
-    for w in process_workers:
-        proc_row(w, f"pathfinder_{n_nets}nets_{part}_proc_w{w}")
-    for w in tree_workers:
-        # the partition-tree scaling row: same vehicle as proc_w*, named
-        # apart so --check can gate its absolute floor on big hosts
-        proc_row(w, f"pathfinder_{n_nets}nets_{part}_tree_w{w}")
-    return results
+        again = route_pathfinder(device, nets, apply=False, workers=w)
+        assert res.converged, f"workers={w} failed to converge"
+        assert res.plans == again.plans and (
+            res.stats.as_dict() == again.stats.as_dict()
+        ), f"two runs at workers={w} differed"
+        runs.append(res)
+    ref, *times = _interleaved_best_times(
+        lambda: route_pathfinder_reference(device, nets, apply=False),
+        *(
+            lambda w=w: route_pathfinder(device, nets, apply=False, workers=w)
+            for _name, w in rows
+        ),
+        reps=reps,
+    )
+    return [
+        {
+            "name": name,
+            "kind": "pathfinder",
+            "part": part,
+            "nets": n_nets,
+            "workers": w,
+            "workers_effective": res.workers,
+            "median_new_s": new,
+            "median_ref_s": ref,
+            "speedup": ref / new,
+            "speedup_vs_serial": times[0] / new,
+        }
+        for (name, w), res, new in zip(rows, runs, times)
+    ]
 
 
 def batched_p2p_workload(part: str, n_requests: int):
@@ -328,7 +293,7 @@ def measure_batched_p2p(part: str, n_requests: int, *, reps: int) -> dict:
     t_scalar, t_batch = _interleaved_best_times(
         lambda: [route_maze(device, s, t, **kw) for s, t in reqs],
         lambda: route_maze_batch(device, reqs, **kw),
-        max(reps, 5),
+        reps=reps,
     )
     return {
         "name": f"batched_p2p_{part}",
@@ -344,15 +309,13 @@ def measure_batched_p2p(part: str, n_requests: int, *, reps: int) -> dict:
 
 
 def run(smoke: bool) -> dict:
-    reps = 3 if smoke else 5
+    reps = 5
     workloads: list[dict] = []
     if smoke:
         workloads.append(measure_e10("XCV50", reps=reps, spans=(6, 10)))
         workloads.append(measure_fanout("XCV50", 6, reps=reps))
         workloads.extend(
-            measure_pathfinder(
-                "XCV50", 6, reps=reps, workers=(1, 2), process_workers=(2,)
-            )
+            measure_pathfinder("XCV50", 6, reps=reps, process_workers=(2,))
         )
         workloads.append(measure_batched_p2p("XCV50", 64, reps=reps))
     else:
@@ -361,12 +324,7 @@ def run(smoke: bool) -> dict:
         workloads.append(measure_fanout("XCV50", 8, reps=reps))
         workloads.extend(
             measure_pathfinder(
-                "XCV50",
-                12,
-                reps=reps,
-                workers=(1, 2, 4),
-                process_workers=(2, 4),
-                tree_workers=(8,),
+                "XCV50", 12, reps=reps, process_workers=(2, 4), tree_workers=(8,)
             )
         )
         workloads.append(measure_batched_p2p("XCV50", 64, reps=reps))
@@ -396,14 +354,13 @@ def check(results: dict, baseline: dict) -> int:
         )
         if status != "ok":
             failures.append(w["name"])
-    # absolute gate: on a machine with real parallelism, the process
-    # backend at >= 4 workers must actually be faster than serial
+    # absolute gate: on a machine with real parallelism, PathFinder at
+    # >= 4 workers must actually be faster than serial
     if (results.get("cpus") or 0) >= 4:
         for w in results["workloads"]:
             gain = w.get("speedup_vs_serial")
             if (
-                w.get("backend") == "process"
-                and w.get("workers", 0) >= 4
+                w.get("workers", 0) >= 4
                 and gain is not None
                 and gain < PROCESS_SPEEDUP_FLOOR
             ):
@@ -501,10 +458,13 @@ def test_shape_pathfinder_parity():
 
 
 def test_shape_process_backend_parity():
+    # two process runs, the first on a fresh pool, repeat each other
     d1, d2 = Device("XCV50"), Device("XCV50")
     nets = _canon_nets(d1, random_p2p_nets(d1.arch, 4, seed=3, min_span=2, max_span=8))
+    shutdown_process_pools()
     a = route_pathfinder(d1, nets, apply=False, workers=2)
-    b = route_pathfinder(d2, nets, apply=False, workers=2, backend="process")
+    b = route_pathfinder(d2, nets, apply=False, workers=2)
+    assert a.workers > 1
     assert a.plans == b.plans
     assert a.stats.as_dict() == b.stats.as_dict()
 

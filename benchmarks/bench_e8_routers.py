@@ -42,21 +42,6 @@ def test_greedy_astar(benchmark):
     )
 
 
-def test_bidirectional(benchmark):
-    from repro.routers.bidir import route_bidirectional
-
-    def run():
-        device = Device("XCV50")
-        for net in NETS:
-            src = device.resolve(net.source.row, net.source.col, net.source.wire)
-            sink = device.resolve(net.sinks[0].row, net.sinks[0].col,
-                                  net.sinks[0].wire)
-            res = route_bidirectional(device, src, sink)
-            apply_plan(device, res.plan)
-
-    benchmark.pedantic(run, rounds=3)
-
-
 def test_pathfinder(benchmark):
     def run():
         device = Device("XCV50")

@@ -696,7 +696,7 @@ def _resource_path_pass(
             }
             # a release anywhere inside a finally body counts for every
             # path through that finally — a guard around the shutdown
-            # (``if backend == "thread" and pool is not None``) usually
+            # (``if pool is not None: pool.shutdown()``) usually
             # correlates with the creation branch, which path-insensitive
             # reachability cannot see
             releasing_finals = _finally_releases(info.node, name)

@@ -28,7 +28,7 @@ version).  The token is a stable ``(part, generation)`` identity, so a
 garbage-collected graph whose ``id()`` CPython later reuses can never
 serve a stale mask to a fresh graph.
 
-For OS-level parallel routing (the process-backend PathFinder) a fully
+For OS-level parallel routing (PathFinder's worker processes) a fully
 compiled graph can be **exported once into a POSIX shared-memory
 segment** (:func:`shared_graph_export`) and **attached zero-copy** by
 worker processes (:func:`attach_shared_graph`): the CSR columns become
@@ -476,7 +476,7 @@ def routing_graph(arch: VirtexArch) -> RoutingGraph:
     return g
 
 
-# -- shared-memory export (process-backend parallel routing) ------------------
+# -- shared-memory export (PathFinder worker processes) ----------------------
 
 #: CSR columns shipped through shared memory, in layout order.
 _SHARED_COLUMNS = (

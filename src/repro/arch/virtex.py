@@ -11,11 +11,11 @@ which wires it can drive."
 :class:`VirtexArch` is that class.  It combines
 
 * the per-tile wire **name space** (:mod:`repro.arch.wires`),
-* the **template classification** (:mod:`repro.arch.templates`),
 * the name-level **connectivity tables** (:mod:`repro.arch.connectivity`),
 * the **device geometry** (rows x cols of CLBs, :mod:`repro.arch.devices`),
 
-and resolves tile-relative wire *names* to device-global canonical wire
+(the template classification sits beside it, in
+:func:`repro.arch.templates.template_value_of`) and resolves tile-relative wire *names* to device-global canonical wire
 *instances* (plain ints), handling the aliasing where one physical wire
 has different names at its two ends (``SingleEast[5]`` at ``(5,7)`` is
 ``SingleWest[5]`` at ``(5,8)``).
@@ -40,7 +40,7 @@ the portability property of the paper's Section 5.
 
 from __future__ import annotations
 
-from . import connectivity, devices, templates, wires
+from . import connectivity, devices, wires
 from .wires import Direction, WireClass
 
 __all__ = ["VirtexArch", "N_OWNED"]
@@ -129,10 +129,6 @@ class VirtexArch:
     @staticmethod
     def wire_name(name: int) -> str:
         return wires.wire_name(name)
-
-    @staticmethod
-    def template_value(name: int) -> templates.TemplateValue:
-        return templates.template_value_of(name)
 
     @staticmethod
     def drives(name: int) -> tuple[int, ...]:
@@ -229,19 +225,6 @@ class VirtexArch:
             return False
         row, col, name = self.primary_name(canon)
         return self.canonicalize(row, col, name) == canon
-
-    def is_tile_wire(self, canon: int) -> bool:
-        """True if ``canon`` is a tile-owned wire (not a long or global)."""
-        return 0 <= canon < self._tile_wires_end
-
-    def owner_tile(self, canon: int) -> tuple[int, int]:
-        """Owning tile ``(row, col)`` of a tile-owned canonical wire."""
-        tile = canon // N_OWNED
-        return divmod(tile, self.cols)
-
-    def owned_slot(self, canon: int) -> int:
-        """Owned-slot number (0..113) of a tile-owned canonical wire."""
-        return canon % N_OWNED
 
     def wire_class_of(self, canon: int) -> WireClass:
         """Resource class of a canonical wire instance."""

@@ -428,26 +428,6 @@ def run_e8(n_nets: int = 40, seed: int = 11) -> Table:
         ok, fail, pips, dt = run_sequential(**kw)
         t.add(label, ok, fail, pips, dt * 1e3)
 
-    # bidirectional meet-in-the-middle (cost-optimal, fewer expansions)
-    from ..routers.bidir import route_bidirectional
-    from ..routers.base import apply_plan as _apply
-
-    device_bi = Device("XCV50")
-    ok = fail = 0
-    t0 = time.perf_counter()
-    for net in nets:
-        src = device_bi.resolve(net.source.row, net.source.col, net.source.wire)
-        sink = device_bi.resolve(net.sinks[0].row, net.sinks[0].col,
-                                 net.sinks[0].wire)
-        try:
-            res = route_bidirectional(device_bi, src, sink)
-            _apply(device_bi, res.plan)
-            ok += 1
-        except errors.JRouteError:
-            fail += 1
-    t.add("bidirectional Dijkstra", ok, fail, device_bi.state.n_pips_on,
-          (time.perf_counter() - t0) * 1e3)
-
     device = Device("XCV50")
     specs = []
     for net in nets:

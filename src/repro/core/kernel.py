@@ -28,10 +28,8 @@ unified behind :class:`SearchStats`.  The process-wide accumulator
 **explicit, lock-guarded publication**: searches accumulate into their
 caller's private :class:`SearchStats` and the owning router publishes
 the merged batch once via :func:`record_global`.  The kernel itself
-never performs an unsynchronized read-modify-write on the global — with
-parallel PathFinder workers (threads today, processes behind the
-``backend="process"`` knob) the old in-loop ``GLOBAL_STATS.x += y``
-updates silently lost counts.
+never performs an unsynchronized read-modify-write on the global, so
+routing calls on concurrent threads never lose counts.
 """
 
 from __future__ import annotations
@@ -125,7 +123,7 @@ def record_global(stats: SearchStats) -> None:
     worker when parallel), merge deterministically at their barrier, and
     call this exactly once per batch.  The lock makes the publication a
     single atomic read-modify-write, so concurrent routing calls — and
-    the process backend's merged worker stats — never lose updates the
+    PathFinder's merged worker stats — never lose updates the
     way the kernel's old per-search ``GLOBAL_STATS.x += y`` did.
     """
     with _GLOBAL_LOCK:
@@ -194,9 +192,10 @@ class CongestionLedger:
     *synchronous* within a partition (a worker sees its own and its
     descendants' updates immediately via overlays) and *asynchronous*
     across partitions (peers' changes arrive as the next iteration's
-    delta).  The ledger is used identically by thread workers (synced
-    in-memory) and process workers (deltas arrive pickled), which is what
-    keeps the two backends bit-identical.
+    delta).  Each PathFinder worker process keeps one ledger per routing
+    call and receives the deltas pickled; because a synced ledger is the
+    same whichever delta suffix brought it there, results do not depend
+    on which worker ran which partition node.
     """
 
     __slots__ = ("counts", "history", "version")

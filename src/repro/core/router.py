@@ -114,12 +114,11 @@ class JRouter:
     workers:
         Default concurrency for :meth:`route_nets` bulk requests (the
         negotiated-congestion router's per-iteration net loop is
-        partitioned spatially across this many workers).
+        partitioned spatially across this many worker processes, which
+        attach a shared-memory export of the compiled routing graph).
     backend:
-        Default execution backend for those workers: ``"thread"`` (the
-        default; deterministic, GIL-bound) or ``"process"`` (OS-level
-        workers attached to a shared-memory export of the compiled
-        routing graph — wall-clock parallelism with identical results).
+        Only ``"process"`` is accepted (``workers > 1`` always means
+        worker processes); any other value raises :class:`ValueError`.
     deadline_ms:
         Optional per-request wall-clock budget for the auto-routing
         levels (4, 5 and 6) and :meth:`route_nets`.  A request past its
@@ -146,10 +145,14 @@ class JRouter:
         faults=None,
         retry: RetryPolicy | None = None,
         workers: int = 1,
-        backend: str = "thread",
+        backend: str = "process",
         deadline_ms: float | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
+        if backend != "process":
+            raise ValueError(
+                f"unknown backend {backend!r}; only 'process' is accepted"
+            )
         self.device = device if device is not None else Device(part)
         if faults is not None:
             self.device.set_fault_model(faults)
@@ -162,7 +165,6 @@ class JRouter:
         self.max_nodes = max_nodes
         self.retry = retry
         self.workers = workers
-        self.backend = backend
         self.deadline_ms = deadline_ms
         if breaker is None and deadline_ms is not None:
             breaker = CircuitBreaker()
@@ -609,7 +611,6 @@ class JRouter:
         nets: Sequence[tuple[EndPoint, EndPoint | Sequence[EndPoint]] | NetSpec],
         *,
         workers: int | None = None,
-        backend: str | None = None,
         use_longs: bool = True,
         max_iterations: int = 30,
     ) -> PathFinderResult:
@@ -622,9 +623,9 @@ class JRouter:
         congestion that defeats greedy one-at-a-time ``route`` calls can
         still converge.  ``workers`` (default: the router's ``workers``
         knob) routes spatial partitions of the nets concurrently per
-        iteration on ``backend`` (default: the router's ``backend``
-        knob); results are deterministic for any fixed worker count and
-        identical across backends.
+        iteration in worker processes; results are identical from run
+        to run for any fixed worker count, and ``workers=1`` is the
+        serial algorithm.
 
         Converged plans are applied to the device and recorded in the
         net database; a non-converged run leaves the device untouched
@@ -654,7 +655,6 @@ class JRouter:
             use_longs=use_longs,
             max_iterations=max_iterations,
             workers=self.workers if workers is None else workers,
-            backend=self.backend if backend is None else backend,
             deadline=Deadline.after_ms(self.deadline_ms),
         )
         report.search_stats.merge(result.stats)
@@ -691,8 +691,8 @@ class JRouter:
         ``heuristic_weight`` (the default) the batch runs its searches
         on the scalar kernel one after another; at 0 it runs them as
         one vectorized wavefront.  Either way the batch runs in the
-        calling thread: the router's ``workers`` and ``backend``
-        configure :meth:`route_nets` only.
+        calling thread: the router's ``workers`` configure
+        :meth:`route_nets` only.
 
         All searches see the device state as of the call; plans are
         applied in request order, and a pair whose plan lost a wire to

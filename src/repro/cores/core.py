@@ -293,12 +293,6 @@ class Core:
         """Constructor parameters of this core (see :data:`PARAM_ATTRS`)."""
         return {a: getattr(self, a) for a in self.PARAM_ATTRS}
 
-    # -- children ---------------------------------------------------------------------------
-
-    def add_child(self, core: "Core") -> "Core":
-        self.children.append(core)
-        return core
-
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
             f"{type(self).__name__}({self.instance_name!r} at "

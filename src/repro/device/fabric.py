@@ -274,12 +274,6 @@ class Device:
                 if canon_from is not None:
                     yield row, col, from_name, name, canon_from
 
-    # -- convenience ---------------------------------------------------------------
-
-    def wire_at(self, row: int, col: int, name: int) -> int | None:
-        """Canonical id of a name at a tile, or None if nonexistent."""
-        return self.arch.canonicalize(row, col, name)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
             f"Device({self.arch.part.name}: {self.rows}x{self.cols} CLBs, "

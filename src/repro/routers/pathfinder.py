@@ -34,31 +34,33 @@ Commercial FPGAs*):
   history changed last iteration — instead of per-iteration full
   snapshots.
 
-Two execution backends share that exact decomposition:
+Tree nodes run on OS-level workers of a cached
+:class:`~concurrent.futures.ProcessPoolExecutor` (CPython threads share
+one GIL, so they would only add overhead to the serial loop).  The
+compiled CSR graph is exported once per part into POSIX shared memory
+(:func:`repro.arch.graph.shared_graph_export`) and attached zero-copy
+by each worker.  The call-static configuration (blocked bitmap,
+endpoint set, name filter, fault model) is shipped **once per worker**
+and cached under the call's graph-derived token; per-iteration tasks
+then carry only the sparse congestion deltas, the node's nets/overlay
+and the scalar knobs, so bytes shipped per iteration scale with the
+*change*, not with the device.  Per-iteration IPC payload sizes are
+reported in :attr:`PathFinderResult.ipc_bytes`.
 
-* ``backend="thread"`` — a :class:`ThreadPoolExecutor`, created once per
-  routing call (not per iteration).  Under CPython's GIL this buys
-  determinism and the parallel contract, not wall-clock speedup.
-* ``backend="process"`` — OS-level workers on a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  The compiled CSR
-  graph is exported once per part into POSIX shared memory
-  (:func:`repro.arch.graph.shared_graph_export`) and attached zero-copy
-  by each worker.  The call-static configuration (blocked bitmap,
-  endpoint set, name filter, fault model) is shipped **once per
-  worker** and cached under the call's graph-derived token;
-  per-iteration tasks then carry only the sparse congestion deltas,
-  the node's nets/overlay and the scalar knobs, so bytes shipped per
-  iteration scale with the *change*, not with the device.
-  Per-iteration IPC payload sizes are reported in
-  :attr:`PathFinderResult.ipc_bytes`.
+Two contracts hold:
 
-For any fixed ``workers`` the result is deterministic and **identical
-across backends**: a partition-tree node is a pure function of the
-iteration-start congestion state plus its descendants' results, so
-thread and process executions produce bit-identical plans, costs and
-:class:`~repro.core.kernel.SearchStats`.  ``workers=1`` bypasses the
-tree entirely and reproduces the serial algorithm exactly (the
-bit-identical parity oracle against ``tests/routers/_reference.py``).
+* ``workers=1`` bypasses the tree and the pool entirely and reproduces
+  the serial algorithm exactly (the bit-identical parity oracle against
+  ``tests/routers/_reference.py``);
+* for a fixed ``workers`` the result is identical from run to run: a
+  partition-tree node is a pure function of the iteration-start
+  congestion state plus its descendants' results, so plans, costs,
+  :class:`~repro.core.kernel.SearchStats` and failure messages do not
+  depend on which worker ran which node, nor on whether the pool was
+  fresh or reused.  Neither contract spans worker counts (a different
+  tree negotiates along a different trajectory; only convergence is
+  comparable), and ``ipc_bytes`` is not covered: it depends on which
+  workers have already received the call's configuration.
 
 It serves as the quality/time baseline for experiment E8: slower than
 JRoute's greedy one-shot calls, but able to resolve congestion that
@@ -73,16 +75,9 @@ import os
 import pickle
 import threading
 from collections import OrderedDict
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from queue import SimpleQueue
 from typing import Mapping, Sequence
 
 from .. import errors
@@ -109,10 +104,6 @@ __all__ = [
     "route_pathfinder",
     "shutdown_process_pools",
 ]
-
-#: Recognized execution backends for ``workers > 1``.
-BACKENDS = ("thread", "process")
-
 
 @dataclass(frozen=True, slots=True)
 class NetSpec:
@@ -141,12 +132,10 @@ class PathFinderResult:
     #: requested ``workers`` when the workload cannot be split that
     #: finely (few nets, or nets stacked on one tile) — never silently.
     workers: int = 1
-    #: execution backend the run was executed with
-    backend: str = "thread"
     #: the run was abandoned because its deadline expired (nothing applied)
     timed_out: bool = False
-    #: process backend only: pickled task-payload bytes shipped to the
-    #: worker pool, one total per iteration.  After the warm-up
+    #: pickled task-payload bytes shipped to the worker pool, one total
+    #: per iteration (empty for a serial run).  After the warm-up
     #: iterations (which ship each worker its one-time config) these
     #: scale with the sparse congestion delta, not with the device.
     ipc_bytes: list[int] = field(default_factory=list)
@@ -270,12 +259,11 @@ def build_partition_tree(
 
 
 class _NetRouter:
-    """Per-call static routing context shared by every execution path.
+    """Per-call static routing context of the serial loop and the workers.
 
-    Serial loop, thread workers and process workers all route nets
-    through the same two methods below, so backend parity is structural:
-    there is exactly one implementation of "route one net under these
-    congestion costs".
+    The serial loop and every pool worker route nets through the same
+    two methods below: there is exactly one implementation of "route
+    one net under these congestion costs".
     """
 
     __slots__ = (
@@ -429,71 +417,7 @@ def _fault_masks(graph, faults) -> tuple:
     return faults.unusable, graph.fault_edge_mask(faults)
 
 
-# -- thread backend -----------------------------------------------------------
-#
-# Worker contexts (search state + congestion ledger) live in a queue;
-# any pool thread executing a node task borrows one, syncs its ledger to
-# the iteration-start version from the in-memory delta log, applies the
-# node's subtree overlay, routes, and reverts.  Contexts outnumber
-# concurrently-runnable nodes (at most one per tree leaf), so the
-# borrow never blocks.
-
-
-class _ThreadWorkerContext:
-    __slots__ = ("state", "ledger")
-
-    def __init__(self, n_nodes: int) -> None:
-        self.state = SearchState(n_nodes)
-        self.ledger = CongestionLedger(n_nodes)
-
-
-def _thread_node_task(
-    ctx: _NetRouter,
-    contexts: "SimpleQueue[_ThreadWorkerContext]",
-    delta_log: Sequence[tuple[dict[int, int], dict[int, float]]],
-    v_target: int,
-    group: Sequence[int],
-    nets: Sequence[NetSpec],
-    old_wires: Sequence[set[int]],
-    overlay: Sequence[tuple[int, int]],
-    pf: float,
-) -> tuple:
-    wctx = contexts.get()
-    try:
-        ledger = wctx.ledger
-        ledger.sync(delta_log, 0, v_target)
-        router = _NetRouter(
-            ctx.graph,
-            ctx.arch,
-            ctx.blocked,
-            ctx.endpoint_ok,
-            ctx.name_blocked,
-            ledger.history,
-            ctx.max_nodes,
-            ctx.deadline,
-            ctx.fault_node,
-            ctx.fault_edge,
-        )
-        stats = SearchStats()
-        journal: list[tuple[int, int]] = []
-        try:
-            ledger.overlay(overlay, journal)
-            out = router.route_group(
-                group, nets, old_wires, ledger.counts, wctx.state, pf, stats,
-                journal,
-            )
-        except errors.DeadlineExceededError as e:
-            return ("deadline", e.message, stats)
-        except errors.UnroutableError as e:
-            return ("unroutable", e.message, stats)
-        finally:
-            ledger.revert(journal)
-        return ("ok", out, stats)
-    finally:
-        contexts.put(wctx)
-
-
-# -- process backend ----------------------------------------------------------
+# -- process workers ----------------------------------------------------------
 #
 # Worker processes hold the attached shared-memory graph, the (cached)
 # architecture and one preallocated SearchState in module globals, plus
@@ -545,8 +469,8 @@ def _process_node_task(
     Returns ``("ok", {idx: (plan, wires)}, stats_dict, pid)`` or an
     error marker ``("unroutable" | "deadline", message, stats_dict,
     pid)`` — the parent re-raises the matching exception with the
-    identical message, so failure behaviour is indistinguishable from
-    the thread backend.  ``("stale", pid)`` asks the parent to resend
+    identical message, the one the serial loop raises for the same net.
+    ``("stale", pid)`` asks the parent to resend
     with the full delta history and config (a worker this call has not
     seen yet received a suffix-only payload); results never depend on
     which path delivered the state.
@@ -607,7 +531,7 @@ _CALL_SEQ = itertools.count()
 
 
 class _DeltaShipper:
-    """Parent-side sparse-delta shipping for one process-backend call.
+    """Parent-side sparse-delta shipping for one parallel routing call.
 
     Tracks which worker pids have been seen (and at which congestion
     version) so per-iteration payloads carry only the delta suffix the
@@ -698,16 +622,18 @@ def _process_pool(arch: VirtexArch, workers: int) -> ProcessPoolExecutor:
     return pool
 
 
-def _drop_pool(arch: VirtexArch, workers: int) -> None:
+def _drop_pool(arch: VirtexArch, workers: int, pool: ProcessPoolExecutor) -> None:
+    """Uncache a broken ``pool`` so the next call starts a fresh one."""
+    key = (arch.part.name, workers)
     with _POOLS_LOCK:
-        pool = _POOLS.pop((arch.part.name, workers), None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
+        if _POOLS.get(key) is pool:
+            del _POOLS[key]
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
 @atexit.register
 def shutdown_process_pools() -> None:
-    """Shut down every cached process-backend worker pool (idempotent)."""
+    """Shut down every cached PathFinder worker pool (idempotent)."""
     with _POOLS_LOCK:
         pools = list(_POOLS.values())
         _POOLS.clear()
@@ -727,41 +653,38 @@ def route_pathfinder(
     max_nodes_per_net: int = 400_000,
     apply: bool = True,
     workers: int = 1,
-    backend: str = "thread",
     deadline: Deadline | None = None,
 ) -> PathFinderResult:
     """Route ``nets`` with negotiated congestion, then apply to the device.
 
     Wires already used on the device (foreign nets) are impassable, and
-    the device's faulty resources are masked out of every search on
-    every backend; congestion is negotiated only among the given nets.  Raises
-    :class:`~repro.errors.UnroutableError` if any single net has no path
-    at all, and reports ``converged=False`` when sharing remains after
-    ``max_iterations`` (in which case nothing is applied).
+    the device's faulty resources are masked out of every search, serial
+    or in a worker; congestion is negotiated only among the given nets.
+    Raises :class:`~repro.errors.UnroutableError` if any single net has
+    no path at all, and reports ``converged=False`` when sharing remains
+    after ``max_iterations`` (in which case nothing is applied).
 
     ``workers > 1`` routes the leaves of a recursive spatial partition
-    tree concurrently per iteration, with cut nodes following their
-    children (see the module docstring); ``backend`` selects the
-    execution vehicle (``"thread"`` or ``"process"``).  For a fixed
-    worker count, plans, costs and stats are identical across backends;
-    the *effective* concurrency (tree leaves) is reported in
-    :attr:`PathFinderResult.workers` and may be lower than requested
-    when the workload cannot be split that finely.  ``workers=1``
+    tree concurrently per iteration on a cached process pool, with cut
+    nodes following their children (see the module docstring).  For a
+    fixed worker count, plans, costs, stats and failure messages are
+    identical from run to run; the *effective* concurrency (tree leaves)
+    is reported in :attr:`PathFinderResult.workers` and may be lower than
+    requested when the workload cannot be split that finely.  ``workers=1``
     reproduces the serial algorithm exactly (plan-identical to the
-    pre-kernel implementation) on either backend.
+    pre-kernel implementation).  A pool whose worker died is dropped from
+    the cache: the call that meets it raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`, and the next
+    call starts a fresh pool.
 
     A ``deadline`` bounds the whole negotiation: when it expires the run
     is abandoned mid-iteration (mid-subtree included: unfinished
     partition nodes are simply never scheduled), nothing is applied,
     and the result comes back with ``converged=False, timed_out=True``
-    (no exception escapes).  For the process backend the remaining
-    budget is re-shipped to the workers at each iteration (explicit
-    ``cancel()`` trips are honoured at iteration boundaries only).
+    (no exception escapes).  Workers receive the remaining budget at
+    each iteration (an explicit ``cancel()`` is honoured at iteration
+    boundaries only).
     """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
     arch = device.arch
     graph = device.routing_graph()
     n_nodes = graph.n_nodes
@@ -784,7 +707,7 @@ def route_pathfinder(
     present_factor = present_factor_init
     stats = SearchStats()
     #: sparse absolute congestion deltas, one entry per finished
-    #: iteration (the hybrid-update log both backends sync from)
+    #: iteration (the hybrid-update log the workers sync from)
     delta_log: list[tuple[dict[int, int], dict[int, float]]] = []
 
     n_workers = max(1, min(workers, len(nets))) if nets else 1
@@ -799,47 +722,33 @@ def route_pathfinder(
         else:
             n_workers = n_leaves
 
-    faults = device.faults
-    if faults is not None and n_workers > 1:
-        # thread workers share one fault-edge mask, whose sync() takes
-        # no lock: compile first, so no search materializes (and syncs)
-        graph.np_columns()
-    ctx = _NetRouter(
-        graph,
-        arch,
-        blocked,
-        endpoint_ok,
-        name_blocked,
-        history,
-        max_nodes_per_net,
-        deadline,
-        *_fault_masks(graph, faults),
-    )
-
-    pool = None
     shipper: _DeltaShipper | None = None
     if n_workers > 1:
-        if backend == "thread":
-            # one pool per routing call (not per iteration)
-            pool = ThreadPoolExecutor(max_workers=n_workers)
-            contexts: "SimpleQueue[_ThreadWorkerContext]" = SimpleQueue()
-            for _ in range(n_workers):
-                contexts.put(_ThreadWorkerContext(n_nodes))
-        else:
-            pool = _process_pool(arch, n_workers)
-            shipper = _DeltaShipper(
-                token=(graph.token, next(_CALL_SEQ)),
-                config=(
-                    blocked.tobytes(),
-                    frozenset(endpoint_ok),
-                    name_blocked,
-                    max_nodes_per_net,
-                    faults,
-                ),
-                delta_log=delta_log,
-                pool_size=n_workers,
-            )
+        pool = _process_pool(arch, n_workers)
+        shipper = _DeltaShipper(
+            token=(graph.token, next(_CALL_SEQ)),
+            config=(
+                blocked.tobytes(),
+                frozenset(endpoint_ok),
+                name_blocked,
+                max_nodes_per_net,
+                device.faults,
+            ),
+            delta_log=delta_log,
+            pool_size=n_workers,
+        )
     else:
+        serial = _NetRouter(
+            graph,
+            arch,
+            blocked,
+            endpoint_ok,
+            name_blocked,
+            history,
+            max_nodes_per_net,
+            deadline,
+            *_fault_masks(graph, device.faults),
+        )
         serial_state = device.search_state()
 
     def run_tree(v_target: int, remaining_ms: float | None) -> dict:
@@ -850,9 +759,9 @@ def route_pathfinder(
         subtree's rip-ups and fresh wires on the iteration-start state.
         Results, stats and failures are folded in deterministic preorder
         regardless of completion timing, so a fixed worker count gives
-        bit-identical outcomes on either backend.
+        bit-identical outcomes whichever worker ran which node.
         """
-        assert tree_nodes is not None
+        assert tree_nodes is not None and shipper is not None
         parent_of: dict[int, PartitionNode] = {}
         pending: dict[int, int] = {}
         for node in tree_nodes:
@@ -878,19 +787,6 @@ def route_pathfinder(
 
         def submit(node: PartitionNode, overlay) -> Future:
             group = list(node.nets)
-            if backend == "thread":
-                return pool.submit(
-                    _thread_node_task,
-                    ctx,
-                    contexts,
-                    delta_log,
-                    v_target,
-                    group,
-                    nets,
-                    net_wires,
-                    overlay,
-                    present_factor,
-                )
             params = (
                 group,
                 {idx: (nets[idx].source, nets[idx].sinks) for idx in group},
@@ -905,13 +801,7 @@ def route_pathfinder(
             )
 
         def decode(node: PartitionNode, fut: Future) -> tuple:
-            try:
-                raw = fut.result()
-            except BrokenProcessPool:
-                _drop_pool(arch, n_workers)
-                raise
-            if backend == "thread":
-                return raw
+            raw = fut.result()
             if raw[0] == "stale":
                 # an unseen worker got a suffix-only payload: resend the
                 # same node with the full log and config (result is the
@@ -988,9 +878,9 @@ def route_pathfinder(
     try:
         for iteration in range(1, max_iterations + 1):
             try:
-                if n_workers == 1:
+                if shipper is None:
                     counts = list(use_count)
-                    merged = ctx.route_group(
+                    merged = serial.route_group(
                         list(range(len(nets))),
                         nets,
                         net_wires,
@@ -1001,22 +891,24 @@ def route_pathfinder(
                     )
                 else:
                     remaining_ms = None
-                    if backend == "process":
-                        if deadline is not None:
-                            # honour explicit cancel() at the iteration
-                            # boundary (workers only ever see a
-                            # wall-clock budget)
-                            if deadline.expired():
-                                raise errors.DeadlineExceededError(
-                                    "pathfinder abandoned: deadline expired",
-                                    search_stats=stats,
-                                )
-                            rem = deadline.remaining_ms()
-                            remaining_ms = (
-                                None if rem == float("inf") else rem
+                    if deadline is not None:
+                        # honour explicit cancel() at the iteration
+                        # boundary (workers only ever see a wall-clock
+                        # budget)
+                        if deadline.expired():
+                            raise errors.DeadlineExceededError(
+                                "pathfinder abandoned: deadline expired",
+                                search_stats=stats,
                             )
-                        shipper.ipc_bytes.append(0)
-                    merged = run_tree(iteration - 1, remaining_ms)
+                        rem = deadline.remaining_ms()
+                        remaining_ms = None if rem == float("inf") else rem
+                    shipper.ipc_bytes.append(0)
+                    try:
+                        merged = run_tree(iteration - 1, remaining_ms)
+                    except BrokenProcessPool:
+                        # raised by submit, by a result or by a resend
+                        _drop_pool(arch, n_workers, pool)
+                        raise
             except errors.DeadlineExceededError:
                 # abandon the whole negotiation: nothing has been applied
                 # to the device yet, so the structured "partial" outcome
@@ -1058,8 +950,6 @@ def route_pathfinder(
             delta_log.append((counts_assign, history_assign))
             present_factor *= present_factor_mult
     finally:
-        if backend == "thread" and pool is not None:
-            pool.shutdown(wait=True)
         # the process pool is cached for reuse; shut down at exit
         record_global(stats)
 
@@ -1068,7 +958,6 @@ def route_pathfinder(
         converged=converged,
         stats=stats,
         workers=n_workers,
-        backend=backend,
         timed_out=timed_out,
         ipc_bytes=shipper.ipc_bytes if shipper is not None else [],
     )

@@ -183,10 +183,6 @@ class Simulator:
         """All (row, col, site) with their FF mode bit set (cached)."""
         return self._scan_sites()[0]
 
-    def ram_sites(self) -> list[tuple[int, int, int]]:
-        """All (row, col, site) configured as distributed LUT-RAM (cached)."""
-        return self._scan_sites()[1]
-
     def step(self, cycles: int = 1) -> None:
         """Advance the clock: FFs latch their LUT values, and LUT-RAM
         sites with write-enable high store their data input at the

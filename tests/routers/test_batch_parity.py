@@ -127,7 +127,13 @@ class TestMazeBatchParity:
     @pytest.mark.parametrize("heuristic_weight", [0.0, 0.8])
     @pytest.mark.parametrize(
         "backend,workers",
-        [("thread", 1), ("thread", 4), ("process", 1), ("process", 4)],
+        [
+            # the "thread" ids leave ``backend`` at its default
+            pytest.param(None, 1, id="thread-1"),
+            pytest.param(None, 4, id="thread-4"),
+            ("process", 1),
+            ("process", 4),
+        ],
     )
     def test_backends_and_workers_with_faults(
         self, backend, workers, heuristic_weight
@@ -152,7 +158,11 @@ class TestMazeBatchParity:
                 for o in outcomes
             ]
 
-        configured = router(workers=workers, backend=backend)
+        configured = (
+            router(workers=workers)
+            if backend is None
+            else router(workers=workers, backend=backend)
+        )
         plain = router()
         nets = random_p2p_nets(
             plain.device.arch, 8, seed=21, min_span=2, max_span=10

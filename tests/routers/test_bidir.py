@@ -1,4 +1,10 @@
-"""Tests of the bidirectional meet-in-the-middle router."""
+"""Single-sink maze search at ``JRouter``'s A* weight.
+
+Legality, optimality, reuse and occupancy properties of
+:func:`~repro.routers.maze.route_maze` at ``heuristic_weight=0.8`` (the
+weight ``JRouter`` searches with), checked against plain Dijkstra
+(weight 0) where a property compares two searches.
+"""
 
 import pytest
 
@@ -7,55 +13,60 @@ from repro.arch import wires
 from repro.device.contention import audit_no_contention
 from repro.device.fabric import Device
 from repro.routers.base import apply_plan, plan_cost
-from repro.routers.bidir import route_bidirectional
 from repro.routers.maze import route_maze
+
+WEIGHT = 0.8
+
+
+def _route(device: Device, src: int, sink: int, **kw):
+    return route_maze(device, [src], {sink}, heuristic_weight=WEIGHT, **kw)
 
 
 class TestCorrectness:
     def test_finds_valid_path(self, device):
         src = device.resolve(5, 7, wires.S1_YQ)
         sink = device.resolve(6, 8, wires.S0F[3])
-        res = route_bidirectional(device, src, sink)
+        res = _route(device, src, sink)
         apply_plan(device, res.plan)
         assert device.state.root_of(sink) == src
         assert audit_no_contention(device) == []
 
     def test_cost_matches_unidirectional(self, device):
-        """Bidirectional Dijkstra must be cost-optimal too."""
+        """The A* search must stay cost-optimal: plain Dijkstra's cost."""
         src = device.resolve(2, 2, wires.S0_X)
         sink = device.resolve(12, 20, wires.S0F[1])
-        uni = route_maze(device, [src], {sink})
-        bi = route_bidirectional(device, src, sink)
-        assert bi.cost == pytest.approx(uni.cost)
+        dijkstra = route_maze(device, [src], {sink})
+        astar = _route(device, src, sink)
+        assert astar.cost == pytest.approx(dijkstra.cost)
 
     def test_plan_cost_consistent(self, device):
         src = device.resolve(2, 2, wires.S0_X)
         sink = device.resolve(9, 14, wires.S1F[2])
-        res = route_bidirectional(device, src, sink)
+        res = _route(device, src, sink)
         assert res.cost == pytest.approx(plan_cost(device, res.plan))
 
     def test_source_equals_sink(self, device):
         src = device.resolve(5, 7, wires.S1_YQ)
-        res = route_bidirectional(device, src, src)
+        res = _route(device, src, src)
         assert res.plan == []
 
     def test_occupied_sink_rejected(self, device):
         src = device.resolve(5, 7, wires.S1_YQ)
         sink = device.resolve(6, 8, wires.S0F[3])
-        res = route_bidirectional(device, src, sink)
+        res = _route(device, src, sink)
         apply_plan(device, res.plan)
         other = device.resolve(2, 2, wires.S0_X)
         with pytest.raises(errors.UnroutableError):
-            route_bidirectional(device, other, sink)
+            _route(device, other, sink)
 
     def test_avoids_foreign_nets(self, device):
         src = device.resolve(5, 7, wires.S1_YQ)
         sink = device.resolve(6, 8, wires.S0F[3])
-        first = route_bidirectional(device, src, sink)
+        first = _route(device, src, sink)
         apply_plan(device, first.plan)
         src2 = device.resolve(5, 7, wires.S0_X)
         sink2 = device.resolve(6, 8, wires.S0F[2])
-        second = route_bidirectional(device, src2, sink2)
+        second = _route(device, src2, sink2)
         used1 = {device.arch.canonicalize(r, c, t) for r, c, _, t in first.plan}
         used2 = {device.arch.canonicalize(r, c, t) for r, c, _, t in second.plan}
         assert not used1 & used2
@@ -63,11 +74,11 @@ class TestCorrectness:
     def test_reuse_tree(self, device):
         src = device.resolve(2, 2, wires.S0_X)
         sink1 = device.resolve(10, 16, wires.S0F[1])
-        res1 = route_bidirectional(device, src, sink1)
+        res1 = _route(device, src, sink1)
         apply_plan(device, res1.plan)
         tree = set(device.state.subtree(src))
         sink2 = device.resolve(10, 16, wires.S0F[2])
-        res2 = route_bidirectional(device, src, sink2, reuse=tree)
+        res2 = _route(device, src, sink2, reuse=tree)
         assert len(res2.plan) < len(res1.plan)
         apply_plan(device, res2.plan)
         assert audit_no_contention(device) == []
@@ -75,7 +86,7 @@ class TestCorrectness:
     def test_no_longs_mode(self, device):
         src = device.resolve(1, 1, wires.S0_X)
         sink = device.resolve(14, 22, wires.S1F[2])
-        res = route_bidirectional(device, src, sink, use_longs=False)
+        res = _route(device, src, sink, use_longs=False)
         lo, hi = wires.LONG_H[0], wires.LONG_V[-1]
         for _, _, _, tn in res.plan:
             assert not lo <= tn <= hi
@@ -84,13 +95,14 @@ class TestCorrectness:
         src = device.resolve(1, 1, wires.S0_X)
         sink = device.resolve(14, 22, wires.S1F[2])
         with pytest.raises(errors.UnroutableError):
-            route_bidirectional(device, src, sink, max_nodes=3)
+            _route(device, src, sink, max_nodes=3)
 
 
 class TestEfficiency:
     def test_fewer_expansions_than_unidirectional(self, device):
+        """The A* bias expands fewer nodes than plain Dijkstra."""
         src = device.resolve(1, 1, wires.S0_X)
         sink = device.resolve(14, 22, wires.S1F[2])
-        uni = route_maze(device, [src], {sink})
-        bi = route_bidirectional(device, src, sink)
-        assert bi.nodes_expanded < uni.nodes_expanded
+        dijkstra = route_maze(device, [src], {sink})
+        astar = _route(device, src, sink)
+        assert astar.nodes_expanded < dijkstra.nodes_expanded

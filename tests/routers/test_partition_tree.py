@@ -5,7 +5,7 @@ replaced the flat bbox stripes of the parallel PathFinder.  These tests
 pin its structural invariants (preorder indexing, net conservation, cut
 assignment), the degenerate geometries the stripes handled by silently
 shrinking the worker count (stacked nets, chip-spanning nets, more
-workers than nets), deadline expiry mid-subtree on both backends, and
+workers than nets), deadline expiry inside and ahead of the tree, and
 the ``workers=1`` parity oracle against the preserved pre-kernel
 reference implementation.
 """
@@ -157,22 +157,31 @@ class TestDegenerateGeometry:
 
 
 class TestDeadlineMidSubtree:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_expiry_mid_subtree_abandons_cleanly(self, backend):
+    @pytest.mark.parametrize(
+        "deadline,searched",
+        [
+            # the parent's frozen clock still shows budget at the
+            # iteration boundary, so the tree launches and the workers
+            # spend the 1 us they were shipped inside their searches
+            pytest.param(
+                lambda: Deadline(1e-3, clock=lambda: 0.0), True, id="thread"
+            ),
+            # already spent at the iteration boundary: nothing launches
+            pytest.param(lambda: Deadline(0.0), False, id="process"),
+        ],
+    )
+    def test_expiry_mid_subtree_abandons_cleanly(self, deadline, searched):
         device = Device(PART)
         nets = _specs(
             device,
             random_p2p_nets(device.arch, 8, seed=3, min_span=2, max_span=10),
         )
         res = route_pathfinder(
-            device,
-            nets,
-            workers=4,
-            backend=backend,
-            deadline=Deadline(0.0),
-            apply=True,
+            device, nets, workers=4, deadline=deadline(), apply=True
         )
-        assert res.timed_out, backend
+        assert res.workers > 1
+        assert res.timed_out
+        assert (res.stats.searches > 0) == searched
         assert not res.converged
         assert res.plans == {} and res.pips_added == 0
         # the device is untouched by the abandoned run
