@@ -279,20 +279,19 @@ def batched_p2p_workload(part: str, n_requests: int):
 
 def measure_batched_p2p(part: str, n_requests: int, *, reps: int) -> dict:
     """Lockstepped batch vs the same searches run one kernel call at a
-    time.  ``heuristic_weight=0`` because only plain-Dijkstra batches run
-    the vectorized wavefront: an A*-weighted batch runs the scalar
-    kernel once per request (see ``route_maze_batch``)."""
+    time.  The vectorized wavefront serves every ``route_maze_batch``
+    call; its scalar rival is ``route_maze`` at its default plain
+    Dijkstra (``heuristic_weight=0``), the batch's parity oracle."""
     device, reqs = batched_p2p_workload(part, n_requests)
-    kw = dict(heuristic_weight=0.0)
-    batch = route_maze_batch(device, reqs, **kw)  # warm + parity oracle
+    batch = route_maze_batch(device, reqs)  # warm + parity oracle
     for (srcs, targets), got in zip(reqs, batch.results):
-        want = route_maze(device, srcs, targets, **kw)
+        want = route_maze(device, srcs, targets)
         assert got.plan == want.plan and got.cost == want.cost, (
             f"batch diverged from scalar kernel on {part}"
         )
     t_scalar, t_batch = _interleaved_best_times(
-        lambda: [route_maze(device, s, t, **kw) for s, t in reqs],
-        lambda: route_maze_batch(device, reqs, **kw),
+        lambda: [route_maze(device, s, t) for s, t in reqs],
+        lambda: route_maze_batch(device, reqs),
         reps=reps,
     )
     return {
@@ -477,9 +476,9 @@ def test_shape_smoke_run_reports_speedup():
 def test_shape_batched_p2p_parity():
     # timing-free: a small batch matches the scalar kernel bit-for-bit
     device, reqs = batched_p2p_workload("XCV50", 6)
-    batch = route_maze_batch(device, reqs, heuristic_weight=0.0)
+    batch = route_maze_batch(device, reqs)
     for (srcs, targets), got in zip(reqs, batch.results):
-        want = route_maze(device, srcs, targets, heuristic_weight=0.0)
+        want = route_maze(device, srcs, targets)
         assert got.plan == want.plan
         assert got.cost == want.cost
         assert got.stats.as_dict() == want.stats.as_dict()

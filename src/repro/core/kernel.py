@@ -16,11 +16,11 @@ three mechanics here:
 
 That loop is :func:`dijkstra`.  Beside it, :func:`dijkstra_batch` runs
 many plain-Dijkstra point-to-point searches at once as one numpy
-wavefront over the same arrays.  It takes no A* heuristic, because a
-biased key breaks its exactness proof, so
-:func:`~repro.routers.maze.route_maze_batch` sends A*-weighted batches
-(every ``JRouter`` batch at its default ``heuristic_weight=0.8``)
-through :func:`dijkstra`, one request at a time.
+wavefront over the same arrays.  It is the one engine of every batch:
+:func:`~repro.routers.maze.route_maze_batch` (and so every ``JRouter``
+batch, whatever its ``heuristic_weight``) runs its requests through it.
+It takes no A* heuristic, because a biased key breaks its exactness
+proof; the A* bias serves scalar searches only.
 
 Instrumentation (node expansions, heap pushes, faulty edges avoided) is
 unified behind :class:`SearchStats`.  The process-wide accumulator
@@ -588,9 +588,9 @@ def dijkstra_batch(
 
     The proof needs unbiased keys and a positive minimum edge cost, so
     there is no A* heuristic here and a graph without a positive
-    :meth:`~repro.arch.graph.RoutingGraph.min_edge_cost` is refused
-    (:func:`~repro.routers.maze.route_maze_batch` runs such batches
-    through :func:`dijkstra`, one request at a time).
+    :meth:`~repro.arch.graph.RoutingGraph.min_edge_cost` is refused with
+    :class:`ValueError` (every shipped part's graph has one: no wire a
+    PIP can drive costs less than 0.5).
 
     Parameters mirror :func:`dijkstra`, with two batch forms: ``allows``
     is an optional per-lane collection of allowed occupied wires, and

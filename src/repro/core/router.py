@@ -101,8 +101,10 @@ class JRouter:
         Use the predefined-template fast path for point-to-point routes
         before falling back to the maze router.
     heuristic_weight:
-        A* bias for maze searches (0 = plain Dijkstra; the 0.8 default
-        cuts node expansions by ~10x at equal plan cost on this fabric).
+        A* bias for scalar maze searches (0 = plain Dijkstra; the 0.8
+        default cuts node expansions by ~10x at equal plan cost on this
+        fabric).  It governs levels 4–6 and a :meth:`route_p2p_batch`
+        pair's re-route; the batch itself always runs plain Dijkstra.
     faults:
         Optional :class:`~repro.device.faults.FaultModel` attached to the
         device; fault-aware searches mask defective resources out.
@@ -687,12 +689,13 @@ class JRouter:
         lookup-bound); every template miss rides a single
         :func:`~repro.routers.maze.route_maze_batch` call, so the fixed
         costs (graph compile, fault-mask sync, stats publication) are
-        paid once per batch instead of once per net.  At an A*
-        ``heuristic_weight`` (the default) the batch runs its searches
-        on the scalar kernel one after another; at 0 it runs them as
-        one vectorized wavefront.  Either way the batch runs in the
-        calling thread: the router's ``workers`` configure
-        :meth:`route_nets` only.
+        paid once per batch instead of once per net.  That call runs
+        every miss as one plain-Dijkstra wavefront in the calling
+        thread, whatever the router's ``heuristic_weight``: the weight
+        governs only scalar searches (levels 4–6 and a re-route), and
+        the router's ``workers`` configure :meth:`route_nets` only.
+        The wavefront's state (``BatchSearchState``, K × n_wires × 20 B)
+        stays allocated on the device for the next batch.
 
         All searches see the device state as of the call; plans are
         applied in request order, and a pair whose plan lost a wire to
@@ -751,7 +754,6 @@ class JRouter:
                 [(source, sink) for _, source, sink in lanes],
                 try_templates=self.try_templates,
                 use_longs=self.p2p_use_longs,
-                heuristic_weight=self.heuristic_weight,
                 max_nodes=self.max_nodes,
                 deadline=deadline,
             )

@@ -148,7 +148,6 @@ def route_point_to_point_batch(
     try_templates: bool = True,
     use_longs: bool = True,
     template_budget: int = 4_000,
-    heuristic_weight: float = 0.0,
     max_nodes: int = 200_000,
     deadline: Deadline | None = None,
 ) -> "list[P2PResult | errors.JRouteError]":
@@ -157,16 +156,18 @@ def route_point_to_point_batch(
     ``pairs`` is a sequence of ``(source, sink)`` wire pairs.  Each pair
     goes through the same two phases as :func:`route_point_to_point`:
     the (cheap, scalar) predefined-template attempts first, then every
-    template miss rides a single :func:`route_maze_batch` call, which
-    pays the graph compile, the fault-mask sync and the global-stats
-    publication once for the whole fallback set.
+    template miss rides a single :func:`route_maze_batch` call — one
+    plain-Dijkstra wavefront that pays the graph compile, the
+    fault-mask sync and the global-stats publication once for the whole
+    fallback set.
 
     Returns one entry per pair **in request order**: a
     :class:`P2PResult` on success, or the :class:`~repro.errors.JRouteError`
     instance the scalar call would have raised (a failure never hides
     the remaining results).  Plans, costs and kernel stats are
     bit-identical to ``K`` sequential :func:`route_point_to_point`
-    calls against the same device state.
+    calls at its default ``heuristic_weight=0`` against the same device
+    state.
     """
     k = len(pairs)
     out: "list[P2PResult | errors.JRouteError | None]" = [None] * k
@@ -195,7 +196,6 @@ def route_point_to_point_batch(
             device,
             maze_reqs,
             use_longs=use_longs,
-            heuristic_weight=heuristic_weight,
             max_nodes=max_nodes,
             deadline=deadline,
         )

@@ -28,7 +28,6 @@ from ..arch import wires
 from ..arch.wires import WireClass
 from ..core.deadline import Deadline
 from ..core.kernel import (
-    SearchState,
     SearchStats,
     dijkstra,
     dijkstra_batch,
@@ -99,6 +98,89 @@ def _target_tiles(device: Device, targets: Collection[int]) -> list[tuple[int, i
     return [tile_coords(t) for t in targets]
 
 
+def _heuristic_rate(arch, heuristic_weight: float) -> float:
+    """Per-CLB A* rate.
+
+    Cheapest possible per-CLB rate: hexes cover 6 CLBs at their cost;
+    long lines can beat that on big spans, so the bias is scaled down.
+    """
+    return heuristic_weight * min(arch.wire_cost(wires.HEX_E[0]) / 6.0, 1.0)
+
+
+def _make_heuristic(
+    graph, goal_tiles: Sequence[tuple[int, int]], rate: float
+) -> Callable[[int, int, int, int], float]:
+    """Build the A* distance-to-target closure for one goal set.
+
+    Only :func:`route_maze` searches with a bias: a batch
+    (:func:`route_maze_batch`) runs unbiased Dijkstra whatever weight
+    its caller routes with elsewhere.
+    """
+    hex_n0 = wires.HEX_N[0]
+    single_n0 = wires.SINGLE_N[0]
+    p_row, p_col, p_name = graph.tiles()
+
+    if len(goal_tiles) == 1:
+        # dominant case (one sink pin): no min-over-goals machinery
+        tr, tc = goal_tiles[0]
+
+        def h(canon: int, to_name: int, row: int, col: int) -> float:
+            # estimate from the point of the driven wire nearest the
+            # goal: a hex driven toward it should look 6 tiles closer
+            cls = _NAME_CLASS[to_name]
+            if cls is WireClass.SINGLE or cls is WireClass.HEX:
+                r0 = p_row[canon]
+                c0 = p_col[canon]
+                length = _NAME_LENGTH[to_name]
+                a = abs(r0 - tr) + abs(c0 - tc)
+                if p_name[canon] >= (
+                    hex_n0 if cls is WireClass.HEX else single_n0
+                ):
+                    b = abs(r0 + length - tr) + abs(c0 - tc)
+                else:
+                    b = abs(r0 - tr) + abs(c0 + length - tc)
+                return rate * (a if a < b else b)
+            if cls is WireClass.LONG_H:
+                return rate * abs(p_row[canon] - tr)
+            if cls is WireClass.LONG_V:
+                return rate * abs(p_col[canon] - tc)
+            return rate * (abs(row - tr) + abs(col - tc))
+
+    else:
+
+        def h(canon: int, to_name: int, row: int, col: int) -> float:
+            # estimate from the point of the driven wire nearest a goal:
+            # a hex driven toward the goal should look 6 tiles closer
+            cls = _NAME_CLASS[to_name]
+            if cls is WireClass.SINGLE or cls is WireClass.HEX:
+                r0 = p_row[canon]
+                c0 = p_col[canon]
+                length = _NAME_LENGTH[to_name]
+                vertical = p_name[canon] >= (
+                    hex_n0 if cls is WireClass.HEX else single_n0
+                )
+                if vertical:
+                    ends = ((r0, c0), (r0 + length, c0))  # north-going
+                else:
+                    ends = ((r0, c0), (r0, c0 + length))  # east-going
+                return rate * min(
+                    abs(er - tr) + abs(ec - tc)
+                    for er, ec in ends
+                    for tr, tc in goal_tiles
+                )
+            if cls is WireClass.LONG_H:
+                r0 = p_row[canon]
+                return rate * min(abs(r0 - tr) for tr, _ in goal_tiles)
+            if cls is WireClass.LONG_V:
+                c0 = p_col[canon]
+                return rate * min(abs(c0 - tc) for _, tc in goal_tiles)
+            return rate * min(
+                abs(row - tr) + abs(col - tc) for tr, tc in goal_tiles
+            )
+
+    return h
+
+
 @lru_cache(maxsize=32)
 def _name_block_table(
     use_longs: bool, avoid: frozenset[WireClass]
@@ -149,19 +231,6 @@ def _check_request(
     if hit:
         return MazeResult([], hit.pop(), 0.0, 0)
     return start_set, target_set, reuse_set, source_set
-
-
-def _search(graph, state: SearchState, request: _Request, **kw) -> tuple:
-    """One checked request on the scalar kernel.
-
-    ``kw`` are :func:`~repro.core.kernel.dijkstra` options.  Returns its
-    outcome tuple with the extracted plan appended (``[]`` when no
-    target was reached).
-    """
-    start_set, target_set, reuse_set, _source_set = request
-    found = dijkstra(graph, state, start_set, target_set, allow=reuse_set, **kw)
-    plan = extract_plan(graph, state, found[0]) if found[0] >= 0 else []
-    return (*found, plan)
 
 
 def _outcome(
@@ -268,20 +337,24 @@ def route_maze(
         return request
 
     graph = device.routing_graph()
+    start_set, target_set, reuse_set, _source_set = request
     h = (
         _make_heuristic(
             graph,
-            _target_tiles(device, request[1]),
+            _target_tiles(device, target_set),
             _heuristic_rate(arch, heuristic_weight),
         )
         if heuristic_weight > 0.0
         else None
     )
+    state = device.search_state()
     stats = SearchStats()
-    found = _search(
+    found = dijkstra(
         graph,
-        device.search_state(),
-        request,
+        state,
+        start_set,
+        target_set,
+        allow=reuse_set,
         occupied=device.state.occupied,
         name_blocked=_name_block_table(use_longs, frozenset(avoid_classes)),
         h=h,
@@ -291,9 +364,10 @@ def route_maze(
         stats=stats,
         deadline=deadline,
     )
+    plan = extract_plan(graph, state, found[0]) if found[0] >= 0 else []
     # publish before the outcome branches: failed searches count too
     record_global(stats)
-    result = _outcome(arch, found, request, use_longs, max_nodes)
+    result = _outcome(arch, (*found, plan), request, use_longs, max_nodes)
     if isinstance(result, errors.JRouteError):
         raise result
     return result
@@ -338,96 +412,12 @@ class MazeBatchResult:
         return f"MazeBatchResult({ok}/{len(self.results)} routed)"
 
 
-def _heuristic_rate(arch, heuristic_weight: float) -> float:
-    """Per-CLB A* rate.
-
-    Cheapest possible per-CLB rate: hexes cover 6 CLBs at their cost;
-    long lines can beat that on big spans, so the bias is scaled down.
-    """
-    return heuristic_weight * min(arch.wire_cost(wires.HEX_E[0]) / 6.0, 1.0)
-
-
-def _make_heuristic(
-    graph, goal_tiles: Sequence[tuple[int, int]], rate: float
-) -> Callable[[int, int, int, int], float]:
-    """Build the A* distance-to-target closure for one goal set.
-
-    Shared by :func:`route_maze` and :func:`route_maze_batch`, which
-    builds one closure per request — one definition, so batch estimates
-    are the scalar estimates.
-    """
-    hex_n0 = wires.HEX_N[0]
-    single_n0 = wires.SINGLE_N[0]
-    p_row, p_col, p_name = graph.tiles()
-
-    if len(goal_tiles) == 1:
-        # dominant case (one sink pin): no min-over-goals machinery
-        tr, tc = goal_tiles[0]
-
-        def h(canon: int, to_name: int, row: int, col: int) -> float:
-            # estimate from the point of the driven wire nearest the
-            # goal: a hex driven toward it should look 6 tiles closer
-            cls = _NAME_CLASS[to_name]
-            if cls is WireClass.SINGLE or cls is WireClass.HEX:
-                r0 = p_row[canon]
-                c0 = p_col[canon]
-                length = _NAME_LENGTH[to_name]
-                a = abs(r0 - tr) + abs(c0 - tc)
-                if p_name[canon] >= (
-                    hex_n0 if cls is WireClass.HEX else single_n0
-                ):
-                    b = abs(r0 + length - tr) + abs(c0 - tc)
-                else:
-                    b = abs(r0 - tr) + abs(c0 + length - tc)
-                return rate * (a if a < b else b)
-            if cls is WireClass.LONG_H:
-                return rate * abs(p_row[canon] - tr)
-            if cls is WireClass.LONG_V:
-                return rate * abs(p_col[canon] - tc)
-            return rate * (abs(row - tr) + abs(col - tc))
-
-    else:
-
-        def h(canon: int, to_name: int, row: int, col: int) -> float:
-            # estimate from the point of the driven wire nearest a goal:
-            # a hex driven toward the goal should look 6 tiles closer
-            cls = _NAME_CLASS[to_name]
-            if cls is WireClass.SINGLE or cls is WireClass.HEX:
-                r0 = p_row[canon]
-                c0 = p_col[canon]
-                length = _NAME_LENGTH[to_name]
-                vertical = p_name[canon] >= (
-                    hex_n0 if cls is WireClass.HEX else single_n0
-                )
-                if vertical:
-                    ends = ((r0, c0), (r0 + length, c0))  # north-going
-                else:
-                    ends = ((r0, c0), (r0, c0 + length))  # east-going
-                return rate * min(
-                    abs(er - tr) + abs(ec - tc)
-                    for er, ec in ends
-                    for tr, tc in goal_tiles
-                )
-            if cls is WireClass.LONG_H:
-                r0 = p_row[canon]
-                return rate * min(abs(r0 - tr) for tr, _ in goal_tiles)
-            if cls is WireClass.LONG_V:
-                c0 = p_col[canon]
-                return rate * min(abs(c0 - tc) for _, tc in goal_tiles)
-            return rate * min(
-                abs(row - tr) + abs(col - tc) for tr, tc in goal_tiles
-            )
-
-    return h
-
-
 def route_maze_batch(
     device: Device,
     requests: Sequence[tuple],
     *,
     use_longs: bool = True,
     avoid_classes: Collection[WireClass] = (),
-    heuristic_weight: float = 0.0,
     max_nodes: int = 200_000,
     deadline: Deadline | None = None,
 ) -> MazeBatchResult:
@@ -438,21 +428,22 @@ def route_maze_batch(
     to every request.  All searches run against the device state as of
     the call — requests do not see each other's (unapplied) plans.
 
-    Plain-Dijkstra batches (``heuristic_weight == 0`` on a graph with a
-    positive minimum edge cost) run lockstepped as one
-    :func:`~repro.core.kernel.dijkstra_batch` wavefront.  Every other
-    batch — A*-weighted, as ``JRouter`` sends by default — runs each
-    request through the scalar :func:`~repro.core.kernel.dijkstra` in
-    turn.  Either way the batch pays the graph compile, the fault-mask
-    sync and the stats publication once.
+    Every batch runs lockstepped as one
+    :func:`~repro.core.kernel.dijkstra_batch` wavefront of plain
+    Dijkstra searches, in the calling thread.  The batch pays the graph
+    compile, the fault-mask sync and the stats publication once.  A
+    graph without a positive minimum edge cost cannot be searched this
+    way and raises :class:`ValueError`.
 
-    Results are **bit-identical** to calling :func:`route_maze` once per
-    request: per-request plans, costs and stats match exactly, failures
-    are returned in place (as the exception instances the scalar call
-    would raise) without aborting the rest of the batch, and the merged
-    batch stats are published to the global accumulator via a single
-    ``record_global`` call.  The versioned fault-edge mask is synced at
-    most once per batch.
+    Results are **bit-identical** to calling :func:`route_maze` (at its
+    default ``heuristic_weight=0``) once per request: per-request plans,
+    costs and stats match exactly, failures are returned in place (as
+    the exception instances the scalar call would raise) without
+    aborting the rest of the batch, and the merged batch stats are
+    published to the global accumulator via a single ``record_global``
+    call.  The versioned fault-edge mask is synced at most once per
+    batch.  A plan is a cheapest path, so it never costs more than the
+    plan an A*-weighted :func:`route_maze` finds for the same request.
     """
     arch = device.arch
     faults = device.faults
@@ -471,51 +462,28 @@ def route_maze_batch(
         return MazeBatchResult(results, stats)
 
     graph = device.routing_graph()
-    graph.np_columns()  # force-compile: no search below grows the graph
-    # the one fault-mask sync for the whole batch; with the graph
-    # compiled, no search materializes a node, so none syncs it again
+    graph.np_columns()  # force-compile, so the mask below covers every edge
+    # the one fault-mask sync for the whole batch
     fault_edge = graph.fault_edge_mask(faults) if faults is not None else None
-    kw = dict(
+    bstate = device.batch_search_state(len(lane_req))
+    res = dijkstra_batch(
+        graph,
+        bstate,
+        [(sr[0], sr[1]) for sr in lane_req],
         occupied=device.state.occupied,
+        allows=[sr[2] for sr in lane_req],
         name_blocked=_name_block_table(use_longs, frozenset(avoid_classes)),
         fault_node=fault_mask,
+        fault_edge=fault_edge.mask if fault_edge is not None else None,
         max_nodes=max_nodes,
         stats=stats,
         deadline=deadline,
     )
-    # the wavefront's exactness proof needs unbiased keys and a positive
-    # edge-cost bound; anything else runs the scalar kernel per request
-    if heuristic_weight <= 0.0 and graph.min_edge_cost() > 0.0:
-        bstate = device.batch_search_state(len(lane_req))
-        res = dijkstra_batch(
-            graph,
-            bstate,
-            [(sr[0], sr[1]) for sr in lane_req],
-            allows=[sr[2] for sr in lane_req],
-            fault_edge=fault_edge.mask if fault_edge is not None else None,
-            **kw,
-        )
-        found = [
-            (*r, extract_plan_lane(graph, bstate, lane, r[0]) if r[0] >= 0 else [])
-            for lane, r in enumerate(res)
-        ]
-    else:
-        state = device.search_state()
-        rate = _heuristic_rate(arch, heuristic_weight)
-        found = []
-        for req in lane_req:
-            h = (
-                _make_heuristic(graph, _target_tiles(device, req[1]), rate)
-                if heuristic_weight > 0.0
-                else None
-            )
-            found.append(
-                _search(graph, state, req, h=h, fault_edge=fault_edge, **kw)
-            )
-
     # single lock-guarded publication for the whole batch (failures too)
     record_global(stats)
 
     for lane, i in enumerate(live):
-        results[i] = _outcome(arch, found[lane], lane_req[lane], use_longs, max_nodes)
+        r = res[lane]
+        plan = extract_plan_lane(graph, bstate, lane, r[0]) if r[0] >= 0 else []
+        results[i] = _outcome(arch, (*r, plan), lane_req[lane], use_longs, max_nodes)
     return MazeBatchResult(results, stats)

@@ -1,11 +1,14 @@
 """Batched-search parity: the SoA batch kernel vs K sequential calls.
 
 ``route_maze_batch`` locksteps K independent searches over the compiled
-CSR graph (PR 7's vectorized struct-of-arrays kernel).  The scalar
-kernel stays on as the oracle: every batch must be **bit-identical** to
-calling :func:`route_maze` once per request — plans, costs, per-request
+CSR graph (the vectorized struct-of-arrays wavefront, the one engine of
+every batch).  The scalar kernel stays on as the oracle: every batch
+must be **bit-identical** to calling :func:`route_maze` at its default
+``heuristic_weight=0`` once per request — plans, costs, per-request
 ``SearchStats``, fault accounting and failure messages — with failures
-reported in place rather than aborting the rest of the batch.
+reported in place rather than aborting the rest of the batch.  Against
+an A*-weighted :func:`route_maze` the batch must route the same
+requests, each at no greater cost.
 
 The batch also changes *accounting shape*, which these tests pin:
 
@@ -27,7 +30,9 @@ import repro.core.router as router_mod
 import repro.routers.maze as maze_mod
 import repro.routers.pathfinder as pathfinder_mod
 from repro import errors
-from repro.arch.graph import FaultEdgeMask, RoutingGraph
+from repro.arch import connectivity, devices, wires
+from repro.arch.graph import NAME_COST, FaultEdgeMask, RoutingGraph
+from repro.arch.virtex import VirtexArch
 from repro.bench.workloads import random_p2p_nets
 from repro.cli import main
 from repro.core import JRouter
@@ -94,6 +99,30 @@ def _assert_batch_matches(batch, scalar):
             assert got.faults_avoided == want.faults_avoided
 
 
+def _counting(monkeypatch, owner, name):
+    """Patch ``owner.name`` to record its calls; returns the record."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _assert_no_costlier(batch, astar):
+    """Same requests succeed, and no batch plan costs more than A*'s."""
+    assert len(batch.results) == len(astar)
+    for got, want in zip(batch.results, astar):
+        assert isinstance(got, errors.JRouteError) == isinstance(
+            want, errors.JRouteError
+        ), (got, want)
+        if not isinstance(want, errors.JRouteError):
+            assert got.cost <= want.cost + 1e-9
+
+
 class TestMazeBatchParity:
     """route_maze_batch == K x route_maze, bit for bit."""
 
@@ -104,11 +133,14 @@ class TestMazeBatchParity:
     )
     @common
     def test_bit_identical_to_sequential(self, seed, k, weight):
+        """``weight`` picks the A* comparator, not the batch's engine."""
         device = Device(PART)
         reqs = _maze_requests(device, k, seed)
-        batch = route_maze_batch(device, reqs, heuristic_weight=weight)
-        scalar = _sequential(device, reqs, heuristic_weight=weight)
-        _assert_batch_matches(batch, scalar)
+        batch = route_maze_batch(device, reqs)
+        _assert_batch_matches(batch, _sequential(device, reqs))
+        _assert_no_costlier(
+            batch, _sequential(device, reqs, heuristic_weight=weight)
+        )
 
     @pytest.mark.parametrize("heuristic_weight", [0.0, 0.8])
     def test_with_faults(self, heuristic_weight):
@@ -117,9 +149,12 @@ class TestMazeBatchParity:
         )
         device = Device(PART, faults=faults)
         reqs = _maze_requests(device, 8, 21, max_span=10)
-        batch = route_maze_batch(device, reqs, heuristic_weight=heuristic_weight)
-        scalar = _sequential(device, reqs, heuristic_weight=heuristic_weight)
-        _assert_batch_matches(batch, scalar)
+        batch = route_maze_batch(device, reqs)
+        _assert_batch_matches(batch, _sequential(device, reqs))
+        _assert_no_costlier(
+            batch,
+            _sequential(device, reqs, heuristic_weight=heuristic_weight),
+        )
         ok = [r for r in batch.results if not isinstance(r, errors.JRouteError)]
         assert ok, "fault workload routed nothing — workload too hostile"
         assert any(r.faults_avoided for r in ok) or batch.stats.faults_avoided
@@ -261,33 +296,22 @@ class TestMazeBatchParity:
         ), "budget of 300 nodes should exhaust at least one span-4+ search"
 
     def test_heuristic_weight_picks_the_engine(self, monkeypatch):
-        """A* batches run the scalar kernel; plain ones the wavefront."""
-        wavefronts = []
-        allocations = []
-        real_batch = maze_mod.dijkstra_batch
-        real_ensure = BatchSearchState.ensure
-
-        def counting_batch(*args, **kwargs):
-            wavefronts.append(1)
-            return real_batch(*args, **kwargs)
-
-        def counting_ensure(self, k):
-            allocations.append(k)
-            return real_ensure(self, k)
-
-        monkeypatch.setattr(maze_mod, "dijkstra_batch", counting_batch)
-        monkeypatch.setattr(BatchSearchState, "ensure", counting_ensure)
+        """No weight picks the engine: every batch is one wavefront,
+        and a graph the wavefront cannot search exactly is refused."""
+        wavefronts = _counting(monkeypatch, maze_mod, "dijkstra_batch")
+        scalar = _counting(monkeypatch, maze_mod, "dijkstra")
+        allocations = _counting(monkeypatch, BatchSearchState, "ensure")
         device = Device(PART)
         reqs = _maze_requests(device, 4, 3)
-        route_maze_batch(device, reqs, heuristic_weight=0.8)
-        assert wavefronts == [] and allocations == []
-        route_maze_batch(device, reqs, heuristic_weight=0.0)
+        route_maze_batch(device, reqs)
         assert len(wavefronts) == 1 and allocations
+        route_maze_batch(device, reqs, use_longs=False)
+        assert len(wavefronts) == 2 and scalar == []
         # without a positive edge-cost bound the wavefront is not exact
         monkeypatch.setattr(RoutingGraph, "min_edge_cost", lambda self: 0.0)
-        batch = route_maze_batch(device, reqs, heuristic_weight=0.0)
-        assert len(wavefronts) == 1
-        _assert_batch_matches(batch, _sequential(device, reqs))
+        with pytest.raises(ValueError, match="positive minimum edge cost"):
+            route_maze_batch(device, reqs)
+        assert scalar == []
 
     def test_trivial_and_empty_batches(self):
         device = Device(PART)
@@ -295,6 +319,28 @@ class TestMazeBatchParity:
         ((srcs, targets),) = _maze_requests(device, 1, 2)
         hit = route_maze_batch(device, [(srcs, set(srcs))]).results[0]
         assert hit.plan == [] and hit.cost == 0.0
+
+
+class TestEdgeCostBound:
+    """The wavefront's precondition holds on every shipped part."""
+
+    def test_every_drivable_wire_costs_more_than_zero(self):
+        # a PIP's edge cost is its driven wire's cost, so a positive
+        # cost on every name a PIP can drive bounds every compiled graph
+        targets = {
+            t for n in range(wires.N_NAMES) for t in connectivity.drives(n)
+        }
+        assert len(targets) == 205
+        parts = devices.part_names(None)
+        assert len(parts) == 15
+        for part in parts:
+            arch = VirtexArch(part)
+            costs = [arch.wire_cost(t) for t in targets]
+            assert costs == [NAME_COST[t] for t in targets], part
+            assert min(costs) == 0.5, part
+
+    def test_compiled_xcv50_reports_the_bound(self):
+        assert Device(PART).routing_graph().min_edge_cost() == 0.5
 
 
 class TestAutoBatchParity:
@@ -441,6 +487,45 @@ class TestRouterP2PBatch:
         )
         assert r.last_report.timed_out
         assert len(r.last_report.failures) == len(pairs)
+
+    def test_router_weight_does_not_pick_the_engine(self, monkeypatch):
+        """A router's A* weight leaves its batches on the wavefront: a
+        default router batches exactly as a weight-0 one does."""
+        faults = FaultModel.random(
+            Device(PART).arch, seed=5, stuck_open_rate=0.02, dead_wire_rate=0.004
+        )
+
+        def router(**kw):
+            return JRouter(
+                part=PART, attach_jbits=False, faults=faults,
+                try_templates=False, **kw,
+            )
+
+        weighted = router()
+        plain = router(heuristic_weight=0.0)
+        assert weighted.heuristic_weight == 0.8
+        pairs = [
+            (n.source, n.sinks[0])
+            for n in self._nets(weighted, 8, seed=21, max_span=10)
+        ]
+        wavefronts = _counting(monkeypatch, maze_mod, "dijkstra_batch")
+        scalar = _counting(monkeypatch, maze_mod, "dijkstra")
+        got = weighted.route_p2p_batch(pairs)
+        assert len(wavefronts) == 1 and scalar == []
+        monkeypatch.undo()
+        want = plain.route_p2p_batch(pairs)
+        # a re-route would run a scalar search at each router's weight
+        assert not any(o.rerouted for o in got)
+        assert any(o.success for o in got), "fault workload routed nothing"
+        assert got == want
+        assert (
+            weighted.device.state.fingerprint()
+            == plain.device.state.fingerprint()
+        )
+        assert (
+            weighted.last_report.search_stats.as_dict()
+            == plain.last_report.search_stats.as_dict()
+        )
 
     def test_batch_runs_inline_whatever_the_routers_backend(self, monkeypatch):
         """``workers``/``backend`` configure route_nets only: a batch
