@@ -1,11 +1,9 @@
 """E13: skew-aware fanout routing (the paper's Section 6 future work)."""
 
-import pytest
-
 from repro.bench.experiments import run_e13
 from repro.bench.workloads import high_fanout_net
+from repro.core import JRouter
 from repro.device.fabric import Device
-from repro.routers.greedy_fanout import route_fanout
 from repro.timing import equalize_skew, net_timing, route_balanced_fanout
 
 
@@ -14,18 +12,20 @@ def _workload(fanout=8, seed=5):
     net = high_fanout_net(device.arch, fanout, seed=seed)
     src = device.resolve(net.source.row, net.source.col, net.source.wire)
     sinks = [device.resolve(p.row, p.col, p.wire) for p in net.sinks]
-    return device, src, sinks
+    return device, net, src, sinks
 
 
-def test_greedy_fanout_route(benchmark):
+def _greedy(device, net):
+    """Route the net with the level-5 call, route(src, sinks[])."""
+    JRouter(device=device, attach_jbits=False).route(net.source, list(net.sinks))
+
+
+def test_greedy_route(benchmark):
     def setup():
-        return (_workload(),), {}
+        device, net, _, _ = _workload()
+        return (device, net), {}
 
-    def run(prep):
-        device, src, sinks = prep
-        route_fanout(device, src, sinks, heuristic_weight=0.8)
-
-    benchmark.pedantic(run, setup=setup, rounds=5)
+    benchmark.pedantic(_greedy, setup=setup, rounds=5)
 
 
 def test_balanced_fanout_route(benchmark):
@@ -33,15 +33,15 @@ def test_balanced_fanout_route(benchmark):
         return (_workload(),), {}
 
     def run(prep):
-        device, src, sinks = prep
+        device, _, src, sinks = prep
         route_balanced_fanout(device, src, sinks)
 
     benchmark.pedantic(run, setup=setup, rounds=5)
 
 
 def test_skew_analysis(benchmark):
-    device, src, sinks = _workload()
-    route_fanout(device, src, sinks, heuristic_weight=0.8)
+    device, net, src, _ = _workload()
+    _greedy(device, net)
 
     def run():
         return net_timing(device, src).skew
@@ -51,8 +51,8 @@ def test_skew_analysis(benchmark):
 
 def test_equalize_skew(benchmark):
     def setup():
-        device, src, sinks = _workload()
-        route_fanout(device, src, sinks, heuristic_weight=0.8)
+        device, net, src, _ = _workload()
+        _greedy(device, net)
         return ((device, src),), {}
 
     def run(prep):

@@ -125,8 +125,8 @@ def _route_batch(router_fn, device, pairs):
         router_fn(device, [src], {sink}, heuristic_weight=0.8)
 
 
-def _route_fanout(router_fn, device, arch, net):
-    """Sink-by-sink fanout with tree reuse (the greedy-router pattern)."""
+def _route_sinks(router_fn, device, arch, net):
+    """Sink-by-sink fanout with tree reuse (the level-5 search pattern)."""
     tree: set[int] = set()
     for sink in net.sinks:
         res = router_fn(device, [net.source], {sink}, reuse=tree)
@@ -187,10 +187,10 @@ def measure_fanout(part: str, fanout: int, *, reps: int) -> dict:
     )
     sinks = [device.resolve(p.row, p.col, p.wire) for p in net_pins.sinks]
     net = NetSpec.of(src, sinks)
-    _route_fanout(route_maze, device, arch, net)  # warm
+    _route_sinks(route_maze, device, arch, net)  # warm
     new, ref = _interleaved_best_times(
-        lambda: _route_fanout(route_maze, device, arch, net),
-        lambda: _route_fanout(route_maze_reference, device, arch, net),
+        lambda: _route_sinks(route_maze, device, arch, net),
+        lambda: _route_sinks(route_maze_reference, device, arch, net),
         reps=reps,
     )
     return {

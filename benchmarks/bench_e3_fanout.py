@@ -8,10 +8,9 @@ import pytest
 
 from repro.bench.experiments import run_e3
 from repro.bench.workloads import high_fanout_net
+from repro.core import JRouter
 from repro.device.fabric import Device
-from repro.routers.base import apply_plan
-from repro.routers.greedy_fanout import route_fanout
-from repro.routers.maze import route_maze
+from repro.timing import route_balanced_fanout
 
 
 def _prepared(fanout, seed=7):
@@ -19,17 +18,17 @@ def _prepared(fanout, seed=7):
     net = high_fanout_net(device.arch, fanout, seed=seed)
     src = device.resolve(net.source.row, net.source.col, net.source.wire)
     sinks = [device.resolve(p.row, p.col, p.wire) for p in net.sinks]
-    return device, src, sinks
+    return device, net, src, sinks
 
 
 @pytest.mark.parametrize("fanout", [4, 8])
 def test_fanout_call(benchmark, fanout):
     def setup():
-        return (_prepared(fanout),), {}
+        device, net, _, _ = _prepared(fanout)
+        return (JRouter(device=device, attach_jbits=False), net), {}
 
-    def run(prep):
-        device, src, sinks = prep
-        route_fanout(device, src, sinks, heuristic_weight=0.8)
+    def run(router, net):
+        router.route(net.source, list(net.sinks))
 
     benchmark.pedantic(run, setup=setup, rounds=5)
 
@@ -40,12 +39,8 @@ def test_individual_routes(benchmark, fanout):
         return (_prepared(fanout),), {}
 
     def run(prep):
-        device, src, sinks = prep
-        for s in sinks:
-            reuse = {src} | set(device.state.children_of(src))
-            res = route_maze(device, [src], {s}, reuse=reuse,
-                             use_longs=False, heuristic_weight=0.8)
-            apply_plan(device, res.plan)
+        device, _, src, sinks = prep
+        route_balanced_fanout(device, src, sinks)
 
     benchmark.pedantic(run, setup=setup, rounds=5)
 

@@ -15,7 +15,6 @@ from ..arch import connectivity, devices, wires
 from ..arch.virtex import VirtexArch
 from ..arch.wires import WireClass
 from ..core import JRouter, Path, Pin, Template
-from ..core.tracer import trace_net
 from ..arch.templates import TemplateValue as TV
 from ..cores import (
     AdderCore,
@@ -29,14 +28,12 @@ from ..device.fabric import Device
 from ..jbits import write_bitstream
 from ..routers import (
     NetSpec,
-    route_fanout,
     route_maze,
     route_pathfinder,
     route_point_to_point,
 )
 from .metrics import Table, best_of, time_call
 from .workloads import (
-    dataflow_buses,
     high_fanout_net,
     large_bbox_nets,
     random_p2p_nets,
@@ -178,39 +175,45 @@ def run_e2(repeats: int = 30) -> Table:
 # ---------------------------------------------------------------------------
 
 def run_e3(fanouts: tuple[int, ...] = (2, 4, 8, 16), seed: int = 7) -> Table:
-    """Resource usage: route(src, sinks[]) vs per-sink individual routes."""
+    """Resource usage: route(src, sinks[]) vs per-sink individual routes.
+
+    A row's time is the best of 3 calls, each on a fresh device built
+    outside the timed region.
+    """
+    from functools import partial
+
+    from ..timing import route_balanced_fanout
+
     t = Table(
         "E3: fanout routing vs individual sink routing (XCV50)",
         ["fanout", "mode", "pips", "wirelength", "time (ms)"],
     )
     for fo in fanouts:
         for mode in ("individual", "fanout"):
-            device = Device("XCV50")
-            net = high_fanout_net(device.arch, fo, seed=seed)
-            src = device.resolve(net.source.row, net.source.col, net.source.wire)
-            sinks = [device.resolve(p.row, p.col, p.wire) for p in net.sinks]
-            t0 = time.perf_counter()
-            if mode == "fanout":
-                route_fanout(device, src, sinks, heuristic_weight=0.8)
-            else:
-                # individual routes share the source's OMUX stage (same
-                # physical driver) but not the distribution tree — what a
-                # user loop of route(src, sink) calls bought before the
-                # fanout call existed
-                from ..routers.base import apply_plan
-
-                for s in sinks:
-                    reuse = {src} | set(device.state.children_of(src))
-                    res = route_maze(device, [src], {s}, reuse=reuse,
-                                     use_longs=False, heuristic_weight=0.8)
-                    apply_plan(device, res.plan)
-            dt = time.perf_counter() - t0
+            best = float("inf")
+            for _ in range(3):
+                device = Device("XCV50")
+                net = high_fanout_net(device.arch, fo, seed=seed)
+                if mode == "fanout":
+                    router = JRouter(device=device, attach_jbits=False)
+                    call = partial(router.route, net.source, list(net.sinks))
+                else:
+                    # each sink gets its own search, sharing the source's
+                    # OMUX stage (same physical driver) but not the
+                    # distribution tree
+                    src = device.resolve(
+                        net.source.row, net.source.col, net.source.wire
+                    )
+                    sinks = [device.resolve(p.row, p.col, p.wire) for p in net.sinks]
+                    call = partial(route_balanced_fanout, device, src, sinks)
+                dt, _ = time_call(call)
+                best = min(best, dt)
             arch = device.arch
             used = [int(w) for w in device.state.used_wires()]
             wl = sum(
                 arch.wire_length(arch.primary_name(w)[2]) for w in used
             )
-            t.add(fo, mode, device.state.n_pips_on, wl, dt * 1e3)
+            t.add(fo, mode, device.state.n_pips_on, wl, best * 1e3)
     t.note("paper: the fanout call 'minimizes the routing resources used'")
     return t
 
@@ -621,7 +624,9 @@ def run_e13(fanouts: tuple[int, ...] = (4, 8), seed: int = 5) -> Table:
             if strategy == "balanced":
                 route_balanced_fanout(device, src, sinks)
             else:
-                route_fanout(device, src, sinks, heuristic_weight=0.8)
+                JRouter(device=device, attach_jbits=False).route(
+                    net.source, list(net.sinks)
+                )
                 if strategy == "greedy+equalize":
                     equalize_skew(device, src, tolerance=0.5)
             timing = net_timing(device, src)
@@ -774,7 +779,7 @@ def run_e18(
     import os
     import tempfile
 
-    from ..core import Deadline, DurableSession, Scrubber, inject_seu, recover
+    from ..core import DurableSession, Scrubber, inject_seu, recover
     from ..jbits.readback import verify_against_device
 
     if smoke:

@@ -91,10 +91,15 @@ class JRouter:
         preserving the paper's JRoute-on-JBits layering).  Access it as
         :attr:`jbits`.
     fanout_use_longs:
-        Whether the greedy fanout router may use long lines.  Defaults to
-        False, the state of the paper's initial implementation
-        ("currently long lines are not supported; only hexes and singles
-        are used"); set True for the paper's future-work behaviour.
+        Whether level 5's maze searches may use long lines while more
+        than one of the call's sinks needs routing.  It does not govern
+        every sink: a fresh net's first sink takes level 4's
+        template-then-maze path under ``p2p_use_longs``, and so may use
+        a long line, as does the search of a call with a single sink
+        left to route.  Defaults to False, the state of the paper's
+        initial implementation ("currently long lines are not supported;
+        only hexes and singles are used"); set True for the paper's
+        future-work behaviour.
     p2p_use_longs:
         Whether point-to-point maze fallback may use long lines.
     try_templates:
@@ -578,27 +583,22 @@ class JRouter:
     ) -> list[PlanPip]:
         """Bus routing: sources[i] -> sinks[i], atomic across the bus.
 
-        Returns the applied PIPs of every bit, in bus order.
+        Returns the applied PIPs of every bit, in bus order.  It runs only
+        inside :meth:`_request`'s transaction, whose rollback undoes the
+        bits routed before a failing one.
         """
         if len(source_eps) != len(sink_eps):
             raise errors.JRouteError(
                 f"bus width mismatch: {len(source_eps)} sources, "
                 f"{len(sink_eps)} sinks"
             )
-        done: list[list[PlanPip]] = []
-        try:
-            for src_ep, sink_ep in zip(source_eps, sink_eps):
-                done.append(
-                    self._route_net(
-                        src_ep, [sink_ep], record=False, max_nodes=max_nodes,
-                        deadline=deadline,
-                    )
-                )
-        except errors.JRouteError:
-            for applied in reversed(done):
-                for row, col, from_name, to_name in reversed(applied):
-                    self.device.turn_off(row, col, from_name, to_name)
-            raise
+        done = [
+            self._route_net(
+                src_ep, [sink_ep], record=False, max_nodes=max_nodes,
+                deadline=deadline,
+            )
+            for src_ep, sink_ep in zip(source_eps, sink_eps)
+        ]
         for src_ep, sink_ep in zip(source_eps, sink_eps):
             self._record(
                 self._source_canon(src_ep), src_ep, [sink_ep],
@@ -810,18 +810,10 @@ class JRouter:
                 )
         if self.jbits is not None:
             self.jbits.set_global_buffer(index, True)
-        applied: list[PlanPip] = []
-        try:
-            for pin in sinks:
-                if self.device.pip_is_on(pin.row, pin.col, wires.GCLK[index], pin.wire):
-                    continue
-                self.device.turn_on(pin.row, pin.col, wires.GCLK[index], pin.wire)
-                applied.append((pin.row, pin.col, wires.GCLK[index], pin.wire))
-        except errors.JRouteError:
-            for row, col, from_name, to_name in reversed(applied):
-                self.device.turn_off(row, col, from_name, to_name)
-            raise
-        return len(applied)
+        return apply_plan(
+            self.device,
+            [(pin.row, pin.col, wires.GCLK[index], pin.wire) for pin in sinks],
+        )
 
     # ------------------------------------------------------------------ unrouting
 

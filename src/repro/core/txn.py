@@ -36,7 +36,10 @@ class PipJournal:
 
     The journal behind :class:`RouteTransaction`, which undoes it on
     failure.  Attach subscribes to the device's listener mechanism;
-    every ``turn_on``/``turn_off`` is then appended until :meth:`detach`.
+    every ``turn_on``/``turn_off`` is then recorded until :meth:`detach`.
+    A ``turn_off`` of the PIP the last recorded event turned on cancels
+    that event instead of being appended, so a router that rolls back
+    its own work leaves nothing for :meth:`undo` to replay.
     """
 
     __slots__ = ("device", "events", "_attached")
@@ -62,7 +65,12 @@ class PipJournal:
         return self._attached
 
     def record(self, event: PipEvent) -> None:
-        self.events.append(event)
+        events = self.events
+        on, rec = event
+        if not on and events and events[-1] == (True, rec):
+            events.pop()
+        else:
+            events.append(event)
 
     def clear(self) -> None:
         self.events.clear()
@@ -149,7 +157,8 @@ class RouteTransaction:
 
     @property
     def journal_length(self) -> int:
-        """PIP events recorded so far (on and off)."""
+        """PIP events journaled so far (on and off), less the pairs an
+        off cancelled (see :class:`PipJournal`)."""
         return len(self._journal)
 
     def rollback(self) -> None:

@@ -4,16 +4,17 @@ The paper is explicit that "the JRoute API is independent of the
 algorithms used to implement it"; this package keeps them separate and
 swappable: template DFS (:mod:`~repro.routers.template_router`),
 predefined template sets (:mod:`~repro.routers.template_sets`), maze /
-A* search (:mod:`~repro.routers.maze`), the greedy increasing-distance
-fanout router (:mod:`~repro.routers.greedy_fanout`), and the PathFinder
-negotiated-congestion baseline (:mod:`~repro.routers.pathfinder`).  Bus
-routing (level 6) needs no algorithm of its own: ``JRouter.route`` runs
-it bit by bit through the level-4 path.
+A* search (:mod:`~repro.routers.maze`), and the PathFinder
+negotiated-congestion baseline (:mod:`~repro.routers.pathfinder`).
+Fanout (level 5) and bus routing (level 6) need no algorithm of their
+own: ``JRouter.route`` routes a fanout's sinks in increasing distance
+from the source (a fresh net's first sink through the level-4 path,
+each later one by a maze search that reuses the growing tree), and a
+bus bit by bit through the level-4 path.
 """
 
 from .auto import P2PResult, route_point_to_point, route_point_to_point_batch
 from .base import PlanPip, apply_plan, plan_cost, plan_wirelength
-from .greedy_fanout import FanoutResult, route_fanout
 from .maze import MazeBatchResult, MazeResult, route_maze, route_maze_batch
 from .pathfinder import (
     NetSpec,
@@ -33,8 +34,6 @@ __all__ = [
     "apply_plan",
     "plan_cost",
     "plan_wirelength",
-    "FanoutResult",
-    "route_fanout",
     "MazeBatchResult",
     "MazeResult",
     "route_maze",

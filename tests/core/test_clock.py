@@ -44,6 +44,14 @@ class TestRouteClock:
         with pytest.raises(errors.ContentionError):
             router.route_clock(1, [Pin(2, 3, wires.S0_CLK)])
 
+    def test_contention_rolls_back_earlier_sinks(self, router):
+        a, b = Pin(2, 3, wires.S0_CLK), Pin(10, 20, wires.S1_CLK)
+        router.route_clock(0, [a])
+        with pytest.raises(errors.ContentionError):
+            router.route_clock(1, [b, a])
+        assert not router.is_on(b.row, b.col, b.wire)
+        assert router.is_on(a.row, a.col, a.wire)
+
     def test_high_fanout(self, router):
         sinks = [
             Pin(r, c, wires.S0_CLK)

@@ -4,10 +4,13 @@
 ``RetryPolicy(max_attempts=1)`` runs, so the two must agree on every
 outcome: return value or error, report and device state.  The report's
 ``faults_avoided`` is read from its own ``search_stats`` on every
-request kind.
+request kind.  A failed atomic request undoes each PIP it turned on
+exactly once.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.arch.virtex import VirtexArch
 from repro.core.endpoints import Pin
 from repro.core.recovery import RetryPolicy
 from repro.core.router import JRouter
+from repro.core.wal import DurableSession, iter_wal_frames
 from repro.device.faults import FaultModel
 
 SRC = Pin(5, 7, wires.S1_YQ)
@@ -99,3 +103,31 @@ def test_faults_avoided_is_read_from_the_reports_search_stats(kind):
     report = router.last_report
     assert report.success
     assert report.faults_avoided == report.search_stats.faults_avoided > 0
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_failed_atomic_request_turns_each_pip_on_and_off_once(level, tmp_path):
+    """The near sink (or first bit) routes, the far one is a dead wire.
+
+    The request's own rollback and its transaction's must not both undo
+    the routed PIPs: each turns on once and off once, so the WAL holds
+    two records per PIP.
+    """
+    arch = VirtexArch("XCV50")
+    far = Pin(14, 20, wires.S0F[1])
+    dead = arch.canonicalize(far.row, far.col, far.wire)
+    router = JRouter(part="XCV50", faults=FaultModel(arch, dead_wires=(dead,)))
+    events: Counter = Counter()
+    router.device.add_listener(lambda event: events.update([event]))
+    wal_path = str(tmp_path / "session.wal")
+    with DurableSession(router, wal_path):
+        with pytest.raises(errors.UnroutableError):
+            router.route(*CALLS[level](far))
+    ons = Counter({rec: n for (on, rec), n in events.items() if on})
+    offs = Counter({rec: n for (on, rec), n in events.items() if not on})
+    assert ons, "the near sink routed before the far one failed"
+    assert ons == offs and set(ons.values()) == {1}
+    _, frames = iter_wal_frames(wal_path)
+    assert sum(f.record is not None for f in frames) == 2 * len(ons)
+    assert router.device.state.check_invariants() == []
+    assert router.device.state.n_pips_on == 0

@@ -1,4 +1,4 @@
-"""Unit tests of auto point-to-point, greedy fanout, bus and PathFinder."""
+"""Unit tests of auto point-to-point, fanout, bus and PathFinder."""
 
 import pytest
 
@@ -7,9 +7,9 @@ from repro.arch import wires
 from repro.core.endpoints import Pin
 from repro.core.router import JRouter
 from repro.device.contention import audit_no_contention
+from repro.device.faults import FaultModel
 from repro.routers.auto import route_point_to_point
 from repro.routers.base import apply_plan
-from repro.routers.greedy_fanout import route_fanout
 from repro.routers.pathfinder import NetSpec, route_pathfinder
 
 
@@ -52,64 +52,99 @@ class TestAuto:
         assert audit_no_contention(device) == []
 
 
+def _canon(device, pin):
+    return device.resolve(pin.row, pin.col, pin.wire)
+
+
 class TestFanout:
-    def sinks_for(self, device, coords):
-        return [device.resolve(r, c, w) for r, c, w in coords]
+    """Level 5 through the API: ``JRouter.route(src, [sink, ...])``."""
+
+    @staticmethod
+    def routed_order(router, src, sinks):
+        """Route the net; return its distinct sinks in the order routed.
+
+        A sink is routed when the PIP that drives it turns on.
+        """
+        device = router.device
+        canon = {_canon(device, p): p for p in sinks}
+        driven: list[int] = []
+
+        def listen(event):
+            on, rec = event
+            if on and rec.canon_to in canon:
+                driven.append(rec.canon_to)
+
+        device.add_listener(listen)
+        try:
+            router.route(src, sinks)
+        finally:
+            device.remove_listener(listen)
+        return [canon[w] for w in driven]
 
     def test_increasing_distance_order(self, device):
-        src = device.resolve(8, 12, wires.S0_X)
-        far = device.resolve(14, 22, wires.S0F[1])
-        near = device.resolve(8, 13, wires.S0F[1])
-        mid = device.resolve(11, 16, wires.S0F[1])
-        res = route_fanout(device, src, [far, near, mid])
-        assert res.order == [near, mid, far]
+        router = JRouter(device=device, attach_jbits=False)
+        src = Pin(8, 12, wires.S0_X)
+        far = Pin(14, 22, wires.S0F[1])
+        near = Pin(8, 13, wires.S0F[1])
+        mid = Pin(11, 16, wires.S0F[1])
+        assert self.routed_order(router, src, [far, near, mid]) == [near, mid, far]
 
     def test_tree_single_driver(self, device):
-        src = device.resolve(8, 12, wires.S0_X)
-        sinks = self.sinks_for(device, [
-            (6, 8, wires.S0F[3]), (9, 12, wires.S0G[1]), (3, 2, wires.S1F[2]),
-            (12, 18, wires.S0F[1]),
-        ])
-        route_fanout(device, src, sinks)
+        src = Pin(8, 12, wires.S0_X)
+        sinks = [
+            Pin(6, 8, wires.S0F[3]), Pin(9, 12, wires.S0G[1]),
+            Pin(3, 2, wires.S1F[2]), Pin(12, 18, wires.S0F[1]),
+        ]
+        JRouter(device=device, attach_jbits=False).route(src, sinks)
         assert audit_no_contention(device) == []
         for s in sinks:
-            assert device.state.root_of(s) == src
+            assert device.state.root_of(_canon(device, s)) == _canon(device, src)
 
     def test_reuse_reduces_pips(self, device):
         """Two close sinks share most of their path."""
-        src = device.resolve(2, 2, wires.S0_X)
-        s1 = device.resolve(12, 20, wires.S0F[1])
-        s2 = device.resolve(12, 20, wires.S0F[2])
-        res = route_fanout(device, src, [s1, s2])
-        assert len(res.plans[1]) < len(res.plans[0])
+        router = JRouter(device=device, attach_jbits=False)
+        src = Pin(2, 2, wires.S0_X)
+        s1 = Pin(12, 20, wires.S0F[1])
+        s2 = Pin(12, 20, wires.S0F[2])
+        first, _ = self.routed_order(router, src, [s1, s2])
+        first_branch = len(router.reverse_trace(first))
+        # the second sink added only what its branch does not share
+        assert device.state.n_pips_on - first_branch < first_branch
 
     def test_duplicate_sink(self, device):
-        src = device.resolve(2, 2, wires.S0_X)
-        s1 = device.resolve(6, 6, wires.S0F[1])
-        res = route_fanout(device, src, [s1, s1])
-        assert res.order == [s1]
+        router = JRouter(device=device, attach_jbits=False)
+        src = Pin(2, 2, wires.S0_X)
+        s1 = Pin(6, 6, wires.S0F[1])
+        assert self.routed_order(router, src, [s1, s1]) == [s1]
+        assert device.state.n_pips_on == len(router.reverse_trace(s1))
+        assert router.netdb.net_sinks[_canon(device, src)] == {_canon(device, s1)}
 
     def test_atomic_rollback(self, device):
-        src = device.resolve(2, 2, wires.S0_X)
-        s1 = device.resolve(6, 6, wires.S0F[1])
-        blocked = device.resolve(9, 9, wires.S0F[1])
-        # occupy the second sink with a foreign net
-        other = device.resolve(12, 12, wires.S0_X)
-        r = route_point_to_point(device, other, blocked, try_templates=False)
-        apply_plan(device, r.plan)
+        src = Pin(2, 2, wires.S0_X)
+        s1 = Pin(6, 6, wires.S0F[1])
+        blocked = Pin(9, 9, wires.S0F[1])
+        # the far sink is a broken wire: the near sink routes, then it fails
+        router = JRouter(
+            device=device,
+            attach_jbits=False,
+            faults=FaultModel(device.arch, dead_wires=(_canon(device, blocked),)),
+        )
         before = device.state.n_pips_on
         with pytest.raises(errors.UnroutableError):
-            route_fanout(device, src, [s1, blocked])
+            router.route(src, [s1, blocked])
         assert device.state.n_pips_on == before
 
     def test_no_longs_by_default(self, device):
-        src = device.resolve(1, 1, wires.S0_X)
-        sinks = [device.resolve(14, 22, wires.S1F[1])]
-        res = route_fanout(device, src, sinks)
+        """``fanout_use_longs`` governs the sinks after a fresh net's
+        first, which takes level 4's path under ``p2p_use_longs``."""
+        router = JRouter(device=device, attach_jbits=False)
+        src = Pin(1, 1, wires.S0_X)
+        near = Pin(1, 2, wires.S0F[1])
+        far = Pin(14, 22, wires.S1F[1])
+        assert self.routed_order(router, src, [far, near]) == [near, far]
         lo, hi = wires.LONG_H[0], wires.LONG_V[-1]
-        for plan in res.plans:
-            for _, _, _, tn in plan:
-                assert not lo <= tn <= hi
+        for rec in router.reverse_trace(far):
+            assert not lo <= rec.to_name <= hi
 
 
 class TestBus:

@@ -6,6 +6,7 @@ from repro import errors
 from repro.arch import wires
 from repro.arch.templates import TemplateValue as TV
 from repro.arch.wires import WireClass
+from repro.core import JRouter, Pin
 from repro.device.fabric import Device
 from repro.routers.auto import route_point_to_point
 from repro.routers.base import apply_plan, plan_wirelength
@@ -57,14 +58,14 @@ class TestIobEndpoints:
 
     def test_pad_fanout(self, device):
         """One input pad driving several logic inputs."""
-        from repro.routers.greedy_fanout import route_fanout
-
+        sinks = [Pin(3, 8, wires.S0F[1]), Pin(5, 12, wires.S0G[2]),
+                 Pin(2, 14, wires.S1F[3])]
+        JRouter(device=device, attach_jbits=False).route(
+            Pin(0, 10, wires.IOB_IN[2]), sinks
+        )
         src = device.resolve(0, 10, wires.IOB_IN[2])
-        sinks = [device.resolve(3, 8, wires.S0F[1]),
-                 device.resolve(5, 12, wires.S0G[2]),
-                 device.resolve(2, 14, wires.S1F[3])]
-        res = route_fanout(device, src, sinks, heuristic_weight=0.8)
-        assert len(res.order) == 3
+        for p in sinks:
+            assert device.state.root_of(device.resolve(p.row, p.col, p.wire)) == src
 
 
 class TestHexTemplates:

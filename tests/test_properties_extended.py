@@ -123,25 +123,32 @@ class TestFanoutOrderProperty:
     @common
     def test_increasing_distance_order(self, sinks):
         """'Each sink gets routed in order of increasing distance.'"""
-        from repro.device.fabric import Device
-        from repro.routers.greedy_fanout import route_fanout
-
-        device = Device("XCV50")
-        src = device.resolve(8, 12, wires.S0_X)
-        canons = []
+        router = JRouter(part="XCV50", attach_jbits=False)
+        device = router.device
+        canons = {}
         for p in sinks:
             c = device.arch.canonicalize(p.row, p.col, p.wire)
             if c is not None:
-                canons.append(c)
+                canons[c] = p
         if len(canons) < 2:
             return
+        order: list[int] = []  # sinks, as the PIPs that drive them turn on
+
+        def listen(event):
+            on, rec = event
+            if on and rec.canon_to in canons:
+                order.append(rec.canon_to)
+
+        device.add_listener(listen)
         try:
-            res = route_fanout(device, src, canons, heuristic_weight=0.8)
+            router.route(Pin(8, 12, wires.S0_X), list(canons.values()))
         except errors.JRouteError:
             return
+        assert sorted(order) == sorted(canons)
+
         def dist(c):
             r, cc, _ = device.arch.primary_name(c)
             return abs(r - 8) + abs(cc - 12)
 
-        dists = [dist(c) for c in res.order]
+        dists = [dist(c) for c in order]
         assert dists == sorted(dists)

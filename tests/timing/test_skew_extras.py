@@ -3,22 +3,23 @@
 import pytest
 
 from repro.arch import wires
+from repro.core import JRouter, Pin
 from repro.device.contention import audit_no_contention
-from repro.device.fabric import Device
-from repro.routers.base import apply_plan
-from repro.routers.greedy_fanout import route_fanout
 from repro.timing import equalize_skew, net_timing
 
 
 class TestEqualizeWithHexImbalance:
     def _imbalanced_net(self):
         """One hex-fast near branch, one singles-slow far branch."""
-        device = Device("XCV50")
-        src = device.resolve(8, 2, wires.S0_X)
-        near = device.resolve(8, 8, wires.S0F[1])   # 6 cols: one hex hop
-        far = device.resolve(8, 20, wires.S0F[2])   # 18 cols
-        route_fanout(device, src, [near, far], use_longs=False,
-                     heuristic_weight=0.8)
+        router = JRouter(part="XCV50", attach_jbits=False)
+        pins = [
+            Pin(8, 2, wires.S0_X),
+            Pin(8, 8, wires.S0F[1]),   # 6 cols: one hex hop
+            Pin(8, 20, wires.S0F[2]),  # 18 cols
+        ]
+        router.route(pins[0], pins[1:])
+        device = router.device
+        src, near, far = (device.resolve(p.row, p.col, p.wire) for p in pins)
         return device, src, near, far
 
     def test_equalize_slows_the_fast_branch(self):

@@ -1,14 +1,11 @@
 """Unit tests of the delay model and skew-aware routing."""
 
-import pytest
-
 from repro.arch import wires
 from repro.arch.wires import WireClass
 from repro.bench.workloads import high_fanout_net
 from repro.core import JRouter, Pin
 from repro.device.contention import audit_no_contention
 from repro.device.fabric import Device
-from repro.routers.greedy_fanout import route_fanout
 from repro.timing import (
     DEFAULT_DELAY_MODEL,
     DelayModel,
@@ -84,11 +81,11 @@ class TestBalancedFanout:
         net = high_fanout_net(device.arch, n, seed=seed)
         src = device.resolve(net.source.row, net.source.col, net.source.wire)
         sinks = [device.resolve(p.row, p.col, p.wire) for p in net.sinks]
-        return src, sinks
+        return net, src, sinks
 
     def test_balanced_routes_all_sinks(self):
         device = Device("XCV50")
-        src, sinks = self._workload(device)
+        _, src, sinks = self._workload(device)
         route_balanced_fanout(device, src, sinks)
         for s in sinks:
             assert device.state.root_of(s) == src
@@ -96,12 +93,14 @@ class TestBalancedFanout:
 
     def test_balanced_trades_wire_for_skew(self):
         greedy_dev = Device("XCV50")
-        src_g, sinks_g = self._workload(greedy_dev)
-        route_fanout(greedy_dev, src_g, sinks_g, heuristic_weight=0.8)
+        net, src_g, _ = self._workload(greedy_dev)
+        JRouter(device=greedy_dev, attach_jbits=False).route(
+            net.source, list(net.sinks)
+        )
         greedy_t = net_timing(greedy_dev, src_g)
 
         bal_dev = Device("XCV50")
-        src_b, sinks_b = self._workload(bal_dev)
+        _, src_b, sinks_b = self._workload(bal_dev)
         route_balanced_fanout(bal_dev, src_b, sinks_b)
         bal_t = net_timing(bal_dev, src_b)
 
@@ -115,7 +114,7 @@ class TestEqualizeSkew:
         net = high_fanout_net(device.arch, 6, seed=8)
         src = device.resolve(net.source.row, net.source.col, net.source.wire)
         sinks = [device.resolve(p.row, p.col, p.wire) for p in net.sinks]
-        route_fanout(device, src, sinks, heuristic_weight=0.8)
+        JRouter(device=device, attach_jbits=False).route(net.source, list(net.sinks))
         before = net_timing(device, src).skew
         after = equalize_skew(device, src, tolerance=0.5)
         assert after <= before
@@ -134,7 +133,6 @@ class TestEqualizeSkew:
         model = DelayModel(pip_switch=1.0)
         net = high_fanout_net(device.arch, 3, seed=2)
         src = device.resolve(net.source.row, net.source.col, net.source.wire)
-        sinks = [device.resolve(p.row, p.col, p.wire) for p in net.sinks]
-        route_fanout(device, src, sinks, heuristic_weight=0.8)
+        JRouter(device=device, attach_jbits=False).route(net.source, list(net.sinks))
         t = net_timing(device, src, model)
         assert t.max_delay > 0
