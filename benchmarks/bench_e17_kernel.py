@@ -1,9 +1,9 @@
 """E17: search-kernel speedup over the pre-kernel reference routers.
 
-Measures the compiled-graph kernel (:mod:`repro.core.kernel` over
-:mod:`repro.arch.graph`) against the preserved dict-Dijkstra reference
-implementations (``tests/routers/_reference.py``) on three workload
-families:
+Measures the compiled-graph routers (:mod:`repro.core.kernel` and the
+template DFS over :mod:`repro.arch.graph`) against the preserved
+generator-driven reference implementations
+(``tests/routers/_reference.py``) on five workload families:
 
 * **E10-style point-to-point scaling** — cross-chip and medium-span A*
   maze routes per part, XCV50 up to XCV800;
@@ -25,7 +25,12 @@ families:
   same 64 searches run one scalar kernel call at a time; reports
   routes/s for both and is asserted plan- and stats-identical before
   timing.  ``--check`` enforces an absolute throughput floor
-  (``BATCH_SPEEDUP_FLOOR``) on this workload.
+  (``BATCH_SPEEDUP_FLOOR``) on this workload;
+* **Templates** — every predefined-template attempt of seeded pairs on
+  a faulty (``stuck_open_rate=0.005``) XCV50, the level-3/4 fast path:
+  ``route_template`` walking the CSR edge runs and the fault-edge mask
+  against the ``fanout_pips`` recursion, asserted outcome-identical
+  (plan or error message) before timing.
 
 Every timed rival of a row runs in rotation and keeps its best of
 ``reps`` wall times (``_interleaved_best_times``); a speedup is the
@@ -57,9 +62,19 @@ import sys
 import time
 from pathlib import Path
 
+from repro import errors
+from repro.arch.virtex import VirtexArch
 from repro.bench.workloads import high_fanout_net, random_p2p_nets
 from repro.device.fabric import Device
-from repro.routers import NetSpec, route_maze, route_maze_batch, route_pathfinder
+from repro.device.faults import FaultModel
+from repro.routers import (
+    NetSpec,
+    predefined_templates,
+    route_maze,
+    route_maze_batch,
+    route_pathfinder,
+    route_template,
+)
 from repro.routers.pathfinder import shutdown_process_pools
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +82,7 @@ sys.path.insert(0, str(ROOT))  # the reference routers live in the test tree
 from tests.routers._reference import (
     route_maze_reference,
     route_pathfinder_reference,
+    route_template_reference,
 )
 
 BASELINE = ROOT / "BENCH_routing.json"
@@ -307,6 +323,63 @@ def measure_batched_p2p(part: str, n_requests: int, *, reps: int) -> dict:
     }
 
 
+def templates_workload(part: str, n_pairs: int):
+    """Every predefined-template attempt of ``n_pairs`` seeded pairs on a
+    device with hashed stuck-open PIPs: ``(device, [(src, values, sink)])``."""
+    arch = VirtexArch(part)
+    device = Device(
+        part, faults=FaultModel.random(arch, seed=5, stuck_open_rate=0.005)
+    )
+    attempts = []
+    for net in random_p2p_nets(arch, n_pairs, seed=13, min_span=2, max_span=12):
+        src = device.resolve(net.source.row, net.source.col, net.source.wire)
+        sink = device.resolve(
+            net.sinks[0].row, net.sinks[0].col, net.sinks[0].wire
+        )
+        sr, sc, _ = arch.primary_name(src)
+        tr, tc, _ = arch.primary_name(sink)
+        for tmpl in predefined_templates(tr - sr, tc - sc):
+            attempts.append((src, tmpl.values, sink))
+    return device, attempts
+
+
+def _attempt_templates(router_fn, device, attempts) -> list:
+    """Each attempt's plan, or its error message (the auto-router's budget)."""
+    out: list = []
+    for src, values, sink in attempts:
+        try:
+            out.append(
+                router_fn(device, src, values, end_canon=sink, max_nodes=4_000)
+            )
+        except errors.UnroutableError as exc:
+            out.append(str(exc))
+    return out
+
+
+def measure_templates(part: str, n_pairs: int, *, reps: int) -> dict:
+    device, attempts = templates_workload(part, n_pairs)
+    # warm the shared graph and mask; parity oracle
+    got = _attempt_templates(route_template, device, attempts)
+    assert got == _attempt_templates(route_template_reference, device, attempts), (
+        f"template DFS diverged from the reference on {part}"
+    )
+    new, ref = _interleaved_best_times(
+        lambda: _attempt_templates(route_template, device, attempts),
+        lambda: _attempt_templates(route_template_reference, device, attempts),
+        reps=reps,
+    )
+    return {
+        "name": f"templates_{part}",
+        "kind": "templates",
+        "part": part,
+        "attempts": len(attempts),
+        "hits": sum(isinstance(o, list) for o in got),
+        "median_new_s": new,
+        "median_ref_s": ref,
+        "speedup": ref / new,
+    }
+
+
 def run(smoke: bool) -> dict:
     reps = 5
     workloads: list[dict] = []
@@ -317,6 +390,7 @@ def run(smoke: bool) -> dict:
             measure_pathfinder("XCV50", 6, reps=reps, process_workers=(2,))
         )
         workloads.append(measure_batched_p2p("XCV50", 64, reps=reps))
+        workloads.append(measure_templates("XCV50", 48, reps=reps))
     else:
         for part in ("XCV50", "XCV300", "XCV800"):
             workloads.append(measure_e10(part, reps=reps, spans=(6, 10, 14)))
@@ -327,6 +401,7 @@ def run(smoke: bool) -> dict:
             )
         )
         workloads.append(measure_batched_p2p("XCV50", 64, reps=reps))
+        workloads.append(measure_templates("XCV50", 96, reps=reps))
     e10 = [w["speedup"] for w in workloads if w["kind"] == "maze_astar"]
     return {
         "mode": "smoke" if smoke else "full",
@@ -482,6 +557,14 @@ def test_shape_batched_p2p_parity():
         assert got.plan == want.plan
         assert got.cost == want.cost
         assert got.stats.as_dict() == want.stats.as_dict()
+
+
+def test_shape_templates_parity():
+    # timing-free: every attempt gives the reference's plan or message
+    device, attempts = templates_workload("XCV50", 4)
+    got = _attempt_templates(route_template, device, attempts)
+    assert got == _attempt_templates(route_template_reference, device, attempts)
+    assert any(isinstance(o, list) for o in got)
 
 
 def test_shape_batched_p2p_row_reports_throughput():

@@ -1,11 +1,11 @@
 """Compiled routing graph: flat CSR adjacency over canonical wires.
 
-Every search level in this repro (maze, greedy fanout, bus, PathFinder)
-used to re-expand the wire graph through the per-node Python generator
-``Device.fanout_pips``, paying ``presences()`` + ``canonicalize()`` on
-every edge of every search.  :class:`RoutingGraph` precompiles that
-fanout relation once per device *geometry* into flat ``array``-backed
-CSR storage:
+Every search in this repro (the template DFS, the maze of levels 4–6
+and PathFinder) used to re-expand the wire graph through the per-node
+Python generator ``Device.fanout_pips``, paying ``presences()`` +
+``canonicalize()`` on every edge of every search.  :class:`RoutingGraph`
+precompiles that fanout relation once per device *geometry* into flat
+``array``-backed CSR storage, in ``fanout_pips``' edge order:
 
 * ``off[canon]`` / ``deg[canon]`` — index and length of the wire's edge
   run (``off`` is -1 until the node is materialized);

@@ -1,10 +1,12 @@
 """Shared search kernel over the compiled routing graph.
 
-One Dijkstra/A* implementation serves every search level — maze,
-greedy fanout, bus and PathFinder — over the flat CSR adjacency of
-:class:`~repro.arch.graph.RoutingGraph`.  The run-time promise of the
-paper ("the router must be fast enough to use at run time") rests on
-three mechanics here:
+One Dijkstra/A* implementation serves every search — the maze of
+levels 4–6 (point-to-point, fanout and bus) and PathFinder — over the
+flat CSR adjacency of :class:`~repro.arch.graph.RoutingGraph`, which
+the template DFS of levels 3 and 4
+(:mod:`repro.routers.template_router`) walks too.  The run-time promise
+of the paper ("the router must be fast enough to use at run time")
+rests on three mechanics here:
 
 * **no graph re-expansion** — edges are flat-array reads, not
   ``fanout_pips`` generator calls;

@@ -463,7 +463,13 @@ class JRouter:
             sink_canons.extend(self._sink_canons(ep))
 
         tree = set(device.state.subtree(source))
-        todo = [canon for canon in sink_canons if self._needs_route(tree, canon)]
+        # a sink listed twice is one sink: the long-line rule below counts
+        # what is left to route
+        todo = [
+            canon
+            for canon in dict.fromkeys(sink_canons)
+            if self._needs_route(tree, canon)
+        ]
 
         applied: list[PlanPip] = []
         try:
@@ -474,7 +480,7 @@ class JRouter:
                 r, c, _ = device.arch.primary_name(canon)
                 return (abs(r - sr) + abs(c - sc), canon)
 
-            for canon in sorted(set(todo), key=dist):
+            for canon in sorted(todo, key=dist):
                 if len(tree) == 1 and not applied:
                     # fresh net, first sink: template fast path applies
                     res = self._plan_p2p(source, canon, budget, deadline)

@@ -8,6 +8,7 @@ they all fail.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .. import errors
@@ -15,6 +16,7 @@ from ..arch import wires
 from ..arch.wires import WireClass
 from ..core.deadline import Deadline
 from ..core.kernel import SearchStats
+from ..core.template import Template
 from ..device.fabric import Device
 from .base import PlanPip
 from .maze import route_maze, route_maze_batch
@@ -98,6 +100,13 @@ def _sink_in_use(device: Device, sink: int) -> errors.ContentionError | None:
     )
 
 
+@functools.lru_cache(maxsize=4096)
+def _candidate_templates(drow: int, dcol: int) -> tuple[Template, ...]:
+    """The predefined templates of one displacement, built once (building
+    the set costs about as much as a template attempt)."""
+    return tuple(predefined_templates(drow, dcol))
+
+
 def _template_phase(
     device: Device,
     source: int,
@@ -123,7 +132,7 @@ def _template_phase(
     sr, sc, _ = arch.primary_name(source)
     tr, tc, _ = arch.primary_name(sink)
     templates_tried = 0
-    for tmpl in predefined_templates(tr - sr, tc - sc):
+    for tmpl in _candidate_templates(tr - sr, tc - sc):
         if deadline is not None:
             deadline.check("template attempt")
         templates_tried += 1

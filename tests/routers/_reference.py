@@ -1,15 +1,15 @@
-"""Pre-kernel reference routers (dict-based Dijkstra over ``fanout_pips``).
+"""Pre-kernel reference routers (searches over ``fanout_pips``).
 
-These are the original implementations of :func:`route_maze` and
-:func:`route_pathfinder`, preserved verbatim when the compiled-graph
-search kernel (:mod:`repro.core.kernel`) replaced them on the hot path.
-They serve two purposes:
+These are the original implementations of :func:`route_maze`,
+:func:`route_pathfinder` and :func:`route_template`, preserved verbatim
+when the compiled routing graph (:mod:`repro.arch.graph`) replaced them
+on the hot path.  They serve two purposes:
 
-* **parity oracle** — the kernel property tests assert the kernel
-  produces identical plans (and costs) to these implementations on
-  randomized workloads;
+* **parity oracle** — the kernel property tests assert the compiled
+  routers produce identical plans (and costs, and errors) to these
+  implementations on randomized workloads;
 * **benchmark baseline** — ``benchmarks/bench_e17_kernel.py`` measures
-  the kernel's speedup against them and records it in
+  the compiled routers' speedup against them and records it in
   ``BENCH_routing.json``.
 
 Do not use these in new code; they re-expand the wire graph through the
@@ -23,13 +23,18 @@ from typing import Collection, Iterable, Sequence
 
 from repro import errors
 from repro.arch import wires
+from repro.arch.templates import TemplateValue, template_value_of
 from repro.arch.wires import WireClass
 from repro.device.fabric import Device
 from repro.routers.base import PlanPip, apply_plan
 from repro.routers.maze import MazeResult
 from repro.routers.pathfinder import NetSpec, PathFinderResult
 
-__all__ = ["route_maze_reference", "route_pathfinder_reference"]
+__all__ = [
+    "route_maze_reference",
+    "route_pathfinder_reference",
+    "route_template_reference",
+]
 
 
 def _target_tiles(device: Device, targets: Collection[int]) -> list[tuple[int, int]]:
@@ -322,3 +327,96 @@ def route_pathfinder_reference(
             for idx in range(len(nets)):
                 result.pips_added += apply_plan(device, plans[idx])
     return result
+
+
+#: wire classes whose template value implies movement: once driven at one
+#: end, the search must continue from the *other* end, so EAST1 really
+#: travels one tile east
+_DIRECTIONAL = frozenset(
+    (WireClass.SINGLE, WireClass.HEX, WireClass.LONG_H, WireClass.LONG_V)
+)
+
+
+def route_template_reference(
+    device: Device,
+    start_canon: int,
+    template_values: tuple[TemplateValue, ...],
+    *,
+    end_wire: int | None = None,
+    end_canon: int | None = None,
+    max_nodes: int = 100_000,
+) -> list[PlanPip]:
+    """The pre-graph :func:`~repro.routers.template_router.route_template`
+    (see module docstring); same contract, generator expansion and a
+    hashed stuck-open test per candidate PIP."""
+    if (end_wire is None) == (end_canon is None):
+        raise errors.JRouteError("give exactly one of end_wire / end_canon")
+    if not template_values:
+        raise errors.JRouteError("empty template")
+
+    occupied = device.state.occupied
+    faults = device.faults
+    fault_mask = faults.unusable if faults is not None else None
+    last = len(template_values) - 1
+    budget = max_nodes
+    # visited states (wire, depth, drive tile) that already failed
+    dead: set[tuple] = set()
+    plan: list[PlanPip] = []
+    in_plan: set[int] = set()  # wires already driven by this plan
+
+    arch = device.arch
+
+    def dfs(canon: int, depth: int, drive_tile: tuple[int, int] | None) -> bool:
+        nonlocal budget
+        if (canon, depth, drive_tile) in dead:
+            return False
+        budget -= 1
+        if budget < 0:
+            raise errors.UnroutableError(
+                "template search budget exhausted"
+            )
+        directional = (
+            drive_tile is not None
+            and arch.wire_class_of(canon) in _DIRECTIONAL
+        )
+        want = template_values[depth]
+        blocked_by_plan = False
+        for row, col, from_name, to_name, canon_to in device.fanout_pips(canon):
+            if directional and (row, col) == drive_tile:
+                # a driven directional wire continues from its far end only
+                continue
+            if template_value_of(to_name) is not want:
+                continue
+            if depth == last:
+                if end_wire is not None and to_name != end_wire:
+                    continue
+                if end_canon is not None and canon_to != end_canon:
+                    continue
+            if occupied[canon_to]:
+                continue
+            if fault_mask is not None and (
+                fault_mask[canon_to] or faults.pip_stuck_open(canon, canon_to)
+            ):
+                continue
+            if canon_to in in_plan:
+                blocked_by_plan = True
+                continue
+            plan.append((row, col, from_name, to_name))
+            in_plan.add(canon_to)
+            if depth == last:
+                return True
+            if dfs(canon_to, depth + 1, (row, col)):
+                return True
+            plan.pop()
+            in_plan.remove(canon_to)
+        if not blocked_by_plan:
+            # memoise only plan-independent failures, so backtracking with a
+            # different prefix can revisit states that failed due to in_plan
+            dead.add((canon, depth, drive_tile))
+        return False
+
+    if dfs(start_canon, 0, None):
+        return plan
+    raise errors.UnroutableError(
+        "no combination of available resources follows the template"
+    )

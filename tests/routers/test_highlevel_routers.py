@@ -119,6 +119,23 @@ class TestFanout:
         assert device.state.n_pips_on == len(router.reverse_trace(s1))
         assert router.netdb.net_sinks[_canon(device, src)] == {_canon(device, s1)}
 
+    def test_repeated_sink_keeps_the_long_line_rule(self):
+        """Extending a net to ``[far, far]`` searches as ``[far]`` does:
+        one sink left to route takes ``p2p_use_longs``, not the fanout
+        rule, however often it is listed."""
+        src = Pin(1, 1, wires.S0_X)
+        near = Pin(1, 2, wires.S0F[1])
+        far = Pin(14, 22, wires.S1F[1])
+        routed = []
+        for sinks in ([far], [far, far]):
+            router = JRouter(part="XCV50", attach_jbits=False)
+            router.route(src, near)
+            router.route(src, sinks)
+            routed.append(
+                (router.reverse_trace(far), router.device.state.n_pips_on)
+            )
+        assert routed[0] == routed[1]
+
     def test_atomic_rollback(self, device):
         src = Pin(2, 2, wires.S0_X)
         s1 = Pin(6, 6, wires.S0F[1])

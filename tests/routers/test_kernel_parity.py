@@ -11,10 +11,14 @@ tests pin the replacement to the preserved originals
 * the partitioned parallel PathFinder is deterministic for any fixed
   worker count and its plans are legal and contention-free;
 * the vectorised graph tables (primary-tile arrays, splitmix64 fault
-  hashing, memoized tile coords) agree with the scalar definitions.
+  hashing, memoized tile coords) agree with the scalar definitions;
+* the template DFS over the graph's edge runs and fault-edge mask gives
+  the generator-driven DFS's plan, or its exception, call for call.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
@@ -22,19 +26,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import errors
+from repro.arch import graph as graph_mod
 from repro.arch import wires
-from repro.arch.graph import _splitmix64_np, routing_graph
+from repro.arch.graph import RoutingGraph, _splitmix64_np, routing_graph
+from repro.arch.templates import TemplateValue as TV
 from repro.arch.virtex import VirtexArch
 from repro.bench.workloads import high_fanout_net, random_p2p_nets
 from repro.device.contention import audit_no_contention
 from repro.device.fabric import Device
 from repro.device.faults import FaultModel, _splitmix64
-from repro.routers import NetSpec, route_maze, route_pathfinder
+from repro.routers import NetSpec, route_maze, route_pathfinder, route_template
 from repro.routers.base import apply_plan
+from repro.routers.template_sets import predefined_templates
 from tests.routers._reference import (
     route_maze_reference,
     route_pathfinder_reference,
+    route_template_reference,
 )
+from tests.routers.test_batch_parity import _counting
 
 common = settings(
     max_examples=15,
@@ -325,3 +334,156 @@ class TestFaultMaskCacheToken:
         del g
         gc.collect()
         assert ref() is None  # the cached mask holds only a weakref
+
+
+def _template_outcome(router, device, start, values, **kw):
+    """A template route's plan, or its error's type and message."""
+    try:
+        return router(device, start, values, **kw)
+    except errors.JRouteError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def compiled_xcv50():
+    """A private fully compiled XCV50 graph (the shared one stays lazy)."""
+    return RoutingGraph(VirtexArch("XCV50")).compile()
+
+
+class TestTemplateParity:
+    """``route_template`` walks the compiled graph: each wire's CSR edge
+    run (materialized on first visit) and the fault-edge mask.  It must
+    give ``route_template_reference``'s plan, or the same exception type
+    and message, on every call: through budgets that run out, both goal
+    forms, crowding, and faults flipped between calls (the mask is
+    cached by fault-model version, so a stale one would route through a
+    broken PIP)."""
+
+    #: values a mutated template may carry mid-route
+    MOVES = (
+        TV.EAST1, TV.WEST1, TV.NORTH1, TV.SOUTH1,
+        TV.EAST6, TV.WEST6, TV.NORTH6, TV.SOUTH6, TV.LONGH, TV.LONGV,
+    )
+    BUDGETS = (7, 30, 200, 4_000, 100_000)
+
+    def _both(self, device, src, values, **kw):
+        got = _template_outcome(route_template, device, src, values, **kw)
+        want = _template_outcome(
+            route_template_reference, device, src, values, **kw
+        )
+        assert got == want, (values, kw)
+        return got
+
+    @pytest.mark.parametrize(
+        "part,faulty,graph,seed",
+        [
+            ("XCV50", False, "lazy", 1),
+            ("XCV50", False, "compiled", 2),
+            ("XCV50", True, "lazy", 3),
+            ("XCV50", True, "compiled", 4),
+            ("XCV300", False, "lazy", 5),
+            ("XCV300", True, "lazy", 6),
+        ],
+    )
+    def test_random_templates(
+        self, monkeypatch, compiled_xcv50, part, faulty, graph, seed
+    ):
+        arch = VirtexArch(part)
+        g = compiled_xcv50 if graph == "compiled" else RoutingGraph(arch)
+        monkeypatch.setitem(graph_mod._GRAPH_CACHE, part, g)
+        faults = (
+            FaultModel.random(
+                arch, seed=seed, stuck_open_rate=0.01, dead_wire_rate=0.002
+            )
+            if faulty
+            else None
+        )
+        device = Device(part, faults=faults)
+        rng = random.Random(seed)
+        seen: set = set()
+        flips = 0
+        for spec in _specs(
+            device, random_p2p_nets(arch, 24, seed=seed, min_span=1, max_span=14)
+        ):
+            src, sink = spec.source, spec.sinks[0]
+            sr, sc, _ = arch.primary_name(src)
+            tr, tc, tn = arch.primary_name(sink)
+            tmpls = [t.values for t in predefined_templates(tr - sr, tc - sc)]
+            mutated = list(rng.choice(tmpls))
+            mutated[rng.randrange(1, len(mutated) - 1)] = rng.choice(self.MOVES)
+            tmpls.append(tuple(mutated))
+            hits = []
+            for values in tmpls:
+                kw = {"max_nodes": rng.choice(self.BUDGETS)}
+                if rng.random() < 0.5:
+                    kw["end_canon"] = sink
+                else:
+                    kw["end_wire"] = tn
+                got = self._both(device, src, values, **kw)
+                if isinstance(got, tuple):
+                    seen.add(got[1])
+                else:
+                    seen.add("plan")
+                    hits.append((got, values, kw))
+            if not hits:
+                continue
+            plan, values, kw = hits[0]
+            if faulty and rng.random() < 0.5:
+                # flip a fault under the plan just found, then re-route
+                row, col, from_name, to_name = rng.choice(plan)
+                a = arch.canonicalize(row, col, from_name)
+                b = arch.canonicalize(row, col, to_name)
+                if rng.random() < 0.5:
+                    faults.break_pip(a, b)
+                else:
+                    faults.kill_wire(b)
+                flips += 1
+                assert self._both(device, src, values, **kw) != plan
+            else:
+                try:
+                    apply_plan(device, plan)  # crowd the next calls
+                except errors.FaultError:
+                    pass  # a dead source wire cannot be turned on
+        assert seen >= {
+            "plan",
+            "template search budget exhausted",
+            "no combination of available resources follows the template",
+        }, seen
+        assert flips > 0 or not faulty
+
+    def test_compiled_walk_never_reexpands(self, monkeypatch, compiled_xcv50):
+        """On a compiled graph the DFS reads edge runs and the mask only:
+        no fanout generator, no canonicalize, no hashed stuck-open test
+        and no primary-tile table."""
+        arch = VirtexArch("XCV50")
+        monkeypatch.setitem(graph_mod._GRAPH_CACHE, "XCV50", compiled_xcv50)
+        faults = FaultModel.random(arch, seed=3, stuck_open_rate=0.005)
+        device = Device("XCV50", faults=faults)
+        specs = _specs(
+            device, random_p2p_nets(arch, 8, seed=3, min_span=2, max_span=12)
+        )
+        routes = []
+        for spec in specs:
+            sink = spec.sinks[0]
+            sr, sc, _ = arch.primary_name(spec.source)
+            tr, tc, tn = arch.primary_name(sink)
+            for tmpl in predefined_templates(tr - sr, tc - sc):
+                routes.append((spec.source, tmpl.values, sink, tn))
+        calls = [
+            _counting(monkeypatch, owner, name)
+            for owner, name in (
+                (Device, "fanout_pips"),
+                (VirtexArch, "canonicalize"),
+                (FaultModel, "pip_stuck_open"),
+                (RoutingGraph, "tiles"),
+            )
+        ]
+        outcomes = set()
+        for src, values, sink, tn in routes:
+            for goal in ({"end_canon": sink}, {"end_wire": tn}):
+                got = _template_outcome(
+                    route_template, device, src, values, max_nodes=400, **goal
+                )
+                outcomes.add(isinstance(got, list))
+        assert outcomes == {True, False}
+        assert calls == [[], [], [], []]
