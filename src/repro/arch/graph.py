@@ -103,6 +103,12 @@ NAME_COST: tuple[float, ...] = tuple(
     _BASE_COST[wires.wire_info(n).wire_class] for n in range(wires.N_NAMES)
 )
 
+#: Cheapest name any PIP can drive: every compiled edge costs its
+#: target name's ``NAME_COST``, so this bounds every edge of every part.
+_MIN_DRIVEN_COST: float = min(
+    NAME_COST[t] for targets in DRIVES_DRIVABLE for t in targets
+)
+
 _M64 = (1 << 64) - 1
 
 
@@ -169,13 +175,19 @@ class FaultEdgeMask:
                     np.uint64((f._stuck_open_seed << 1) & _M64) ^ inner
                 )
                 bad |= key < np.uint64(threshold)
+        # an explicit stuck-open PIP lies in its source's edge run: mark
+        # that run's new part only (parallel edges included), never
+        # walking the other new edges one by one
+        off, deg = g.off, g.deg
+        for a, b in f._stuck_open:
+            o = off[a]
+            if o < 0:
+                continue  # not materialized: a later sync marks it
+            start = max(o, lo) - lo
+            stop = min(o + deg[a], n) - lo
+            if start < stop:
+                bad[start:stop] |= dst[start:stop] == b
         self.mask += bad.astype(np.uint8).tobytes()
-        if f._stuck_open:
-            explicit = f._stuck_open
-            e_src, e_to = g.e_src, g.e_to
-            for e in range(lo, n):
-                if (e_src[e], e_to[e]) in explicit:
-                    self.mask[e] = 1
 
 
 #: Monotonic generation counter: together with the part name it forms a
@@ -208,7 +220,6 @@ class RoutingGraph:
         self._tiles: tuple[list[int], list[int], list[int]] | None = None
         self._coords: tuple[np.ndarray, np.ndarray] | None = None
         self._np_cols: tuple[int, tuple] | None = None
-        self._min_edge_cost: float | None = None
 
     @property
     def n_edges(self) -> int:
@@ -418,20 +429,18 @@ class RoutingGraph:
         return cols
 
     def min_edge_cost(self) -> float:
-        """Smallest edge cost in the compiled graph.
+        """A lower bound on every edge cost of the graph.
 
         The batched kernel's level-synchronous engine rests on this: in
         a Dijkstra search (no A* bias), every frontier entry cheaper
         than ``frontier_min + min_edge_cost`` can be expanded in the
         same vectorized round, because no relaxation this round can
         produce a cost below that bound — the safe-prefix property.
-        Cached per compiled graph (costs are static fabric data).
+        Read from the name tables (the cheapest ``NAME_COST`` any PIP
+        can drive), so a lazy graph answers without compiling and a
+        worker never faults a shared ``e_cost`` column into memory.
         """
-        if self._min_edge_cost is None:
-            cols = self.np_columns()  # force-compile; costs cover all edges
-            e_cost = cols[3]
-            self._min_edge_cost = float(e_cost.min()) if len(e_cost) else 0.0
-        return self._min_edge_cost
+        return _MIN_DRIVEN_COST
 
     # -- fault masking --------------------------------------------------------
 
@@ -614,6 +623,5 @@ def attach_shared_graph(meta: dict) -> RoutingGraph:
     g._tiles = None
     g._np_cols = None
     g._coords = None
-    g._min_edge_cost = None
     g._shm = shm  # keep the mapping alive alongside the views
     return g

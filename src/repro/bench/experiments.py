@@ -409,7 +409,12 @@ def run_e7(width: int = 8) -> Table:
 # ---------------------------------------------------------------------------
 
 def run_e8(n_nets: int = 40, seed: int = 11) -> Table:
-    """Greedy JRoute calls vs maze variants vs PathFinder baseline."""
+    """Greedy JRoute calls vs maze variants vs PathFinder baseline.
+
+    A row's time is the best of 3 runs, each on a fresh device whose
+    routing graph is compiled outside the timed region, so no row
+    times the one-off compile.
+    """
     t = Table(
         "E8: router comparison on random workloads (XCV50)",
         ["router", "nets routed", "failed", "pips", "time (ms)"],
@@ -418,20 +423,33 @@ def run_e8(n_nets: int = 40, seed: int = 11) -> Table:
     nets = random_p2p_nets(arch, n_nets, seed=seed)
     from ..routers.base import apply_plan
 
-    def run_sequential(**kw):
-        device = Device("XCV50")
+    def best_run(route):
+        best = float("inf")
+        for _ in range(3):
+            device = Device("XCV50")
+            device.routing_graph().compile()
+            pairs = [
+                (
+                    device.resolve(net.source.row, net.source.col, net.source.wire),
+                    device.resolve(
+                        net.sinks[0].row, net.sinks[0].col, net.sinks[0].wire
+                    ),
+                )
+                for net in nets
+            ]
+            dt, out = time_call(lambda: route(device, pairs))
+            best = min(best, dt)
+        return best, device, out
+
+    def sequential(device, pairs, **kw):
         ok = fail = 0
-        t0 = time.perf_counter()
-        for net in nets:
-            src = device.resolve(net.source.row, net.source.col, net.source.wire)
-            sink = device.resolve(net.sinks[0].row, net.sinks[0].col, net.sinks[0].wire)
+        for src, sink in pairs:
             try:
-                res = route_point_to_point(device, src, sink, **kw)
-                apply_plan(device, res.plan)
+                apply_plan(device, route_point_to_point(device, src, sink, **kw).plan)
                 ok += 1
             except errors.JRouteError:
                 fail += 1
-        return ok, fail, device.state.n_pips_on, time.perf_counter() - t0
+        return ok, fail
 
     for label, kw in (
         ("greedy templates+maze", dict(try_templates=True)),
@@ -439,22 +457,20 @@ def run_e8(n_nets: int = 40, seed: int = 11) -> Table:
         ("greedy A* (w=0.8)", dict(try_templates=False, heuristic_weight=0.8)),
         ("greedy maze, no longs", dict(try_templates=False, use_longs=False)),
     ):
-        ok, fail, pips, dt = run_sequential(**kw)
-        t.add(label, ok, fail, pips, dt * 1e3)
+        dt, device, (ok, fail) = best_run(
+            lambda device, pairs, kw=kw: sequential(device, pairs, **kw)
+        )
+        t.add(label, ok, fail, device.state.n_pips_on, dt * 1e3)
 
-    device = Device("XCV50")
-    specs = []
-    for net in nets:
-        src = device.resolve(net.source.row, net.source.col, net.source.wire)
-        sink = device.resolve(net.sinks[0].row, net.sinks[0].col, net.sinks[0].wire)
-        specs.append(NetSpec.of(src, [sink]))
-    t0 = time.perf_counter()
-    res = route_pathfinder(device, specs)
-    dt = time.perf_counter() - t0
+    dt, device, res = best_run(
+        lambda device, pairs: route_pathfinder(
+            device, [NetSpec.of(src, [sink]) for src, sink in pairs]
+        )
+    )
     t.add(
         f"PathFinder ({res.iterations} iters)",
-        len(specs) if res.converged else 0,
-        0 if res.converged else len(specs),
+        len(nets) if res.converged else 0,
+        0 if res.converged else len(nets),
         device.state.n_pips_on,
         dt * 1e3,
     )

@@ -1,28 +1,30 @@
 """Shared search kernel over the compiled routing graph.
 
-One Dijkstra/A* implementation serves every search — the maze of
-levels 4–6 (point-to-point, fanout and bus) and PathFinder — over the
-flat CSR adjacency of :class:`~repro.arch.graph.RoutingGraph`, which
-the template DFS of levels 3 and 4
-(:mod:`repro.routers.template_router`) walks too.  The run-time promise
-of the paper ("the router must be fast enough to use at run time")
-rests on three mechanics here:
+One Dijkstra/A* implementation serves every scalar search — the maze
+of levels 4–6 (point-to-point, fanout and bus) — over the flat CSR
+adjacency of :class:`~repro.arch.graph.RoutingGraph`, which the
+template DFS of levels 3 and 4 (:mod:`repro.routers.template_router`)
+walks too.  The run-time promise of the paper ("the router must be
+fast enough to use at run time") rests on three mechanics here:
 
 * **no graph re-expansion** — edges are flat-array reads, not
   ``fanout_pips`` generator calls;
 * **epoch-stamped state** — ``dist``/``prev``/``stamp`` are preallocated
   once per device and invalidated by bumping an epoch counter, so
   nothing is reallocated or cleared between searches;
-* **pluggable costs** — an optional A* heuristic and PathFinder's
-  negotiated congestion (present + history) plug into the same loop.
+* **pluggable costs** — an optional A* heuristic plugs into the scalar
+  loop, and PathFinder's negotiated congestion (present + history)
+  into the batch engine.
 
 That loop is :func:`dijkstra`.  Beside it, :func:`dijkstra_batch` runs
-many plain-Dijkstra point-to-point searches at once as one numpy
-wavefront over the same arrays.  It is the one engine of every batch:
+many plain-Dijkstra searches at once as one numpy wavefront over the
+same arrays.  It is the one engine of every batch —
 :func:`~repro.routers.maze.route_maze_batch` (and so every ``JRouter``
-batch, whatever its ``heuristic_weight``) runs its requests through it.
-It takes no A* heuristic, because a biased key breaks its exactness
-proof; the A* bias serves scalar searches only.
+batch, whatever its ``heuristic_weight``) runs its requests through it
+— and of every PathFinder sink search, serial or in a pool worker, as a
+one-lane call priced by a :class:`CongestionLedger`'s tables.  It takes
+no A* heuristic, because a biased key breaks its exactness proof; the
+A* bias serves scalar searches only.
 
 Instrumentation (node expansions, heap pushes, faulty edges avoided) is
 unified behind :class:`SearchStats`.  The process-wide accumulator
@@ -147,8 +149,7 @@ class SearchState:
     ``dist[w]``/``prev[w]`` are valid only when ``stamp[w]`` equals the
     current epoch; a search begins by bumping :attr:`epoch`, which
     invalidates all previous state in O(1).  One state serves one search
-    at a time — concurrent searches (parallel PathFinder workers) each
-    own a state.
+    at a time — concurrent searches each own a state.
     """
 
     __slots__ = (
@@ -173,8 +174,11 @@ class SearchState:
 class CongestionLedger:
     """Versioned per-partition view of PathFinder's flat congestion tables.
 
-    A parallel negotiated-congestion router gives each worker its own
-    present-use/history tables.  Rebuilding them from scratch (or
+    The tables are numpy columns over canonical wires — :attr:`counts`
+    (int64 present use) and :attr:`history` (float64 history cost) —
+    which :func:`dijkstra_batch` prices every relaxed edge against with
+    one gather each.  A parallel negotiated-congestion router gives
+    each worker its own tables.  Rebuilding them from scratch (or
     shipping full snapshots) every iteration costs O(n_nodes) per worker
     per iteration — device-size work even when almost nothing changed.
     A ledger instead holds the flat tables *plus a version number*, and
@@ -195,18 +199,19 @@ class CongestionLedger:
     descendants' updates immediately via overlays) and *asynchronous*
     across partitions (peers' changes arrive as the next iteration's
     delta).  Each PathFinder worker process keeps one ledger per routing
-    call and receives the deltas pickled; because a synced ledger is the
-    same whichever delta suffix brought it there, results do not depend
-    on which worker ran which partition node.
+    call and receives the deltas pickled (as plain ints and floats);
+    because a synced ledger is the same whichever delta suffix brought
+    it there, results do not depend on which worker ran which partition
+    node.
     """
 
     __slots__ = ("counts", "history", "version")
 
     def __init__(self, n_nodes: int) -> None:
         #: present-use count per canonical wire (version-consistent base)
-        self.counts: list[int] = [0] * n_nodes
+        self.counts = np.zeros(n_nodes, dtype=np.int64)
         #: accumulated history cost per canonical wire
-        self.history: list[float] = [0.0] * n_nodes
+        self.history = np.zeros(n_nodes, dtype=np.float64)
         #: index of the last applied delta (0 == pristine tables)
         self.version = 0
 
@@ -231,13 +236,10 @@ class CongestionLedger:
                 f"ledger at version {self.version} cannot sync from "
                 f"base {base_version}"
             )
-        counts = self.counts
-        history = self.history
         for counts_d, history_d in deltas[: target_version - base_version]:
-            for w, c in counts_d.items():
-                counts[w] = c
-            for w, h in history_d.items():
-                history[w] = h
+            # one scatter per table: a delta's keys are distinct wires
+            self.counts[list(counts_d)] = list(counts_d.values())
+            self.history[list(history_d)] = list(history_d.values())
         self.version = target_version
 
     def overlay(
@@ -302,7 +304,6 @@ def dijkstra(
     allow: Container[int] = frozenset(),
     name_blocked: Sequence[int] | None = None,
     h: Callable[[int, int, int, int], float] | None = None,
-    congestion: tuple[Sequence[float], Sequence[float], float] | None = None,
     fault_node: Sequence[bool] | None = None,
     fault_edge: FaultEdgeMask | None = None,
     max_nodes: int = 200_000,
@@ -320,10 +321,6 @@ def dijkstra(
         Optional per-*name* mask (longs disabled, avoided classes).
     h:
         Optional A* heuristic ``h(canon_to, to_name, row, col)``.
-    congestion:
-        Optional ``(use_count, history, present_factor)`` flat tables:
-        the edge cost becomes
-        ``base * (1 + pf * use_count[to]) + history[to]`` (PathFinder).
     fault_node / fault_edge:
         Fault masks; skipped resources are counted as faults avoided.
     deadline:
@@ -354,8 +351,6 @@ def dijkstra(
         targets if isinstance(targets, (set, frozenset)) else set(targets)
     )
     femask = fault_edge.mask if fault_edge is not None else None
-    if congestion is not None:
-        use_count, history, pf = congestion
     heap: list[tuple[float, float, int]] = []
     push = heapq.heappush
     pop = heapq.heappop
@@ -382,16 +377,15 @@ def dijkstra(
     exceeded = False
     timed_out = False
     # The hot maze configuration (no fault masks, no name filtering, no
-    # congestion pricing, no deadline) runs a fast loop with every
-    # per-edge mask branch hoisted out, plain and A* alike (only the push
-    # key branches on ``h``); everything else takes the general loop
-    # below.  Keeping deadline-bounded searches out of the fast loop is
-    # what makes a ``None`` deadline genuinely free.
+    # deadline) runs a fast loop with every per-edge mask branch hoisted
+    # out, plain and A* alike (only the push key branches on ``h``);
+    # everything else takes the general loop below.  Keeping
+    # deadline-bounded searches out of the fast loop is what makes a
+    # ``None`` deadline genuinely free.
     fast = (
         name_blocked is None
         and femask is None
         and fault_node is None
-        and congestion is None
         and occupied is not None
         and deadline is None
     )
@@ -475,10 +469,7 @@ def dijkstra(
                     continue
                 if occupied is not None and occupied[to] and to not in allow:
                     continue
-                if congestion is None:
-                    ng = g + e_cost[e]
-                else:
-                    ng = g + e_cost[e] * (1.0 + pf * use_count[to]) + history[to]
+                ng = g + e_cost[e]
                 if stamp[to] != epoch:
                     stamp[to] = epoch
                 elif ng >= dist[to]:
@@ -559,6 +550,7 @@ def dijkstra_batch(
     name_blocked: Sequence[int] | None = None,
     fault_node: Sequence[bool] | None = None,
     fault_edge: Sequence[int] | None = None,
+    congestion: tuple[np.ndarray, np.ndarray, float] | None = None,
     max_nodes: int = 200_000,
     stats: SearchStats | None = None,
     deadline: "Deadline | None" = None,
@@ -601,6 +593,16 @@ def dijkstra_batch(
     force-compiled up front, so no mid-search materialization can
     outgrow the mask or invalidate any flat view.
 
+    ``congestion`` is PathFinder's optional ``(use_count, history,
+    present_factor)`` pricing: int64/float64 columns over canonical
+    wires (a :class:`CongestionLedger`'s tables) and a float.  A kept
+    edge onto wire ``to`` then costs
+    ``g + base * (1.0 + present_factor * use_count[to]) + history[to]``,
+    evaluated in float64 in that order.  The safe-prefix proof still
+    holds as long as the factor and both columns are non-negative: a
+    priced edge never costs less than its base cost, so never less than
+    the minimum edge cost.
+
     Returns one ``(goal, cost, expanded, pushes, faults_avoided,
     exceeded, timed_out)`` tuple per request.  With ``stats=None`` the
     whole batch is published to :data:`GLOBAL_STATS` as a single
@@ -628,6 +630,8 @@ def dijkstra_batch(
         else np.frombuffer(name_blocked, dtype=np.uint8)
     )
     occ_v = None if occupied is None else np.asarray(occupied, dtype=bool)
+    if congestion is not None:
+        use_v, hist_v, pf = congestion
     fault_np = (
         np.asarray(fault_node, dtype=bool) if fault_node is not None else None
     )
@@ -818,7 +822,10 @@ def dijkstra_batch(
             lane_k = lane_e[kidx]
             to_k = to_e[kidx]
             g_k = np.repeat(g_a, degs)[kidx]
-        ng_k = g_k + e_cost_v[e_k]
+        if congestion is None:
+            ng_k = g_k + e_cost_v[e_k]
+        else:
+            ng_k = g_k + e_cost_v[e_k] * (1.0 + pf * use_v[to_k]) + hist_v[to_k]
         # an edge that cannot beat the pre-round cost can never win
         # mid-round either (costs only decrease), so filter early;
         # unvisited rows hold +inf, so one gather doubles as the

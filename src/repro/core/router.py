@@ -638,6 +638,13 @@ class JRouter:
         Converged plans are applied to the device and recorded in the
         net database; a non-converged run leaves the device untouched
         (inspect the returned result's ``converged`` flag).
+
+        Every sink search runs on the compiled routing graph, so the
+        first call on a part compiles it (serially, or for the worker
+        pool's shared-memory export): about 1.4 s on XCV50 and 5.8 s
+        on XCV300 on a 2-CPU host, once per process.  Compile it up
+        front with ``router.device.routing_graph().compile()`` to keep
+        that out of a timed call.
         """
         self.call_count += 1
         report = self._new_report(1)

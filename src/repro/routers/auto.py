@@ -19,7 +19,7 @@ from ..core.kernel import SearchStats
 from ..core.template import Template
 from ..device.fabric import Device
 from .base import PlanPip
-from .maze import route_maze, route_maze_batch
+from .maze import _faulty_endpoint, route_maze, route_maze_batch
 from .template_router import route_template
 from .template_sets import predefined_templates
 
@@ -62,10 +62,12 @@ def route_point_to_point(
     case with no tree reuse; everything else (odd endpoint classes, net
     extension) goes straight to the maze router.  A ``deadline`` is
     checked between template attempts and bounds the maze fallback.
+    A sink in use, a faulty sink, or a faulty source (with no reuse
+    wire to start from) fails before any template is tried.
     """
-    busy = _sink_in_use(device, sink)
-    if busy is not None:
-        raise busy
+    refused = _refused(device, {source, *reuse}, sink)
+    if refused is not None:
+        raise refused
     templates_tried = 0
     if try_templates and not reuse:
         hit, templates_tried = _template_phase(
@@ -86,18 +88,25 @@ def route_point_to_point(
     return P2PResult(result.plan, "maze", templates_tried, stats=result.stats)
 
 
-def _sink_in_use(device: Device, sink: int) -> errors.ContentionError | None:
-    """The error for a ``sink`` wire that is already in use, else None."""
-    if not device.state.occupied[sink]:
+def _refused(
+    device: Device, starts: set[int], sink: int
+) -> errors.JRouteError | None:
+    """The error a point-to-point request fails with before any search:
+    its ``sink`` is already in use, or a fault rules it out (see
+    :func:`~repro.routers.maze._faulty_endpoint`).  None otherwise."""
+    if device.state.occupied[sink]:
+        tr, tc, tn = device.arch.primary_name(sink)
+        return errors.ContentionError(
+            "sink wire is already in use; unroute it first",
+            row=tr,
+            col=tc,
+            wire=wires.wire_name(tn),
+            net=device.state.root_of(sink),
+        )
+    faults = device.faults
+    if faults is None:
         return None
-    tr, tc, tn = device.arch.primary_name(sink)
-    return errors.ContentionError(
-        "sink wire is already in use; unroute it first",
-        row=tr,
-        col=tc,
-        wire=wires.wire_name(tn),
-        net=device.state.root_of(sink),
-    )
+    return _faulty_endpoint(device.arch, faults.unusable, starts, {sink})
 
 
 @functools.lru_cache(maxsize=4096)
@@ -184,7 +193,7 @@ def route_point_to_point_batch(
     maze_lanes: list[int] = []
     maze_reqs: list[tuple[list[int], set[int]]] = []
     for i, (source, sink) in enumerate(pairs):
-        out[i] = _sink_in_use(device, sink)
+        out[i] = _refused(device, {source}, sink)
         if out[i] is not None:
             continue
         if try_templates:

@@ -197,6 +197,35 @@ def _name_block_table(
     )
 
 
+def _faulty_endpoint(
+    arch, fault_mask, start_set: set[int], target_set: set[int]
+) -> errors.UnroutableError | None:
+    """The error for a request its fault map rules out, else None.
+
+    A faulty (dead or pre-driven) target can never be reached, and a
+    faulty start wire cannot launch the signal, so a request whose
+    every start wire is faulty has no path either.  Checked before any
+    search — templates included — so every path of a request reports
+    the same error.
+    """
+    if fault_mask is None:
+        return None
+    faulty = next((t for t in target_set if fault_mask[t]), None)
+    role = "target"
+    if faulty is None:
+        if not all(fault_mask[s] for s in start_set):
+            return None
+        faulty = min(start_set)
+        role = "source"
+    r, c, n = arch.primary_name(faulty)
+    return errors.UnroutableError(
+        f"{role} wire is a faulty fabric resource",
+        row=r,
+        col=c,
+        wire=wires.wire_name(n),
+    )
+
+
 def _check_request(
     arch, fault_mask, sources: Iterable[int], targets: Iterable[int],
     reuse: Iterable[int],
@@ -206,8 +235,9 @@ def _check_request(
     Returns ``(start_set, target_set, reuse_set, source_set)`` for a
     request that needs a search.  Otherwise returns what the request
     comes to without one: the :class:`~repro.errors.UnroutableError`
-    for no targets, no sources or a faulty target, or a zero-cost
-    :class:`MazeResult` when a start wire already is a target.
+    for no targets, no sources, a faulty target or only faulty start
+    wires, or a zero-cost :class:`MazeResult` when a start wire already
+    is a target.
     """
     target_set = set(targets)
     if not target_set:
@@ -217,16 +247,9 @@ def _check_request(
     start_set = source_set | reuse_set
     if not start_set:
         return errors.UnroutableError("no sources given")
-    if fault_mask is not None:
-        faulty = next((t for t in target_set if fault_mask[t]), None)
-        if faulty is not None:
-            r, c, n = arch.primary_name(faulty)
-            return errors.UnroutableError(
-                "target wire is a faulty fabric resource",
-                row=r,
-                col=c,
-                wire=wires.wire_name(n),
-            )
+    faulty = _faulty_endpoint(arch, fault_mask, start_set, target_set)
+    if faulty is not None:
+        return faulty
     hit = target_set & start_set
     if hit:
         return MazeResult([], hit.pop(), 0.0, 0)

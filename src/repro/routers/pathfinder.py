@@ -8,8 +8,12 @@ claim is about: a PathFinder negotiated-congestion router (the core of
 VPR and of ref [6]) — every net is routed allowing overuse, and present-
 and history-congestion costs are escalated until no wire is shared.
 
-Per-sink searches run on the shared compiled-graph kernel
-(:mod:`repro.core.kernel`) with flat present/history cost tables.  With
+Every per-sink search, serial or in a pool worker, is a one-lane call
+of the kernel's numpy wavefront (:func:`repro.core.kernel.dijkstra_batch`)
+priced by flat int64/float64 present-use and history columns.  The
+wavefront replays the scalar heap's pop order exactly, so its plans,
+costs and stats are those of a scalar Dijkstra under the same prices;
+it needs the compiled graph, so a serial call compiles it first.  With
 ``workers > 1`` the per-iteration net loop is parallelized with the
 recursive spatial bipartition scheme of the parallel-router literature
 (Zang et al., *An Open-Source Fast Parallel Routing Approach for
@@ -63,8 +67,8 @@ Two contracts hold:
   workers have already received the call's configuration.
 
 It serves as the quality/time baseline for experiment E8: slower than
-JRoute's greedy one-shot calls, but able to resolve congestion that
-defeats greedy ordering.
+JRoute's template-first one-shot calls, but able to resolve congestion
+that defeats greedy ordering.
 """
 
 from __future__ import annotations
@@ -80,16 +84,18 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .. import errors
 from ..arch.graph import attach_shared_graph, shared_graph_export
 from ..arch.virtex import VirtexArch
 from ..core.deadline import Deadline
 from ..core.kernel import (
+    BatchSearchState,
     CongestionLedger,
-    SearchState,
     SearchStats,
-    dijkstra,
-    extract_plan,
+    dijkstra_batch,
+    extract_plan_lane,
     record_global,
 )
 from ..device.fabric import Device
@@ -286,7 +292,7 @@ class _NetRouter:
         blocked,
         endpoint_ok,
         name_blocked,
-        history: list[float],
+        history: np.ndarray,
         max_nodes: int,
         deadline: Deadline | None,
         fault_node,
@@ -318,36 +324,38 @@ class _NetRouter:
         self,
         idx: int,
         net: NetSpec,
-        counts: list[int],
-        state: SearchState,
+        counts: np.ndarray,
+        bstate: BatchSearchState,
         pf: float,
         stats: SearchStats,
     ) -> tuple[list[PlanPip], set[int]]:
         """Fanout-route one net under current congestion costs.
 
-        ``counts`` is the present-use table the search prices against;
+        ``counts`` is the present-use column the search prices against;
         the net's previous wires must already be removed from it by the
-        caller.  Returns ``(plan, wires)`` — sources are exempt from
-        sharing accounting, so ``wires`` excludes the source.
+        caller.  Each sink is one one-lane wavefront search on lane 0
+        of ``bstate``.  Returns ``(plan, wires)`` — sources are exempt
+        from sharing accounting, so ``wires`` excludes the source.
         """
         tree: set[int] = {net.source}
         plan: list[PlanPip] = []
         canonicalize = self.arch.canonicalize
         for sink in self.sink_order(net):
-            goal, _cost, _exp, _pushes, _fav, exceeded, search_timed_out = dijkstra(
-                self.graph,
-                state,
-                tree,
-                (sink,),
-                occupied=self.blocked,
-                allow=self.endpoint_ok,
-                name_blocked=self.name_blocked,
-                congestion=(counts, self.history, pf),
-                fault_node=self.fault_node,
-                fault_edge=self.fault_edge,
-                max_nodes=self.max_nodes,
-                stats=stats,
-                deadline=self.deadline,
+            ((goal, _cost, _exp, _pushes, _fav, exceeded, search_timed_out),) = (
+                dijkstra_batch(
+                    self.graph,
+                    bstate,
+                    [(tree, (sink,))],
+                    occupied=self.blocked,
+                    allows=[self.endpoint_ok],
+                    name_blocked=self.name_blocked,
+                    fault_node=self.fault_node,
+                    fault_edge=self.fault_edge,
+                    congestion=(counts, self.history, pf),
+                    max_nodes=self.max_nodes,
+                    stats=stats,
+                    deadline=self.deadline,
+                )
             )
             if search_timed_out:
                 raise errors.DeadlineExceededError(
@@ -364,7 +372,7 @@ class _NetRouter:
                     f"pathfinder net {idx}: sink {sink} unreachable",
                     search_stats=stats,
                 )
-            path = extract_plan(self.graph, state, goal)
+            path = extract_plan_lane(self.graph, bstate, 0, goal)
             plan.extend(path)
             for row, col, _from_name, to_name in path:
                 canon = canonicalize(row, col, to_name)
@@ -377,15 +385,15 @@ class _NetRouter:
         group: Sequence[int],
         nets,
         old_wires,
-        counts: list[int],
-        state: SearchState,
+        counts: np.ndarray,
+        bstate: BatchSearchState,
         pf: float,
         stats: SearchStats,
         journal: list[tuple[int, int]] | None = None,
     ) -> dict[int, tuple[list[PlanPip], set[int]]]:
-        """Route one partition against a present-use table.
+        """Route one partition against a present-use column.
 
-        ``counts`` is the iteration-start present-use table (plus any
+        ``counts`` is the iteration-start present-use column (plus any
         subtree overlay); ``old_wires`` maps each net index to the wires
         it used in the previous iteration.  Nets are processed in
         ascending index order: within a group, later nets see earlier
@@ -401,7 +409,7 @@ class _NetRouter:
                 counts[w] -= 1
                 if journal is not None:
                     journal.append((w, 1))
-            plan, wires = self.route_net(idx, nets[idx], counts, state, pf, stats)
+            plan, wires = self.route_net(idx, nets[idx], counts, bstate, pf, stats)
             out[idx] = (plan, wires)
             for w in wires:
                 counts[w] += 1
@@ -411,16 +419,17 @@ class _NetRouter:
 
 
 def _fault_masks(graph, faults) -> tuple:
-    """``(fault_node, fault_edge)`` search masks of a fault model, or Nones."""
+    """``(fault_node, fault_edge)`` wavefront masks of a fault model, or
+    Nones.  ``graph`` must be compiled, so the edge mask covers it."""
     if faults is None:
         return None, None
-    return faults.unusable, graph.fault_edge_mask(faults)
+    return faults.unusable, graph.fault_edge_mask(faults).mask
 
 
 # -- process workers ----------------------------------------------------------
 #
 # Worker processes hold the attached shared-memory graph, the (cached)
-# architecture and one preallocated SearchState in module globals, plus
+# architecture and one one-lane BatchSearchState in module globals, plus
 # an LRU of per-call congestion ledgers keyed by the parent's call
 # token.  A task carries the token, a sparse delta suffix and (until
 # every worker has been seen once) the call-static config; everything
@@ -448,7 +457,7 @@ def _process_worker_init(meta: dict, part: str) -> None:
     global _W_GRAPH, _W_ARCH, _W_STATE
     _W_GRAPH = attach_shared_graph(meta)
     _W_ARCH = VirtexArch(part)
-    _W_STATE = SearchState(_W_GRAPH.n_nodes)
+    _W_STATE = BatchSearchState(_W_GRAPH.n_nodes, 1)
 
 
 def _process_node_task(
@@ -496,7 +505,7 @@ def _process_node_task(
     router = _NetRouter(
         _W_GRAPH,
         _W_ARCH,
-        blocked,
+        np.frombuffer(blocked, dtype=bool),
         endpoint_ok,
         name_blocked,
         ledger.history,
@@ -684,7 +693,24 @@ def route_pathfinder(
     (no exception escapes).  Workers receive the remaining budget at
     each iteration (an explicit ``cancel()`` is honoured at iteration
     boundaries only).
+
+    Every sink search is a one-lane wavefront over the compiled graph,
+    so the first serial call on a part compiles the whole graph (the
+    pool path already did, for its shared-memory export).  That is a
+    one-off cost per process and part, measured at about 1.4 s and
+    +37 MB on XCV50, 5.8 s and +142 MB on XCV300 and 26 s and +586 MB
+    on XCV1000 on a 2-CPU host; later calls pay none of it.
+    The wavefront's exactness needs non-negative prices, so a negative
+    ``present_factor_init``, ``present_factor_mult`` or
+    ``history_increment`` raises :class:`ValueError`.
     """
+    for knob, value in (
+        ("present_factor_init", present_factor_init),
+        ("present_factor_mult", present_factor_mult),
+        ("history_increment", history_increment),
+    ):
+        if value < 0:
+            raise ValueError(f"{knob} must be non-negative, got {value}")
     arch = device.arch
     graph = device.routing_graph()
     n_nodes = graph.n_nodes
@@ -696,11 +722,11 @@ def route_pathfinder(
 
     name_blocked = _name_block_table(use_longs, frozenset())
 
-    history: list[float] = [0.0] * n_nodes
+    history = np.zeros(n_nodes, dtype=np.float64)
     #: wire -> set of net indices using it in the current solution
     usage: dict[int, set[int]] = {}
-    #: use_count[w] == len(usage[w]); flat table for the kernel cost
-    use_count: list[int] = [0] * n_nodes
+    #: use_count[w] == len(usage[w]); flat column for the kernel cost
+    use_count = np.zeros(n_nodes, dtype=np.int64)
     #: per net: wires used and plan
     net_wires: list[set[int]] = [set() for _ in nets]
     plans: list[list[PlanPip]] = [[] for _ in nets]
@@ -738,6 +764,7 @@ def route_pathfinder(
             pool_size=n_workers,
         )
     else:
+        graph.np_columns()  # force-compile, so the fault mask covers every edge
         serial = _NetRouter(
             graph,
             arch,
@@ -749,7 +776,7 @@ def route_pathfinder(
             deadline,
             *_fault_masks(graph, device.faults),
         )
-        serial_state = device.search_state()
+        serial_state = device.batch_search_state(1)
 
     def run_tree(v_target: int, remaining_ms: float | None) -> dict:
         """Execute one iteration's partition tree on the worker pool.
@@ -879,7 +906,7 @@ def route_pathfinder(
         for iteration in range(1, max_iterations + 1):
             try:
                 if shipper is None:
-                    counts = list(use_count)
+                    counts = use_count.copy()
                     merged = serial.route_group(
                         list(range(len(nets))),
                         nets,
@@ -946,7 +973,8 @@ def route_pathfinder(
             history_assign: dict[int, float] = {}
             for w in shared:
                 history[w] += history_increment
-                history_assign[w] = history[w]
+                # plain floats: the shipped delta's pickle stays lean
+                history_assign[w] = float(history[w])
             delta_log.append((counts_assign, history_assign))
             present_factor *= present_factor_mult
     finally:

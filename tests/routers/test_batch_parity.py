@@ -18,24 +18,38 @@ The batch also changes *accounting shape*, which these tests pin:
 * ``JRouter.route_p2p_batch`` applies plans in request order and
   transparently re-routes pairs whose plan lost a wire to an earlier
   pair.
+
+PathFinder's sink searches ride the same engine, one lane each, serial
+or in a pool worker; the tests pin that no PathFinder search reaches
+the scalar kernel.  A request its fault map rules out (a faulty sink,
+or no start wire that can launch the signal) fails with one error on
+every path, batch or not, templates on or off.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.kernel as kernel_mod
 import repro.core.router as router_mod
 import repro.routers.maze as maze_mod
 import repro.routers.pathfinder as pathfinder_mod
 from repro import errors
 from repro.arch import connectivity, devices, wires
-from repro.arch.graph import NAME_COST, FaultEdgeMask, RoutingGraph
+from repro.arch.graph import (
+    NAME_COST,
+    FaultEdgeMask,
+    RoutingGraph,
+    shared_graph_export,
+)
 from repro.arch.virtex import VirtexArch
 from repro.bench.workloads import random_p2p_nets
 from repro.cli import main
-from repro.core import JRouter
+from repro.core import JRouter, Pin
 from repro.core.deadline import Deadline
 from repro.core.kernel import GLOBAL_STATS, BatchSearchState, SearchStats
 from repro.device.fabric import Device
@@ -342,6 +356,16 @@ class TestEdgeCostBound:
     def test_compiled_xcv50_reports_the_bound(self):
         assert Device(PART).routing_graph().min_edge_cost() == 0.5
 
+    def test_bound_comes_from_the_name_table(self):
+        # a lazy graph answers without materializing a single node ...
+        lazy = RoutingGraph(VirtexArch(PART))
+        assert lazy.min_edge_cost() == 0.5
+        assert lazy.n_materialized == 0 and lazy.n_edges == 0
+        # ... and on a compiled graph the bound is the cheapest edge
+        compiled = Device(PART).routing_graph()
+        e_cost = compiled.np_columns()[3]
+        assert compiled.min_edge_cost() == float(e_cost.min())
+
 
 class TestAutoBatchParity:
     """route_point_to_point_batch == K x route_point_to_point."""
@@ -381,6 +405,72 @@ class TestAutoBatchParity:
             o.method for o in out if not isinstance(o, errors.JRouteError)
         }
         assert methods == {"maze"}
+
+
+class TestFaultyEndpoints:
+    """A request its fault map rules out fails the same way on every
+    path: templates on or off, one pair or a batch, API or router."""
+
+    SOURCE = Pin(1, 13, wires.S0_YQ)
+    SINK = Pin(3, 16, wires.S0F[1])
+
+    def _router(self, try_templates):
+        r = JRouter(part=PART, attach_jbits=False, try_templates=try_templates)
+        r.device.set_fault_model(
+            FaultModel.random(
+                r.device.arch, seed=1, stuck_open_rate=0.01,
+                dead_wire_rate=0.002,
+            )
+        )
+        return r
+
+    def test_dead_source_fails_alike_on_every_path(self):
+        outcomes = set()
+        for try_templates in (True, False):
+            r = self._router(try_templates)
+            src = r._source_canon(self.SOURCE)
+            assert r.device.faults.unusable[src], "workload lost its dead source"
+            with pytest.raises(errors.UnroutableError) as ei:
+                r.route(self.SOURCE, self.SINK)
+            outcomes.add((type(ei.value), str(ei.value)))
+            (o,) = self._router(try_templates).route_p2p_batch(
+                [(self.SOURCE, self.SINK)]
+            )
+            assert not o.success
+            outcomes.add((type(o.error), str(o.error)))
+            device = r.device
+            sink = device.resolve(self.SINK.row, self.SINK.col, self.SINK.wire)
+            with pytest.raises(errors.UnroutableError) as ei:
+                route_point_to_point(
+                    device, src, sink, try_templates=try_templates
+                )
+            outcomes.add((type(ei.value), str(ei.value)))
+            (res,) = route_point_to_point_batch(
+                device, [(src, sink)], try_templates=try_templates
+            )
+            outcomes.add((type(res), str(res)))
+        with pytest.raises(errors.UnroutableError) as ei:
+            route_maze(device, [src], {sink})
+        outcomes.add((type(ei.value), str(ei.value)))
+        (res,) = route_maze_batch(device, [([src], {sink})]).results
+        outcomes.add((type(res), str(res)))
+        assert outcomes == {
+            (
+                errors.UnroutableError,
+                "source wire is a faulty fabric resource "
+                "[row=1, col=13, wire=S0_YQ]",
+            )
+        }
+
+    def test_one_live_start_wire_is_enough(self):
+        device = self._router(False).device
+        src = device.resolve(self.SOURCE.row, self.SOURCE.col, self.SOURCE.wire)
+        sink = device.resolve(self.SINK.row, self.SINK.col, self.SINK.wire)
+        live = device.resolve(2, 14, wires.S0_YQ)
+        assert not device.faults.unusable[live]
+        # a live reuse wire can still launch the signal: a search runs
+        res = route_maze(device, [src], {sink}, reuse={live})
+        assert res.plan
 
 
 class TestRouterP2PBatch:
@@ -585,3 +675,64 @@ class TestCliBatch:
         )
         assert rc == 2
         assert "--workers must be 1" in capsys.readouterr().err
+
+
+class TestPathFinderRunsTheWavefront:
+    """Every PathFinder sink search is a one-lane ``dijkstra_batch``
+    call, serial or in a pool worker; the scalar kernel is never used."""
+
+    def _nets(self, device):
+        return [
+            pathfinder_mod.NetSpec.of(srcs[0], sorted(targets))
+            for srcs, targets in _maze_requests(device, 5, 21)
+        ]
+
+    def test_serial_and_worker_searches_run_the_wavefront(self, monkeypatch):
+        wavefronts = _counting(monkeypatch, pathfinder_mod, "dijkstra_batch")
+        scalar = _counting(monkeypatch, kernel_mod, "dijkstra")
+        scalar_maze = _counting(monkeypatch, maze_mod, "dijkstra")
+        assert not hasattr(pathfinder_mod, "dijkstra")
+        device = Device(PART)
+        nets = self._nets(device)
+        serial = pathfinder_mod.route_pathfinder(device, nets, apply=False)
+        assert serial.converged and serial.iterations == 1
+        assert len(wavefronts) == serial.stats.searches > 0
+        for args in wavefronts:
+            assert len(args[2]) == 1  # one lane per sink search
+        # one pool-worker task, run in this process: the whole net list
+        # as one partition node of the first iteration
+        for name in ("_W_GRAPH", "_W_ARCH", "_W_STATE"):
+            monkeypatch.setattr(pathfinder_mod, name, None)
+        monkeypatch.setattr(pathfinder_mod, "_W_CALLS", OrderedDict())
+        pathfinder_mod._process_worker_init(
+            shared_graph_export(device.arch).meta, PART
+        )
+        assert isinstance(pathfinder_mod._W_STATE, BatchSearchState)
+        endpoints = frozenset(
+            w for net in nets for w in (net.source, *net.sinks)
+        )
+        config = (
+            device.state.occupied.tobytes(), endpoints, None, 400_000, None
+        )
+        group = list(range(len(nets)))
+        before = len(wavefronts)
+        kind, out, stats, _pid = pathfinder_mod._process_node_task(
+            ("in-process", 0), 0, 0, config, [], group,
+            {i: (nets[i].source, nets[i].sinks) for i in group},
+            {i: () for i in group}, [], 0.5, None,
+        )
+        assert kind == "ok"
+        assert len(wavefronts) - before == stats["searches"] == serial.stats.searches
+        assert {i: plan for i, (plan, _w) in out.items()} == serial.plans
+        assert stats == serial.stats.as_dict()
+        assert scalar == [] and scalar_maze == []
+
+    @pytest.mark.parametrize(
+        "knob", ["present_factor_init", "present_factor_mult", "history_increment"]
+    )
+    def test_negative_cost_factor_is_refused(self, knob):
+        device = Device(PART)
+        with pytest.raises(ValueError, match=knob):
+            pathfinder_mod.route_pathfinder(
+                device, self._nets(device), apply=False, **{knob: -0.1}
+            )

@@ -11,7 +11,8 @@ tests pin the replacement to the preserved originals
 * the partitioned parallel PathFinder is deterministic for any fixed
   worker count and its plans are legal and contention-free;
 * the vectorised graph tables (primary-tile arrays, splitmix64 fault
-  hashing, memoized tile coords) agree with the scalar definitions;
+  hashing, memoized tile coords, the fault-edge mask with explicit
+  stuck-open PIPs) agree with the scalar definitions;
 * the template DFS over the graph's edge runs and fault-edge mask gives
   the generator-driven DFS's plan, or its exception, call for call.
 """
@@ -334,6 +335,78 @@ class TestFaultMaskCacheToken:
         del g
         gc.collect()
         assert ref() is None  # the cached mask holds only a weakref
+
+
+def _brute_force_mask(graph, faults) -> bytearray:
+    """The per-edge fault mask recomputed edge by edge from the model."""
+    unusable = faults.unusable.tolist()
+    stuck = faults.pip_stuck_open
+    return bytearray(
+        1 if unusable[t] or stuck(s, t) else 0
+        for s, t in zip(graph.e_src, graph.e_to)
+    )
+
+
+def _break_widest_pair(graph, faults, canon) -> int:
+    """Break the PIP with the most parallel edges in the run of
+    ``canon``, or of the next wire after it that drives anything;
+    returns how many edges that PIP spans."""
+    while True:
+        o = graph.off[canon]
+        if o < 0:
+            o = graph._materialize(canon)
+        run = list(graph.e_to[o : o + graph.deg[canon]])
+        if run:
+            break
+        canon += 1
+    dst = max(run, key=run.count)
+    faults.break_pip(canon, dst)
+    return run.count(dst)
+
+
+class TestFaultEdgeMaskSync:
+    """``FaultEdgeMask.sync`` marks an explicit stuck-open PIP through its
+    source's edge run; the mask must still equal a per-edge
+    recomputation, parallel edges included, however the graph grew."""
+
+    def test_lazy_graph_grown_between_syncs(self):
+        arch = VirtexArch("XCV50")
+        g = RoutingGraph(arch)
+        probe = RoutingGraph(arch)  # finds the PIPs of unmaterialized wires
+        faults = FaultModel.random(arch, seed=4, stuck_open_rate=0.02)
+        for canon in range(0, 1500):
+            g._materialize(canon)
+        widths = [
+            _break_widest_pair(g, faults, canon) for canon in range(40, 1400, 300)
+        ] + [
+            _break_widest_pair(probe, faults, canon)
+            for canon in range(1540, 2900, 300)
+        ]
+        assert max(widths) > 1, "no parallel edges broken"
+        m = g.fault_edge_mask(faults)
+        assert m.mask == _brute_force_mask(g, faults)
+        for canon in range(1500, 3000):
+            g._materialize(canon)
+        assert g.fault_edge_mask(faults) is m  # same version: grown in place
+        assert len(m.mask) == g.n_edges
+        assert m.mask == _brute_force_mask(g, faults)
+        faults.kill_wire(g.e_to[0])
+        _break_widest_pair(g, faults, 2950)
+        rebuilt = g.fault_edge_mask(faults)
+        assert rebuilt is not m
+        assert rebuilt.mask == _brute_force_mask(g, faults)
+
+    def test_compiled_graph(self, compiled_xcv50):
+        g = compiled_xcv50
+        faults = FaultModel(VirtexArch("XCV50"))
+        assert max(
+            _break_widest_pair(g, faults, canon)
+            for canon in range(40, g.n_nodes - 1000, 997)
+        ) > 1
+        faults.kill_wire(g.e_to[g.n_edges // 2])
+        m = g.fault_edge_mask(faults)
+        assert len(m.mask) == g.n_edges
+        assert m.mask == _brute_force_mask(g, faults)
 
 
 def _template_outcome(router, device, start, values, **kw):
