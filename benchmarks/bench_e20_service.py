@@ -22,9 +22,10 @@ measures it from the client side:
 
 It enforces a requests/s floor, a p99 latency bound, an idle p50
 round-trip bound, at least one scripted worker-kill recovery, shed > 0,
-and the zero-lost-jobs invariant.  A plain run (no ``--check``) records
-the measured numbers in the ``service`` section of
-``BENCH_routing.json``.
+and the zero-lost-jobs invariant.  A full run (neither ``--smoke`` nor
+``--check``) records the measured numbers in the ``service`` section of
+``BENCH_routing.json``; a plain ``--smoke`` run prints them and leaves
+the file alone, so the recorded section always holds full-run numbers.
 """
 
 from __future__ import annotations
@@ -226,6 +227,10 @@ def main(argv: list[str]) -> int:
     results = run_phases(smoke)
     if "--check" in argv:
         return check(results)
+    if smoke:
+        print(json.dumps(results, indent=2))
+        print(f"smoke run: {BASELINE.name} left alone (a full run records it)")
+        return 0
     data = json.loads(BASELINE.read_text()) if BASELINE.exists() else {}
     results["floors"] = {
         "rps": RPS_FLOOR, "p99_s": P99_BOUND_S,
@@ -285,6 +290,34 @@ def test_shape_audit_flags_lost_and_duplicate_jobs(tmp_path):
     audit = audit_journal(path)
     assert audit["lost"] == [b.job_id]
     assert audit["duplicates"] == [a.job_id]
+
+
+def test_shape_only_a_full_run_records_the_service_section(
+    tmp_path, monkeypatch
+):
+    module = sys.modules[__name__]
+    baseline = tmp_path / "BENCH_routing.json"
+    recorded = {"smoke": {"rows": 1}, "service": {"mode": "full", "rps": 1.0}}
+    baseline.write_text(json.dumps(recorded, indent=2) + "\n")
+    monkeypatch.setattr(module, "BASELINE", baseline)
+    monkeypatch.setattr(
+        module, "run_phases",
+        lambda smoke: {"mode": "smoke" if smoke else "full", "rps": 2.0},
+    )
+    before = baseline.read_bytes()
+    assert main(["--smoke"]) == 0
+    assert baseline.read_bytes() == before
+    assert main([]) == 0
+    data = json.loads(baseline.read_text())
+    assert data["smoke"] == recorded["smoke"]
+    assert data["service"] == {
+        "mode": "full",
+        "rps": 2.0,
+        "floors": {
+            "rps": RPS_FLOOR, "p99_s": P99_BOUND_S,
+            "idle_p50_ms": IDLE_P50_BOUND_MS,
+        },
+    }
 
 
 def test_job_journal_append_throughput(benchmark, tmp_path):

@@ -835,13 +835,21 @@ def dijkstra_batch(
         # several expanded nodes (or parallel edges of one node) can
         # target the same (lane, wire) this round; the scalar loop
         # relaxes them in scan order, pushing every running-cost
-        # improvement.  Replay that order one occurrence at a time
-        # without sorting: pass r scatters the standing candidates'
-        # positions into each key's scratch slot *reversed*, so the
-        # last write — the key's earliest remaining candidate — wins;
-        # those scan-order winners are peeled off and the pass repeats
-        # on the rest.  Every slot read was written the same pass, so
-        # the scratch carries no state between rounds.
+        # improvement.  Replay that order without sorting: a pass
+        # scatters the standing candidates' positions into each key's
+        # scratch slot *reversed*, so the last write — the key's
+        # earliest standing candidate — wins and is applied.  Then
+        # every other candidate that no longer beats its key's cost is
+        # dropped: costs only fall, so it can never win later.  Each
+        # key's earliest survivor is thus strictly cheaper than every
+        # earlier candidate of its key, the scalar loop's next
+        # improvement, and the next pass takes it unchecked (the first
+        # pass's candidates were vouched for by the pre-round filter).
+        # A lane's prefix is scanned in ascending (g, node) order and
+        # an edge's price depends on its target wire only, so on the
+        # shipped graphs a key's first candidate is its cheapest and a
+        # round ends after one pass.  Every slot read was written the
+        # same pass, so the scratch carries no state between rounds.
         pos = _arange(flat_c.size)
         first_pass = True
         while pos.size:
@@ -862,21 +870,11 @@ def dijkstra_batch(
                 wv = ng_c[wsel]
                 we = e_c[wsel]
                 wf = flat_c[wsel]
-            if not first_pass:
-                # later occurrences must also beat what the earlier
-                # passes just wrote (first occurrences always win: the
-                # pre-round filter already vouched for them)
-                ii = np.flatnonzero(wv < cost_flat[wf])
-                if ii.size == 0:
-                    continue
-                wl = wl[ii]
-                wt = wt[ii]
-                wv = wv[ii]
-                we = we[ii]
-                wf = wf[ii]
             first_pass = False
             cost_flat[wf] = wv
             back_flat[wf] = we
+            if pos.size:
+                pos = pos[ng_c[pos] < cost_flat[flat_c[pos]]]
             # every improvement becomes a frontier entry (and a counted
             # push), exactly as the scalar loop pushes; superseded ones
             # die later as stale pops, matching the heap's lazy

@@ -108,8 +108,8 @@ class JRouter:
     heuristic_weight:
         A* bias for scalar maze searches (0 = plain Dijkstra; the 0.8
         default cuts node expansions by ~10x at equal plan cost on this
-        fabric).  It governs levels 4–6 and a :meth:`route_p2p_batch`
-        pair's re-route; the batch itself always runs plain Dijkstra.
+        fabric).  It governs levels 4–6 only: :meth:`route_p2p_batch`
+        always runs plain Dijkstra, its re-routes included.
     faults:
         Optional :class:`~repro.device.faults.FaultModel` attached to the
         device; fault-aware searches mask defective resources out.
@@ -706,18 +706,21 @@ class JRouter:
         batch instead of once per net.  That call runs every miss as
         one plain-Dijkstra wavefront in the calling thread, whatever
         the router's ``heuristic_weight``: the weight governs only
-        scalar searches (levels 4–6 and a re-route), and the router's
-        ``workers`` configure :meth:`route_nets` only.
+        scalar searches (levels 4–6), and the router's ``workers``
+        configure :meth:`route_nets` only.
         The wavefront's state (``BatchSearchState``, K × n_wires × 20 B)
         stays allocated on the device for the next batch.
 
         All searches see the device state as of the call; plans are
         applied in request order, and a pair whose plan lost a wire to
         an earlier pair is transparently re-routed against the updated
-        state (``rerouted=True`` in its outcome).  Each pair gets level
-        4's sink check (a sink already on its net is a 0-PIP success,
-        one driven by another net a ContentionError), breaker refusal,
-        method counters and net-database record.  Per-pair failures —
+        state (``rerouted=True`` in its outcome): templates, then a
+        one-lane wavefront, so a re-planned maze route is the one
+        ``route_maze(heuristic_weight=0)`` finds on that state.
+        Each pair gets level 4's sink check (a sink already on its net
+        is a 0-PIP success, one driven by another net a
+        ContentionError), breaker refusal, method counters and
+        net-database record.  Per-pair failures —
         bad endpoints, breaker refusals, driven sinks, unroutable or
         timed-out searches, a re-route that fails to apply — are
         returned in place as outcomes, never raised.
@@ -761,31 +764,38 @@ class JRouter:
                 fail(i, e)
                 continue
             lanes.append((i, source, sinks[0]))
+        plan_batch = partial(
+            route_point_to_point_batch,
+            self.device,
+            try_templates=self.try_templates,
+            use_longs=self.p2p_use_longs,
+            max_nodes=self.max_nodes,
+            deadline=deadline,
+        )
+
+        def planned(res: P2PResult | errors.JRouteError) -> P2PResult:
+            if isinstance(res, errors.JRouteError):
+                raise res
+            if res.stats is not None:
+                report.search_stats.merge(res.stats)
+            return res
+
         results: list = []
         if lanes:
-            results = route_point_to_point_batch(
-                self.device,
-                [(source, sink) for _, source, sink in lanes],
-                try_templates=self.try_templates,
-                use_longs=self.p2p_use_longs,
-                max_nodes=self.max_nodes,
-                deadline=deadline,
-            )
+            results = plan_batch([(source, sink) for _, source, sink in lanes])
         for (i, source, sink), res in zip(lanes, results):
             src_ep, sink_ep = pairs[i]
             rerouted = False
             try:
-                if isinstance(res, errors.JRouteError):
-                    raise res
-                if res.stats is not None:
-                    report.search_stats.merge(res.stats)
+                res = planned(res)
                 try:
                     pips = apply_plan(self.device, res.plan)
                 except errors.JRouteError:
                     # an earlier pair claimed a wire of this plan: re-plan
-                    # against the device state as it stands now
+                    # it alone, on the same engine, against the device
+                    # state as it stands now
                     rerouted = True
-                    res = self._plan_p2p(source, sink, self.max_nodes, deadline)
+                    res = planned(plan_batch([(source, sink)])[0])
                     pips = apply_plan(self.device, res.plan)
             except errors.JRouteError as e:
                 fail(i, e, source)

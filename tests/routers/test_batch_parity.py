@@ -17,7 +17,14 @@ The batch also changes *accounting shape*, which these tests pin:
 * the versioned fault-edge mask is synced at most once per batch;
 * ``JRouter.route_p2p_batch`` applies plans in request order and
   transparently re-routes pairs whose plan lost a wire to an earlier
-  pair.
+  pair, each as a one-lane wavefront.
+
+Shipped graphs price every edge onto a wire alike, so the relax phase's
+duplicate-target loop never needs a second pass on them; a hand-built
+graph with parallel edges at differing costs drives it further.  Those
+lanes, and multi-lane batches priced by random congestion columns on
+XCV50, are checked against a scalar heap written here, since the scalar
+kernel takes no congestion pricing.
 
 PathFinder's sink searches ride the same engine, one lane each, serial
 or in a pool worker; the tests pin that no PathFinder search reaches
@@ -28,8 +35,10 @@ every path, batch or not, templates on or off.
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -60,6 +69,7 @@ from repro.routers import (
     route_point_to_point,
     route_point_to_point_batch,
 )
+from repro.routers.base import apply_plan
 
 PART = "XCV50"
 
@@ -367,6 +377,208 @@ class TestEdgeCostBound:
         assert graph.min_edge_cost() == float(e_cost.min())
 
 
+class _HandGraph:
+    """A duck-typed CSR graph of 10 wires whose parallel edges price one
+    target differently, which no shipped graph does.
+
+    From start 0, wires 1, 2 and 3 enter one safe prefix, and their
+    edges onto wire 5 arrive in scan order at costs 5, 4, 4, 3.5, 2, 2
+    and 2.5: falling, tied and rising.  So one relax round needs several
+    scatter passes, as do the rounds that reach wires 6, 7 and 9.
+    """
+
+    #: (from, to, cost) in scan order, grouped by ``from``
+    EDGES = (
+        (0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0),
+        (1, 5, 4.0), (1, 5, 3.0), (1, 6, 2.0),
+        (2, 5, 3.0), (2, 5, 2.5), (2, 6, 2.5),
+        (3, 5, 1.0), (3, 5, 1.0), (3, 5, 1.5), (3, 6, 0.5), (3, 4, 0.5),
+        (4, 6, 0.5), (4, 6, 0.5),
+        (5, 7, 1.0), (5, 0, 0.5),
+        (6, 7, 2.0), (6, 7, 0.5), (6, 7, 1.0),
+        (7, 8, 0.5), (7, 9, 3.0), (7, 9, 2.5),
+        (8, 9, 0.5), (8, 9, 2.0), (8, 1, 0.5),
+    )
+    n_nodes = 10
+
+    def __init__(self) -> None:
+        frm = np.array([e[0] for e in self.EDGES], dtype=np.int64)
+        assert (np.diff(frm) >= 0).all()
+        self.deg = np.bincount(frm, minlength=self.n_nodes).astype(np.int64)
+        self.off = np.concatenate(([0], np.cumsum(self.deg)[:-1]))
+        self.e_to = np.array([e[1] for e in self.EDGES], dtype=np.int32)
+        self.e_cost = np.array([e[2] for e in self.EDGES], dtype=np.float64)
+        self.e_toname = np.zeros(len(self.EDGES), dtype=np.uint8)
+        # plan columns: a plan names each edge by its id in e_row
+        self.e_src = frm.astype(np.int32)
+        self.e_row = np.arange(len(self.EDGES), dtype=np.int16)
+        self.e_col = self.e_src.astype(np.int16)
+        self.e_from = np.zeros(len(self.EDGES), dtype=np.uint8)
+
+    def np_columns(self):
+        return self.off, self.deg, self.e_to, self.e_cost, self.e_toname
+
+    def min_edge_cost(self) -> float:
+        return float(self.e_cost.min())
+
+
+def _heap_oracle(
+    graph, starts, targets, *, occupied=None, allow=(), fault_node=None,
+    fault_edge=None, congestion=None, max_nodes=200_000,
+):
+    """Scalar Dijkstra in the wavefront's contract: relax in scan order,
+    push on every strict improvement, price edges with ``congestion`` as
+    the wavefront does.  Returns the kernel's tuple plus the plan."""
+    off, deg, e_to, e_cost, _ = (c.tolist() for c in graph.np_columns())
+    if congestion is not None:
+        use, hist, pf = congestion
+        use = use.tolist()
+        hist = hist.tolist()
+    dist = {s: 0.0 for s in starts}
+    prev = {s: -1 for s in starts}
+    heap = [(0.0, s) for s in starts]
+    heapq.heapify(heap)
+    expanded = pushes = fav = 0
+    goal, goal_cost, exceeded = -1, 0.0, False
+    while heap:
+        g, u = heapq.heappop(heap)
+        if g > dist[u]:
+            continue
+        if u in targets:
+            goal, goal_cost = u, g
+            break
+        if fault_node is not None and fault_node[u]:
+            fav += 1
+            continue
+        expanded += 1
+        if expanded > max_nodes:
+            exceeded = True
+            break
+        for e in range(off[u], off[u] + deg[u]):
+            if fault_edge is not None and fault_edge[e]:
+                fav += 1
+                continue
+            to = e_to[e]
+            if occupied is not None and occupied[to] and to not in allow:
+                continue
+            if congestion is None:
+                ng = g + e_cost[e]
+            else:
+                ng = g + e_cost[e] * (1.0 + pf * use[to]) + hist[to]
+            if ng < dist.get(to, float("inf")):
+                dist[to] = ng
+                prev[to] = e
+                pushes += 1
+                heapq.heappush(heap, (ng, to))
+    plan = []
+    e = prev[goal] if goal >= 0 else -1
+    while e != -1:
+        plan.append(
+            (graph.e_row[e], graph.e_col[e], graph.e_from[e], graph.e_toname[e])
+        )
+        e = prev[graph.e_src[e]]
+    plan.reverse()
+    return (goal, goal_cost, expanded, pushes, fav, exceeded, False), plan
+
+
+def _assert_lanes_match_oracle(graph, requests, **kw):
+    """One multi-lane wavefront call against the oracle, lane by lane."""
+    bstate = BatchSearchState(graph.n_nodes, len(requests))
+    allows = kw.pop("allows", None)
+    stats = SearchStats()
+    got = kernel_mod.dijkstra_batch(
+        graph, bstate, requests, allows=allows, stats=stats, **kw
+    )
+    want_total = SearchStats()
+    for lane, (starts, targets) in enumerate(requests):
+        allow = allows[lane] if allows is not None else ()
+        want, plan = _heap_oracle(graph, starts, targets, allow=allow, **kw)
+        assert got[lane] == want, lane
+        goal = got[lane][0]
+        if goal >= 0:
+            assert kernel_mod.extract_plan_lane(graph, bstate, lane, goal) == plan
+        want_total.merge(SearchStats(1, *want[2:5]))
+    assert stats.as_dict() == want_total.as_dict()
+    return got
+
+
+class TestRelaxPasses:
+    """The relax phase's duplicate-target loop, past its first pass.
+
+    On a shipped graph a key's first candidate of a round is its
+    cheapest, so a round ends after one scatter pass.  The hand-built
+    graph makes later candidates cheaper; XCV50 with random congestion
+    columns covers priced multi-lane batches.  Every lane must match a
+    scalar heap that relaxes in scan order."""
+
+    #: (starts, targets) lanes of the hand-built graph
+    HAND_LANES = (
+        ([0], {9}),
+        ([0], {5}),
+        ([1, 2], {9}),
+        ([0], {7, 8}),
+        ([3], {0}),
+        ([9], {0}),  # wire 9 drives nothing: the frontier runs dry
+    )
+
+    @pytest.mark.parametrize("priced", [False, True], ids=["plain", "priced"])
+    def test_hand_graph_lanes_match_the_heap(self, priced):
+        graph = _HandGraph()
+        congestion = None
+        if priced:
+            use = np.array([0, 1, 0, 2, 0, 1, 3, 0, 1, 0], dtype=np.int64)
+            hist = np.array(
+                [0.0, 0.25, 0.5, 0.0, 0.75, 0.0, 0.125, 1.5, 0.0, 0.5]
+            )
+            congestion = (use, hist, 0.5)
+        got = _assert_lanes_match_oracle(
+            graph, list(self.HAND_LANES), congestion=congestion
+        )
+        assert [r[0] for r in got[:5]] == [9, 5, 9, 7, 0]
+        assert got[5][0] == -1 and not got[5][5]
+        # wire 5's candidates of the second round improve four times
+        # (5, 4, 3.5, 2), skipping the ties and the rise
+        if not priced:
+            assert got[1][1] == 2.0 and got[1][3] == 3 + 4 + 2 + 1 + 2
+
+    def test_hand_graph_budget_and_masks(self):
+        graph = _HandGraph()
+        fault_edge = bytearray(len(graph.EDGES))
+        fault_edge[9] = 1  # the first of 3 -> 5's falling edges
+        occupied = np.zeros(graph.n_nodes, dtype=bool)
+        occupied[6] = True
+        requests = [([0], {9}), ([0], {9}), ([0], {6})]
+        for max_nodes in (2, 4, 200_000):
+            _assert_lanes_match_oracle(
+                graph, requests, occupied=occupied, allows=[(), (6,), (6,)],
+                fault_edge=fault_edge, max_nodes=max_nodes,
+            )
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_random_prices_on_xcv50(self, seed, faulty):
+        device = Device(PART)
+        graph = device.routing_graph()
+        rng = np.random.default_rng(seed)
+        use = rng.integers(0, 4, graph.n_nodes).astype(np.int64)
+        hist = rng.random(graph.n_nodes) * 2.0
+        requests = _maze_requests(device, 4, seed, max_span=5)
+        kw = {}
+        if faulty:
+            faults = FaultModel.random(
+                device.arch, seed=seed, stuck_open_rate=0.02,
+                dead_wire_rate=0.004,
+            )
+            kw = dict(
+                fault_node=faults.unusable,
+                fault_edge=graph.fault_edge_mask(faults).mask,
+            )
+        got = _assert_lanes_match_oracle(
+            graph, requests, congestion=(use, hist, 0.5), **kw
+        )
+        assert any(r[0] >= 0 for r in got)
+
+
 class TestAutoBatchParity:
     """route_point_to_point_batch == K x route_point_to_point."""
 
@@ -532,6 +744,64 @@ class TestRouterP2PBatch:
         assert [o.rerouted for o in out] == [True, False, False]
         assert r.last_report.success
 
+    def test_reroute_rides_the_wavefront(self, monkeypatch):
+        """A re-routed pair is re-planned as a one-lane batch, so a
+        default-weight router re-routes exactly as a weight-0 one does
+        and never runs a scalar search."""
+
+        def router(**kw):
+            return JRouter(
+                part=PART, attach_jbits=False, try_templates=False, **kw
+            )
+
+        def conflict_second_apply(applied):
+            real = router_mod.apply_plan
+
+            def flaky(device, plan):
+                # pair 1's batch plan loses a wire to pair 0; every
+                # other application (the re-planned one too) goes through
+                applied.append(plan)
+                if len(applied) == 2:
+                    raise errors.ContentionError("wire claimed by earlier pair")
+                return real(device, plan)
+
+            return flaky
+
+        weighted = router()
+        plain = router(heuristic_weight=0.0)
+        assert weighted.heuristic_weight == 0.8
+        pairs = [(n.source, n.sinks[0]) for n in self._nets(weighted, 3, seed=6)]
+        wavefronts = _counting(monkeypatch, maze_mod, "dijkstra_batch")
+        scalar = _counting(monkeypatch, maze_mod, "dijkstra")
+        applied: list = []
+        monkeypatch.setattr(router_mod, "apply_plan", conflict_second_apply(applied))
+        got = weighted.route_p2p_batch(pairs)
+        assert len(wavefronts) == 2 and scalar == []
+        assert len(wavefronts[1][2]) == 1  # one lane: the re-routed pair
+        assert [o.success for o in got] == [True] * len(pairs)
+        assert [o.rerouted for o in got] == [False, True, False]
+        assert [o.method for o in got] == ["maze"] * len(pairs)
+        monkeypatch.setattr(router_mod, "apply_plan", conflict_second_apply([]))
+        want = plain.route_p2p_batch(pairs)
+        assert got == want
+        assert (
+            weighted.device.state.fingerprint()
+            == plain.device.state.fingerprint()
+        )
+        assert (
+            weighted.last_report.search_stats.as_dict()
+            == plain.last_report.search_stats.as_dict()
+        )
+        # the re-planned PIPs are plain Dijkstra's on the state the
+        # re-route saw: pair 0 applied, nothing else
+        monkeypatch.undo()
+        device = Device(PART)
+        apply_plan(device, applied[0])
+        src = device.resolve(pairs[1][0].row, pairs[1][0].col, pairs[1][0].wire)
+        sink = device.resolve(pairs[1][1].row, pairs[1][1].col, pairs[1][1].wire)
+        maze = route_maze(device, [src], {sink}, heuristic_weight=0)
+        assert applied[2] == maze.plan
+
     def test_driven_sink_and_already_routed_pair_short_circuit(self):
         r = JRouter(part=PART, attach_jbits=False)
         nets = self._nets(r, 2, seed=3)
@@ -604,7 +874,8 @@ class TestRouterP2PBatch:
         assert len(wavefronts) == 1 and scalar == []
         monkeypatch.undo()
         want = plain.route_p2p_batch(pairs)
-        # a re-route would run a scalar search at each router's weight
+        # no pair loses a wire here; test_reroute_rides_the_wavefront
+        # pins that a re-route runs the wavefront too
         assert not any(o.rerouted for o in got)
         assert any(o.success for o in got), "fault workload routed nothing"
         assert got == want
