@@ -20,6 +20,12 @@ generator-driven reference implementations
   ``speedup_vs_serial`` (wall-clock gain over the serial kernel run on
   this machine) and the tree's effective leaf concurrency
   (``workers_effective``);
+* **The pool's payoff** (smoke only) — PathFinder on a warm
+  ``workers=2`` pool against the serial loop on XCV300 nets large
+  enough for the pool to pay on two CPUs, with no reference rival: the
+  row's rival is the serial loop, so its ``speedup`` is its
+  ``speedup_vs_serial``.  ``--check`` enforces an absolute floor
+  (``POOL_SPEEDUP_FLOOR``) on it on hosts with at least 2 CPUs;
 * **Batched p2p** — ``route_maze_batch`` lockstepping 64 independent
   point-to-point searches through the vectorized SoA kernel against the
   same 64 searches run one scalar kernel call at a time; reports
@@ -105,6 +111,12 @@ BATCH_SPEEDUP_FLOOR = 3.0
 #: workers) must show over serial — enforced by --check only on
 #: machines with at least 8 CPUs
 TREE_SPEEDUP_FLOOR = 3.0
+
+#: minimum wall-clock speedup the smoke pool row (PathFinder at 2
+#: workers on a warm pool) must show over the serial loop — enforced by
+#: --check on machines with at least 2 CPUs; 0.77 x the median (1.495x)
+#: of 10 runs on a 2-CPU host, whose lowest read 1.28x
+POOL_SPEEDUP_FLOOR = 1.15
 
 
 def _canon_nets(device, workloads):
@@ -278,6 +290,43 @@ def measure_pathfinder(
     ]
 
 
+def measure_pool(part: str, n_nets: int, *, reps: int, workers: int = 2) -> dict:
+    """PathFinder on a warm pool of ``workers`` against the serial loop.
+
+    The first pooled run forks the pool and attaches the shared graph;
+    with a second it is the determinism oracle at this worker count.
+    """
+    device = Device(part)
+    nets = _canon_nets(
+        device,
+        random_p2p_nets(device.arch, n_nets, seed=3, min_span=4, max_span=16),
+    )
+    assert route_pathfinder(device, nets, apply=False).converged
+    res = route_pathfinder(device, nets, apply=False, workers=workers)
+    again = route_pathfinder(device, nets, apply=False, workers=workers)
+    assert res.converged, f"workers={workers} failed to converge"
+    assert res.plans == again.plans and (
+        res.stats.as_dict() == again.stats.as_dict()
+    ), f"two runs at workers={workers} differed"
+    serial, pooled = _interleaved_best_times(
+        lambda: route_pathfinder(device, nets, apply=False),
+        lambda: route_pathfinder(device, nets, apply=False, workers=workers),
+        reps=reps,
+    )
+    return {
+        "name": f"pathfinder_pool_{n_nets}nets_{part}_w{workers}",
+        "kind": "pathfinder_pool",
+        "part": part,
+        "nets": n_nets,
+        "workers": workers,
+        "workers_effective": res.workers,
+        "median_new_s": pooled,
+        "median_ref_s": serial,
+        "speedup": serial / pooled,
+        "speedup_vs_serial": serial / pooled,
+    }
+
+
 def batched_p2p_workload(part: str, n_requests: int):
     device = Device(part)
     nets = random_p2p_nets(
@@ -391,6 +440,8 @@ def run(smoke: bool) -> dict:
         )
         workloads.append(measure_batched_p2p("XCV50", 64, reps=reps))
         workloads.append(measure_templates("XCV50", 48, reps=reps))
+        # last, so its XCV300 pool and export cannot disturb the others
+        workloads.append(measure_pool("XCV300", 32, reps=reps))
     else:
         for part in ("XCV50", "XCV300", "XCV800"):
             workloads.append(measure_e10(part, reps=reps, spans=(6, 10, 14)))
@@ -457,6 +508,20 @@ def check(results: dict, baseline: dict) -> int:
                 print(
                     f"{w['name']:32s} only {gain:.2f}x over serial "
                     f"(tree floor {TREE_SPEEDUP_FLOOR}x on "
+                    f"{results['cpus']}-cpu host) REGRESSED"
+                )
+                failures.append(w["name"])
+    # absolute gate: on a host with two CPUs, a warm two-worker pool
+    # must beat the serial loop on the pool row's workload
+    if (results.get("cpus") or 0) >= 2:
+        for w in results["workloads"]:
+            if (
+                w.get("kind") == "pathfinder_pool"
+                and w["speedup_vs_serial"] < POOL_SPEEDUP_FLOOR
+            ):
+                print(
+                    f"{w['name']:32s} only {w['speedup_vs_serial']:.2f}x over "
+                    f"serial (pool floor {POOL_SPEEDUP_FLOOR}x on "
                     f"{results['cpus']}-cpu host) REGRESSED"
                 )
                 failures.append(w["name"])

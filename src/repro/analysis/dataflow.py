@@ -524,7 +524,7 @@ def _spawn_globals_pass(
                     f"copy — read by {reader.name}() — never sees this "
                     f"update",
                     hint="ship the state back explicitly in the worker's "
-                    "return value (the PathFinder ledger/stats pattern), "
+                    "return value (as PathFinder workers return their stats), "
                     "or mark deliberately per-process state with "
                     "`# repro: noqa RPR011`",
                     file=info.file,

@@ -31,9 +31,11 @@ is **exported once into a POSIX shared-memory segment**
 (:func:`shared_graph_export`) and **attached zero-copy** by worker
 processes (:func:`attach_shared_graph`), which install views straight
 into the mapped segment as their columns, so a spawn/fork worker pays
-neither a rebuild nor a copy of the ~tens-of-MB adjacency.  Exports are cached per part
-and unlinked at interpreter exit (or explicitly via
-:func:`release_shared_exports`).
+neither a rebuild nor a copy of the ~tens-of-MB adjacency.  Exports are
+cached per part and unlinked at interpreter exit (or explicitly via
+:func:`release_shared_exports`).  An export is a :class:`SharedColumns`
+segment, the one create/layout/attach implementation, which
+PathFinder's per-call congestion blocks use too.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import threading
 import weakref
 from collections import defaultdict
 from multiprocessing import shared_memory
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -59,6 +61,8 @@ __all__ = [
     "NAME_COST",
     "RoutingGraph",
     "routing_graph",
+    "SharedColumns",
+    "attach_columns",
     "SharedGraphExport",
     "shared_graph_export",
     "attach_shared_graph",
@@ -503,7 +507,11 @@ def routing_graph(arch: VirtexArch) -> RoutingGraph:
     return g
 
 
-# -- shared-memory export (PathFinder worker processes) ----------------------
+# -- shared-memory columns (PathFinder worker processes) ---------------------
+
+#: Segment-name counter: with the pid it names each segment uniquely.
+_SEGMENTS = itertools.count()
+
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach an existing segment without taking lifecycle ownership.
@@ -522,49 +530,47 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
-class SharedGraphExport:
-    """Owner-side handle of one compiled graph image in shared memory.
+class SharedColumns:
+    """Owner-side handle of named numpy columns in one shared segment.
 
-    Every CSR column is copied once into a single segment
-    (8-byte-aligned runs).  :attr:`meta` is a small picklable
-    description — segment name, part, and per column its buffer format,
-    offset and length — that worker processes feed to
-    :func:`attach_shared_graph`.  The owner must :meth:`close` (unlink)
-    the segment; attached readers only ever map it.
+    The columns are copied back-to-back at 8-byte-aligned offsets into a
+    single POSIX shared-memory segment named ``jroute_<pid>_<tag>_<n>``.
+    :attr:`meta` is a small picklable description — segment name and,
+    per column, its name, dtype, offset and length — that another
+    process feeds to :func:`attach_columns`.  The owner keeps no view of
+    the segment: :meth:`write` copies into it, and :meth:`close` unmaps
+    and unlinks it.  Attached readers only ever map it.
     """
 
-    def __init__(self, graph: RoutingGraph) -> None:
-        self.part = graph.arch.part.name
+    def __init__(self, tag: str, cols: Mapping[str, np.ndarray]) -> None:
         layout: list[tuple[str, str, int, int]] = []
         pos = 0
-        cols = [getattr(graph, name) for name in _COLUMNS]
-        for name, col in zip(_COLUMNS, cols):
-            layout.append((name, col.format, pos, len(col)))
-            pos += col.nbytes
-            pos = (pos + 7) & ~7  # 8-byte-align the next column
+        for name, col in cols.items():
+            layout.append((name, col.dtype.str, pos, col.size))
+            pos = (pos + col.nbytes + 7) & ~7  # 8-byte-align the next column
         while True:
             try:
                 self.shm = shared_memory.SharedMemory(
                     create=True,
                     size=max(pos, 8),
-                    name=(
-                        f"jroute_{os.getpid()}_{self.part}_"
-                        f"{next(_GRAPH_GENERATION)}"
-                    ),
+                    name=f"jroute_{os.getpid()}_{tag}_{next(_SEGMENTS)}",
                 )
                 break
             except FileExistsError:  # stale segment from a recycled pid
                 continue
-        for (_, _, off, _), col in zip(layout, cols):
-            dst = self.shm.buf[off : off + col.nbytes]
-            dst[:] = col.cast("B")
-            dst.release()  # close() would refuse while views are exported
-        self.meta = {
-            "name": self.shm.name,
-            "part": self.part,
-            "layout": layout,
-        }
+        self.meta: dict = {"name": self.shm.name, "layout": layout}
+        self._offsets = {name: off for name, _, off, _ in layout}
         self._closed = False
+        for name, col in cols.items():
+            self.write(name, col)
+
+    def write(self, name: str, col: np.ndarray) -> None:
+        """Copy ``col`` over column ``name`` (same dtype and length)."""
+        src = memoryview(np.ascontiguousarray(col)).cast("B")
+        off = self._offsets[name]
+        dst = self.shm.buf[off : off + src.nbytes]
+        dst[:] = src
+        dst.release()  # close() would refuse while views are exported
 
     def close(self) -> None:
         """Unmap and unlink the segment (idempotent)."""
@@ -576,6 +582,41 @@ class SharedGraphExport:
             self.shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already unlinked
             pass
+
+
+def attach_columns(
+    meta: dict,
+) -> tuple[shared_memory.SharedMemory, dict[str, np.ndarray]]:
+    """Map a :class:`SharedColumns` segment: ``(shm, {name: view})``.
+
+    The views are read-only numpy arrays straight into the mapping.
+    ``shm.close()`` raises :class:`BufferError` while any of them is
+    alive, so a caller that unmaps must drop every view first.
+    """
+    shm = _attach_segment(meta["name"])
+    cols = {}
+    for name, dtype, off, count in meta["layout"]:
+        view = np.frombuffer(shm.buf, dtype=dtype, count=count, offset=off)
+        view.flags.writeable = False
+        cols[name] = view
+    return shm, cols
+
+
+class SharedGraphExport(SharedColumns):
+    """Owner-side handle of one compiled graph image in shared memory.
+
+    Every CSR column is copied once into a single segment;
+    :attr:`meta` adds the part name to the column layout, and worker
+    processes feed it to :func:`attach_shared_graph`.  The owner must
+    :meth:`close` (unlink) the segment.
+    """
+
+    def __init__(self, graph: RoutingGraph) -> None:
+        self.part = graph.arch.part.name
+        super().__init__(
+            self.part, {name: np.asarray(getattr(graph, name)) for name in _COLUMNS}
+        )
+        self.meta["part"] = self.part
 
 
 #: Process-wide export cache: one shared-memory image per part.
@@ -617,18 +658,13 @@ def attach_shared_graph(meta: dict) -> RoutingGraph:
     built graph uses — no rebuild, no copy.  The mapping lives as long
     as the returned graph (process exit unmaps).
     """
-    shm = _attach_segment(meta["name"])
+    shm, cols = attach_columns(meta)
     g = RoutingGraph.__new__(RoutingGraph)
     g.arch = VirtexArch(meta["part"])
     g.token = (meta["part"], next(_GRAPH_GENERATION))
     g.n_nodes = g.arch.n_wires
     g._tiles = None
     g._coords = None
-    g._set_columns(
-        {
-            name: np.frombuffer(shm.buf, dtype=fmt, count=cnt, offset=off)
-            for name, fmt, off, cnt in meta["layout"]
-        }
-    )
+    g._set_columns(cols)
     g._shm = shm  # keep the mapping alive alongside the views
     return g

@@ -24,9 +24,9 @@ same arrays.  It is the one engine of every batch —
 :func:`~repro.routers.maze.route_maze_batch` (and so every ``JRouter``
 batch, whatever its ``heuristic_weight``) runs its requests through it
 — and of every PathFinder sink search, serial or in a pool worker, as a
-one-lane call priced by a :class:`CongestionLedger`'s tables.  It takes
-no A* heuristic, because a biased key breaks its exactness proof; the
-A* bias serves scalar searches only.
+one-lane call priced by PathFinder's present-use and history columns.
+It takes no A* heuristic, because a biased key breaks its exactness
+proof; the A* bias serves scalar searches only.
 
 Instrumentation (node expansions, heap pushes, faulty edges avoided) is
 unified behind :class:`SearchStats`.  The process-wide accumulator
@@ -72,7 +72,6 @@ __all__ = [
     "SearchStats",
     "SearchState",
     "BatchSearchState",
-    "CongestionLedger",
     "GLOBAL_STATS",
     "record_global",
     "dijkstra",
@@ -171,94 +170,6 @@ class SearchState:
         self.prev = memoryview(self.backptr)
         self.stamp = memoryview(self.node_epoch)
         self.epoch = 0
-
-
-class CongestionLedger:
-    """Versioned per-partition view of PathFinder's flat congestion tables.
-
-    The tables are numpy columns over canonical wires — :attr:`counts`
-    (int64 present use) and :attr:`history` (float64 history cost) —
-    which :func:`dijkstra_batch` prices every relaxed edge against with
-    one gather each.  A parallel negotiated-congestion router gives
-    each worker its own tables.  Rebuilding them from scratch (or
-    shipping full snapshots) every iteration costs O(n_nodes) per worker
-    per iteration — device-size work even when almost nothing changed.
-    A ledger instead holds the flat tables *plus a version number*, and
-    advances by applying **sparse absolute deltas**: per iteration, only
-    the wires whose use-count or history actually changed, with their new
-    values.  Absolute values (not increments) make re-application
-    idempotent, so a worker that already holds an intermediate version
-    can safely replay a delta suffix that overlaps what it has.
-
-    Within one iteration a worker layers *revertible overlays* on top of
-    the synced base state (a subtree's fresh wires, a net's rip-up):
-    every mutation appends its inverse to a journal, and
-    :meth:`revert` unwinds the journal so the ledger lands back exactly
-    on its version's state — O(touched), never O(n_nodes).
-
-    Synchronisation is hybrid, per the parallel-router literature:
-    *synchronous* within a partition (a worker sees its own and its
-    descendants' updates immediately via overlays) and *asynchronous*
-    across partitions (peers' changes arrive as the next iteration's
-    delta).  Each PathFinder worker process keeps one ledger per routing
-    call and receives the deltas pickled (as plain ints and floats);
-    because a synced ledger is the same whichever delta suffix brought
-    it there, results do not depend on which worker ran which partition
-    node.
-    """
-
-    __slots__ = ("counts", "history", "version")
-
-    def __init__(self, n_nodes: int) -> None:
-        #: present-use count per canonical wire (version-consistent base)
-        self.counts = np.zeros(n_nodes, dtype=np.int64)
-        #: accumulated history cost per canonical wire
-        self.history = np.zeros(n_nodes, dtype=np.float64)
-        #: index of the last applied delta (0 == pristine tables)
-        self.version = 0
-
-    def sync(
-        self,
-        deltas: Sequence[tuple[dict[int, int], dict[int, float]]],
-        base_version: int,
-        target_version: int,
-    ) -> None:
-        """Advance to ``target_version`` by replaying absolute deltas.
-
-        ``deltas[i]`` is the ``(counts, history)`` assignment dict pair
-        moving version ``base_version + i`` to ``base_version + i + 1``.
-        The ledger's own version may sit anywhere in
-        ``[base_version, target_version]``; already-applied entries are
-        replayed harmlessly because assignments are absolute.
-        """
-        if self.version >= target_version:
-            return
-        if self.version < base_version:
-            raise ValueError(
-                f"ledger at version {self.version} cannot sync from "
-                f"base {base_version}"
-            )
-        for counts_d, history_d in deltas[: target_version - base_version]:
-            # one scatter per table: a delta's keys are distinct wires
-            self.counts[list(counts_d)] = list(counts_d.values())
-            self.history[list(history_d)] = list(history_d.values())
-        self.version = target_version
-
-    def overlay(
-        self, updates: Iterable[tuple[int, int]], journal: list[tuple[int, int]]
-    ) -> None:
-        """Apply sparse count adjustments, journaling their inverses."""
-        counts = self.counts
-        for w, d in updates:
-            counts[w] += d
-            journal.append((w, -d))
-
-    def revert(self, journal: list[tuple[int, int]]) -> None:
-        """Unwind a journal of inverse adjustments (newest first)."""
-        counts = self.counts
-        while journal:
-            w, d = journal.pop()
-            counts[w] += d
 
 
 class BatchSearchState:
@@ -588,7 +499,9 @@ def dijkstra_batch(
 
     ``congestion`` is PathFinder's optional ``(use_count, history,
     present_factor)`` pricing: int64/float64 columns over canonical
-    wires (a :class:`CongestionLedger`'s tables) and a float.  A kept
+    wires and a float (in a pool worker, ``history`` is a read-only
+    view of the call's shared-memory block and ``use_count`` a private
+    copy of its column).  A kept
     edge onto wire ``to`` then costs
     ``g + base * (1.0 + present_factor * use_count[to]) + history[to]``,
     evaluated in float64 in that order.  The safe-prefix proof still

@@ -119,7 +119,7 @@ class FaultModel:
 
     def __getstate__(self) -> dict:
         # the per-graph edge-mask cache holds weak references, which do
-        # not pickle; a copy (a process worker's) rebuilds its own
+        # not pickle; an unpickled copy rebuilds its own masks
         state = self.__dict__.copy()
         state["_edge_masks"] = {}
         return state

@@ -32,24 +32,27 @@ Commercial FPGAs*):
   (synchronous updates within a subtree).  Disjoint subtrees never
   wait for each other — conflicts across them are resolved by the next
   negotiation iteration (asynchronous updates across partitions);
-* congestion state is held in versioned
-  :class:`~repro.core.kernel.CongestionLedger` tables advanced by
-  **sparse absolute deltas** — only the wires whose use-count or
-  history changed last iteration — instead of per-iteration full
-  snapshots.
+* the iteration-start congestion state lives in one POSIX
+  shared-memory **block** per call (a
+  :class:`~repro.arch.graph.SharedColumns` segment): the ``use_count``
+  and ``history`` columns, the ``blocked`` bitmap and, on a faulty
+  device, the parent's own fault-node and fault-edge masks.  The
+  parent rewrites ``use_count`` and ``history`` at the iteration
+  barrier, when no task is in flight, and unlinks the block when the
+  call ends, however it ends.
 
 Tree nodes run on OS-level workers of a cached
 :class:`~concurrent.futures.ProcessPoolExecutor` (CPython threads share
 one GIL, so they would only add overhead to the serial loop).  The
 CSR graph is exported once per part into POSIX shared memory
 (:func:`repro.arch.graph.shared_graph_export`) and attached zero-copy
-by each worker.  The call-static configuration (blocked bitmap,
-endpoint set, name filter, fault model) is shipped **once per worker**
-and cached under the call's graph-derived token; per-iteration tasks
-then carry only the sparse congestion deltas, the node's nets/overlay
-and the scalar knobs, so bytes shipped per iteration scale with the
-*change*, not with the device.  Per-iteration IPC payload sizes are
-reported in :attr:`PathFinderResult.ipc_bytes`.
+by each worker.  A task carries the block's small ``meta``, its node's
+nets, old wires and subtree overlay, and the scalars (endpoint set,
+name filter, node budget, present factor, deadline budget).  The
+worker maps the block, copies ``use_count``, applies the overlay to
+the copy, routes against the block's other columns in place, and keeps
+nothing afterwards.  The pickled size of each iteration's task
+arguments is reported in :attr:`PathFinderResult.ipc_bytes`.
 
 Two contracts hold:
 
@@ -63,8 +66,8 @@ Two contracts hold:
   depend on which worker ran which node, nor on whether the pool was
   fresh or reused.  Neither contract spans worker counts (a different
   tree negotiates along a different trajectory; only convergence is
-  comparable), and ``ipc_bytes`` is not covered: it depends on which
-  workers have already received the call's configuration.
+  comparable), and ``ipc_bytes`` is not covered: it meters the
+  transport, not the routing.
 
 It serves as the quality/time baseline for experiment E8: slower than
 JRoute's template-first one-shot calls, but able to resolve congestion
@@ -74,11 +77,9 @@ that defeats greedy ordering.
 from __future__ import annotations
 
 import atexit
-import itertools
-import os
 import pickle
 import threading
-from collections import OrderedDict
+import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -87,12 +88,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .. import errors
-from ..arch.graph import attach_shared_graph, shared_graph_export
+from ..arch.graph import (
+    SharedColumns,
+    attach_columns,
+    attach_shared_graph,
+    shared_graph_export,
+)
 from ..arch.virtex import VirtexArch
 from ..core.deadline import Deadline
 from ..core.kernel import (
     BatchSearchState,
-    CongestionLedger,
     SearchStats,
     dijkstra_batch,
     extract_plan_lane,
@@ -140,10 +145,10 @@ class PathFinderResult:
     workers: int = 1
     #: the run was abandoned because its deadline expired (nothing applied)
     timed_out: bool = False
-    #: pickled task-payload bytes shipped to the worker pool, one total
-    #: per iteration (empty for a serial run).  After the warm-up
-    #: iterations (which ship each worker its one-time config) these
-    #: scale with the sparse congestion delta, not with the device.
+    #: pickled size of the task arguments shipped to the worker pool,
+    #: one total per iteration (empty for a serial run).  The device
+    #: state stays in the call's shared-memory block, so these scale
+    #: with the partition nodes' nets, not with the device.
     ipc_bytes: list[int] = field(default_factory=list)
 
 
@@ -389,32 +394,25 @@ class _NetRouter:
         bstate: BatchSearchState,
         pf: float,
         stats: SearchStats,
-        journal: list[tuple[int, int]] | None = None,
     ) -> dict[int, tuple[list[PlanPip], set[int]]]:
         """Route one partition against a present-use column.
 
-        ``counts`` is the iteration-start present-use column (plus any
-        subtree overlay); ``old_wires`` maps each net index to the wires
-        it used in the previous iteration.  Nets are processed in
-        ascending index order: within a group, later nets see earlier
-        group-mates' fresh wires — exactly the serial semantics when the
-        group is the whole net list.  When ``journal`` is given, every
-        count mutation appends its inverse so the caller can revert the
-        table to its pre-call state (partition workers reuse one ledger
-        across tasks); serial callers pass a throwaway copy instead.
+        ``counts`` is a private copy of the iteration-start present-use
+        column (plus any subtree overlay), which this call updates as
+        it goes; ``old_wires`` maps each net index to the wires it used
+        in the previous iteration.  Nets are processed in ascending
+        index order: within a group, later nets see earlier group-mates'
+        fresh wires — exactly the serial semantics when the group is the
+        whole net list.
         """
         out: dict[int, tuple[list[PlanPip], set[int]]] = {}
         for idx in group:
             for w in old_wires[idx]:
                 counts[w] -= 1
-                if journal is not None:
-                    journal.append((w, 1))
             plan, wires = self.route_net(idx, nets[idx], counts, bstate, pf, stats)
             out[idx] = (plan, wires)
             for w in wires:
                 counts[w] += 1
-                if journal is not None:
-                    journal.append((w, -1))
         return out
 
 
@@ -426,30 +424,32 @@ def _fault_masks(graph, faults) -> tuple:
     return faults.unusable, graph.fault_edge_mask(faults).mask
 
 
+def _call_block(graph, device: Device, use_count, history) -> SharedColumns:
+    """One call's shared-memory block: the iteration-start congestion
+    columns, the blocked bitmap and the parent's own fault masks."""
+    cols = {
+        "use_count": use_count,
+        "history": history,
+        "blocked": device.state.occupied,
+    }
+    fault_node, fault_edge = _fault_masks(graph, device.faults)
+    if fault_node is not None:
+        cols["fault_node"] = fault_node
+        cols["fault_edge"] = np.frombuffer(fault_edge, dtype=np.uint8)
+    return SharedColumns("pf", cols)
+
+
 # -- process workers ----------------------------------------------------------
 #
-# Worker processes hold the attached shared-memory graph, the (cached)
-# architecture and one one-lane BatchSearchState in module globals, plus
-# an LRU of per-call congestion ledgers keyed by the parent's call
-# token.  A task carries the token, a sparse delta suffix and (until
-# every worker has been seen once) the call-static config; everything
-# else about the worker is stateless, so it does not matter which
-# worker executes which partition node.
+# A worker process holds the attached shared-memory graph, the (cached)
+# architecture and one one-lane BatchSearchState in module globals, and
+# nothing else: every task maps its call's block and unmaps it before
+# returning, so it does not matter which worker executes which
+# partition node.
 
 _W_GRAPH = None
 _W_ARCH = None
 _W_STATE = None
-#: per-call worker state: call token -> (ledger, config); bounded LRU
-_W_CALLS: "OrderedDict[tuple, _WorkerCall]" = OrderedDict()
-_W_CALL_CAP = 4
-
-
-class _WorkerCall:
-    __slots__ = ("ledger", "config")
-
-    def __init__(self, ledger: CongestionLedger, config: tuple) -> None:
-        self.ledger = ledger
-        self.config = config
 
 
 def _process_worker_init(meta: dict, part: str) -> None:
@@ -460,151 +460,70 @@ def _process_worker_init(meta: dict, part: str) -> None:
     _W_STATE = BatchSearchState(_W_GRAPH.n_nodes, 1)
 
 
-def _process_node_task(
-    token: tuple,
-    v_from: int,
-    v_target: int,
-    config: tuple | None,
-    deltas: Sequence[tuple[dict[int, int], dict[int, float]]],
+def _process_node_task(block_meta: dict, *task) -> tuple:
+    """Route one partition node inside a worker process.
+
+    Maps the call's block, routes ``task`` against it
+    (:func:`_route_node`) and unmaps it.  Returns ``("ok", {idx: (plan,
+    wires)}, stats_dict)`` or an error marker ``("unroutable" |
+    "deadline", message, stats_dict)`` — the parent re-raises the
+    matching exception with the identical message, the one the serial
+    loop raises for the same net.
+    """
+    shm, cols = attach_columns(block_meta)
+    try:
+        return _route_node(cols, *task)
+    except BaseException as exc:
+        # the traceback's frames still hold views of the block: clear
+        # them, so close() can unmap it and the error surfaces as itself
+        traceback.clear_frames(exc.__traceback__)
+        raise
+    finally:
+        cols.clear()
+        shm.close()
+
+
+def _route_node(
+    cols: Mapping[str, np.ndarray],
     group: Sequence[int],
     group_nets: Mapping[int, tuple[int, tuple[int, ...]]],
     old_wires: Mapping[int, tuple[int, ...]],
     overlay: Sequence[tuple[int, int]],
+    endpoint_ok: set[int],
+    name_blocked: bytes | None,
+    max_nodes: int,
     pf: float,
     deadline_ms: float | None,
 ) -> tuple:
-    """Route one partition node inside a worker process.
-
-    Returns ``("ok", {idx: (plan, wires)}, stats_dict, pid)`` or an
-    error marker ``("unroutable" | "deadline", message, stats_dict,
-    pid)`` — the parent re-raises the matching exception with the
-    identical message, the one the serial loop raises for the same net.
-    ``("stale", pid)`` asks the parent to resend
-    with the full delta history and config (a worker this call has not
-    seen yet received a suffix-only payload); results never depend on
-    which path delivered the state.
-    """
-    cs = _W_CALLS.get(token)
-    if cs is None:
-        if config is None or v_from != 0:
-            return ("stale", os.getpid())
-        cs = _WorkerCall(CongestionLedger(_W_GRAPH.n_nodes), config)
-        # single-threaded pool worker: this process runs one task at a
-        # time, so the call cache needs no lock
-        _W_CALLS[token] = cs  # repro: noqa RPR002
-        while len(_W_CALLS) > _W_CALL_CAP:
-            _W_CALLS.popitem(last=False)  # repro: noqa RPR002
-    else:
-        _W_CALLS.move_to_end(token)
-        if cs.ledger.version < v_from:
-            return ("stale", os.getpid())
-    ledger = cs.ledger
-    ledger.sync(deltas, v_from, v_target)
-    blocked, endpoint_ok, name_blocked, max_nodes, faults = cs.config
-    nets = {i: NetSpec.of(s, sk) for i, (s, sk) in group_nets.items()}
+    """Route one partition node against a mapped block's columns."""
+    counts = cols["use_count"].copy()
+    for w, d in overlay:
+        counts[w] += d
     router = _NetRouter(
         _W_GRAPH,
         _W_ARCH,
-        np.frombuffer(blocked, dtype=bool),
+        cols["blocked"],
         endpoint_ok,
         name_blocked,
-        ledger.history,
+        cols["history"],
         max_nodes,
         Deadline.after_ms(deadline_ms),
-        *_fault_masks(_W_GRAPH, faults),
+        cols.get("fault_node"),
+        cols.get("fault_edge"),
     )
+    nets = {i: NetSpec.of(s, sk) for i, (s, sk) in group_nets.items()}
     stats = SearchStats()
-    journal: list[tuple[int, int]] = []
     try:
-        ledger.overlay(overlay, journal)
-        out = router.route_group(
-            group, nets, old_wires, ledger.counts, _W_STATE, pf, stats, journal
-        )
+        out = router.route_group(group, nets, old_wires, counts, _W_STATE, pf, stats)
     except errors.DeadlineExceededError as e:
-        return ("deadline", e.message, stats.as_dict(), os.getpid())
+        return ("deadline", e.message, stats.as_dict())
     except errors.UnroutableError as e:
-        return ("unroutable", e.message, stats.as_dict(), os.getpid())
-    finally:
-        ledger.revert(journal)
+        return ("unroutable", e.message, stats.as_dict())
     return (
         "ok",
         {idx: (plan, tuple(wires)) for idx, (plan, wires) in out.items()},
         stats.as_dict(),
-        os.getpid(),
     )
-
-
-#: Monotonic call-token counter; with the graph token it names one
-#: routing call's worker-side congestion state uniquely process-wide.
-_CALL_SEQ = itertools.count()
-
-
-class _DeltaShipper:
-    """Parent-side sparse-delta shipping for one parallel routing call.
-
-    Tracks which worker pids have been seen (and at which congestion
-    version) so per-iteration payloads carry only the delta suffix the
-    stalest pool member might need.  Until every pool worker has
-    reported in, payloads conservatively include the full history and
-    the call-static config — after that, a task ships config-free and
-    delta-only.  Also meters the pickled payload size per iteration
-    (:attr:`ipc_bytes`), the quantity the regression tests pin against
-    device-size shipping.
-    """
-
-    __slots__ = (
-        "token", "config", "delta_log", "pid_versions", "pool_size",
-        "ipc_bytes",
-    )
-
-    def __init__(
-        self,
-        token: tuple,
-        config: tuple,
-        delta_log: list,
-        pool_size: int,
-    ) -> None:
-        self.token = token
-        self.config = config
-        self.delta_log = delta_log
-        self.pid_versions: dict[int, int] = {}
-        self.pool_size = pool_size
-        self.ipc_bytes: list[int] = []
-
-    def payload(
-        self,
-        v_target: int,
-        group,
-        group_nets,
-        old_wires,
-        overlay,
-        pf: float,
-        deadline_ms: float | None,
-        *,
-        full: bool = False,
-    ) -> tuple:
-        if full or len(self.pid_versions) < self.pool_size:
-            v_from, config = 0, self.config
-        else:
-            v_from, config = min(self.pid_versions.values()), None
-        args = (
-            self.token,
-            v_from,
-            v_target,
-            config,
-            self.delta_log[v_from:v_target],
-            group,
-            group_nets,
-            old_wires,
-            overlay,
-            pf,
-            deadline_ms,
-        )
-        self.ipc_bytes[-1] += len(pickle.dumps(args, pickle.HIGHEST_PROTOCOL))
-        return args
-
-    def seen(self, pid: int, version: int) -> None:
-        self.pid_versions[pid] = version
 
 
 #: Cached worker pools, keyed by (part name, worker count).  Reused
@@ -681,8 +600,10 @@ def route_pathfinder(
     is reported in :attr:`PathFinderResult.workers` and may be lower than
     requested when the workload cannot be split that finely.  ``workers=1``
     reproduces the serial algorithm exactly (plan-identical to the
-    pre-kernel implementation).  A pool whose worker died is dropped from
-    the cache: the call that meets it raises
+    pre-kernel implementation).  A pooled call publishes its congestion
+    state in one shared-memory block, unlinked when the call returns or
+    raises.  A pool whose worker died is dropped from the cache: the
+    call that meets it raises
     :class:`~concurrent.futures.process.BrokenProcessPool`, and the next
     call starts a fresh pool.
 
@@ -732,9 +653,6 @@ def route_pathfinder(
     plans: list[list[PlanPip]] = [[] for _ in nets]
     present_factor = present_factor_init
     stats = SearchStats()
-    #: sparse absolute congestion deltas, one entry per finished
-    #: iteration (the hybrid-update log the workers sync from)
-    delta_log: list[tuple[dict[int, int], dict[int, float]]] = []
 
     n_workers = max(1, min(workers, len(nets))) if nets else 1
     tree_nodes: list[PartitionNode] | None = None
@@ -748,36 +666,7 @@ def route_pathfinder(
         else:
             n_workers = n_leaves
 
-    shipper: _DeltaShipper | None = None
-    if n_workers > 1:
-        pool = _process_pool(arch, n_workers)
-        shipper = _DeltaShipper(
-            token=(graph.token, next(_CALL_SEQ)),
-            config=(
-                blocked.tobytes(),
-                frozenset(endpoint_ok),
-                name_blocked,
-                max_nodes_per_net,
-                device.faults,
-            ),
-            delta_log=delta_log,
-            pool_size=n_workers,
-        )
-    else:
-        serial = _NetRouter(
-            graph,
-            arch,
-            blocked,
-            endpoint_ok,
-            name_blocked,
-            history,
-            max_nodes_per_net,
-            deadline,
-            *_fault_masks(graph, device.faults),
-        )
-        serial_state = device.batch_search_state(1)
-
-    def run_tree(v_target: int, remaining_ms: float | None) -> dict:
+    def run_tree(remaining_ms: float | None) -> dict:
         """Execute one iteration's partition tree on the worker pool.
 
         Leaves launch immediately; an internal node launches once both
@@ -787,7 +676,7 @@ def route_pathfinder(
         regardless of completion timing, so a fixed worker count gives
         bit-identical outcomes whichever worker ran which node.
         """
-        assert tree_nodes is not None and shipper is not None
+        assert tree_nodes is not None and block is not None
         parent_of: dict[int, PartitionNode] = {}
         pending: dict[int, int] = {}
         for node in tree_nodes:
@@ -801,7 +690,6 @@ def route_pathfinder(
         #: per completed node: net-count deltas of its whole subtree
         updates: dict[int, dict[int, int]] = {}
         futs: dict[Future, PartitionNode] = {}
-        payloads: dict[int, tuple] = {}  # node payload params, for resends
         ready: list[PartitionNode] = [n for n in tree_nodes if n.is_leaf]
 
         def overlay_of(node: PartitionNode) -> list[tuple[int, int]]:
@@ -813,31 +701,23 @@ def route_pathfinder(
 
         def submit(node: PartitionNode, overlay) -> Future:
             group = list(node.nets)
-            params = (
+            args = (
+                block.meta,
                 group,
                 {idx: (nets[idx].source, nets[idx].sinks) for idx in group},
                 {idx: tuple(net_wires[idx]) for idx in group},
                 overlay,
+                endpoint_ok,
+                name_blocked,
+                max_nodes_per_net,
                 present_factor,
                 remaining_ms,
             )
-            payloads[node.index] = params
-            return pool.submit(
-                _process_node_task, *shipper.payload(v_target, *params)
-            )
+            ipc_bytes[-1] += len(pickle.dumps(args, pickle.HIGHEST_PROTOCOL))
+            return pool.submit(_process_node_task, *args)
 
-        def decode(node: PartitionNode, fut: Future) -> tuple:
-            raw = fut.result()
-            if raw[0] == "stale":
-                # an unseen worker got a suffix-only payload: resend the
-                # same node with the full log and config (result is the
-                # same either way; only the shipping path differs)
-                raw = pool.submit(
-                    _process_node_task,
-                    *shipper.payload(v_target, *payloads[node.index], full=True),
-                ).result()
-            kind, payload, stats_dict, pid = raw
-            shipper.seen(pid, v_target)
+        def decode(fut: Future) -> tuple:
+            kind, payload, stats_dict = fut.result()
             if kind == "ok":
                 payload = {
                     idx: (plan, set(wires)) for idx, (plan, wires) in payload.items()
@@ -863,28 +743,35 @@ def route_pathfinder(
                 if pending[parent.index] == 0 and parent.index not in child_failed:
                     ready.append(parent)
 
-        while True:
-            while ready:
-                node = ready.pop(0)
-                if not node.nets:
-                    complete(node, {}, SearchStats())
-                    continue
-                futs[submit(node, overlay_of(node))] = node
-            if not futs:
-                break
-            done, _ = wait(list(futs), return_when=FIRST_COMPLETED)
-            for fut in sorted(done, key=lambda f: futs[f].index):
-                node = futs.pop(fut)
-                kind, payload, nstats = decode(node, fut)
-                if kind == "ok":
-                    complete(node, payload, nstats)
-                else:
-                    failures[node.index] = (kind, payload, nstats)
-                    node_stats[node.index] = nstats
-                    parent = parent_of.get(node.index)
-                    while parent is not None:  # no ancestor may launch
-                        child_failed.add(parent.index)
-                        parent = parent_of.get(parent.index)
+        try:
+            while True:
+                while ready:
+                    node = ready.pop(0)
+                    if not node.nets:
+                        complete(node, {}, SearchStats())
+                        continue
+                    futs[submit(node, overlay_of(node))] = node
+                if not futs:
+                    break
+                done, _ = wait(list(futs), return_when=FIRST_COMPLETED)
+                for fut in sorted(done, key=lambda f: futs[f].index):
+                    node = futs.pop(fut)
+                    kind, payload, nstats = decode(fut)
+                    if kind == "ok":
+                        complete(node, payload, nstats)
+                    else:
+                        failures[node.index] = (kind, payload, nstats)
+                        node_stats[node.index] = nstats
+                        parent = parent_of.get(node.index)
+                        while parent is not None:  # no ancestor may launch
+                            child_failed.add(parent.index)
+                            parent = parent_of.get(parent.index)
+        finally:
+            # an error can leave tasks queued or running: none may
+            # outlive the block the call is about to unlink
+            for fut in futs:
+                fut.cancel()
+            wait(futs)
 
         for i in sorted(node_stats):
             stats.merge(node_stats[i])
@@ -901,10 +788,28 @@ def route_pathfinder(
     converged = False
     timed_out = False
     iteration = 0
+    ipc_bytes: list[int] = []
+    block: SharedColumns | None = None
+    if n_workers > 1:
+        pool = _process_pool(arch, n_workers)
+        block = _call_block(graph, device, use_count, history)
+    else:
+        serial = _NetRouter(
+            graph,
+            arch,
+            blocked,
+            endpoint_ok,
+            name_blocked,
+            history,
+            max_nodes_per_net,
+            deadline,
+            *_fault_masks(graph, device.faults),
+        )
+        serial_state = device.batch_search_state(1)
     try:
         for iteration in range(1, max_iterations + 1):
             try:
-                if shipper is None:
+                if block is None:
                     counts = use_count.copy()
                     merged = serial.route_group(
                         list(range(len(nets))),
@@ -928,11 +833,11 @@ def route_pathfinder(
                             )
                         rem = deadline.remaining_ms()
                         remaining_ms = None if rem == float("inf") else rem
-                    shipper.ipc_bytes.append(0)
+                    ipc_bytes.append(0)
                     try:
-                        merged = run_tree(iteration - 1, remaining_ms)
+                        merged = run_tree(remaining_ms)
                     except BrokenProcessPool:
-                        # raised by submit, by a result or by a resend
+                        # raised by submit or by a result
                         _drop_pool(arch, n_workers, pool)
                         raise
             except errors.DeadlineExceededError:
@@ -941,9 +846,7 @@ def route_pathfinder(
                 # is just the honest not-converged result
                 timed_out = True
                 break
-            # iteration barrier: fold results into the usage index and
-            # derive the sparse absolute delta for the hybrid-update log
-            counts_assign: dict[int, int] = {}
+            # iteration barrier: fold results into the usage index
             touched: set[int] = set()
             for idx, (plan, wires) in merged.items():
                 plans[idx] = plan
@@ -962,22 +865,21 @@ def route_pathfinder(
                 c = len(users) if users else 0
                 if c == 0:
                     usage.pop(w, None)
-                if c != use_count[w]:
-                    use_count[w] = c
-                    counts_assign[w] = c
+                use_count[w] = c
             shared = [w for w, users in usage.items() if len(users) > 1]
             if not shared:
                 converged = True
                 break
-            history_assign: dict[int, float] = {}
-            for w in shared:
-                history[w] += history_increment
-                # plain floats: the shipped delta's pickle stays lean
-                history_assign[w] = float(history[w])
-            delta_log.append((counts_assign, history_assign))
+            history[shared] += history_increment
+            if block is not None:  # no task is in flight at the barrier
+                block.write("use_count", use_count)
+                block.write("history", history)
             present_factor *= present_factor_mult
     finally:
-        # the process pool is cached for reuse; shut down at exit
+        # the process pool is cached for reuse (shut down at exit); the
+        # block is this call's alone
+        if block is not None:
+            block.close()
         record_global(stats)
 
     result = PathFinderResult(
@@ -986,7 +888,7 @@ def route_pathfinder(
         stats=stats,
         workers=n_workers,
         timed_out=timed_out,
-        ipc_bytes=shipper.ipc_bytes if shipper is not None else [],
+        ipc_bytes=ipc_bytes,
     )
     if converged:
         for idx in range(len(nets)):

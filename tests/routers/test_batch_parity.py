@@ -36,7 +36,6 @@ every path, batch or not, templates on or off.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -948,6 +947,45 @@ class TestCliBatch:
         assert "--workers must be 1" in capsys.readouterr().err
 
 
+def _init_worker_in_process(monkeypatch, arch) -> None:
+    """Make this process a pool worker of ``arch``'s part, as the pool
+    initializer does (``monkeypatch`` restores the module globals)."""
+    for name in ("_W_GRAPH", "_W_ARCH", "_W_STATE"):
+        monkeypatch.setattr(pathfinder_mod, name, None)
+    pathfinder_mod._process_worker_init(
+        shared_graph_export(arch).meta, arch.part.name
+    )
+    assert isinstance(pathfinder_mod._W_STATE, BatchSearchState)
+
+
+def _worker_task_in_process(monkeypatch, device, nets):
+    """Run one pool-worker task in this process: the whole net list as
+    one partition node of a call's first iteration, against a block of
+    that iteration's state.  Returns the task's ``(kind, out, stats)``."""
+    _init_worker_in_process(monkeypatch, device.arch)
+    graph = device.routing_graph()
+    zeros = np.zeros(graph.n_nodes)
+    block = pathfinder_mod._call_block(
+        graph, device, zeros.astype(np.int64), zeros
+    )
+    group = list(range(len(nets)))
+    try:
+        return pathfinder_mod._process_node_task(
+            block.meta,
+            group,
+            {i: (nets[i].source, nets[i].sinks) for i in group},
+            {i: () for i in group},
+            [],
+            {w for net in nets for w in (net.source, *net.sinks)},
+            None,
+            400_000,
+            0.5,
+            None,
+        )
+    finally:
+        block.close()
+
+
 class TestPathFinderRunsTheWavefront:
     """Every PathFinder sink search is a one-lane ``dijkstra_batch``
     call, serial or in a pool worker; the scalar kernel is never used."""
@@ -970,28 +1008,8 @@ class TestPathFinderRunsTheWavefront:
         assert len(wavefronts) == serial.stats.searches > 0
         for args in wavefronts:
             assert len(args[2]) == 1  # one lane per sink search
-        # one pool-worker task, run in this process: the whole net list
-        # as one partition node of the first iteration
-        for name in ("_W_GRAPH", "_W_ARCH", "_W_STATE"):
-            monkeypatch.setattr(pathfinder_mod, name, None)
-        monkeypatch.setattr(pathfinder_mod, "_W_CALLS", OrderedDict())
-        pathfinder_mod._process_worker_init(
-            shared_graph_export(device.arch).meta, PART
-        )
-        assert isinstance(pathfinder_mod._W_STATE, BatchSearchState)
-        endpoints = frozenset(
-            w for net in nets for w in (net.source, *net.sinks)
-        )
-        config = (
-            device.state.occupied.tobytes(), endpoints, None, 400_000, None
-        )
-        group = list(range(len(nets)))
         before = len(wavefronts)
-        kind, out, stats, _pid = pathfinder_mod._process_node_task(
-            ("in-process", 0), 0, 0, config, [], group,
-            {i: (nets[i].source, nets[i].sinks) for i in group},
-            {i: () for i in group}, [], 0.5, None,
-        )
+        kind, out, stats = _worker_task_in_process(monkeypatch, device, nets)
         assert kind == "ok"
         assert len(wavefronts) - before == stats["searches"] == serial.stats.searches
         assert {i: plan for i, (plan, _w) in out.items()} == serial.plans

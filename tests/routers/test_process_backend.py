@@ -7,8 +7,10 @@ identical from run to run, on a fresh pool and on a reused one, and
 whichever worker ran which node; ``workers=1`` is the serial loop and
 ships nothing.  These tests pin that contract, the exactness of the
 merged stats accounting (no lost updates at the iteration barrier or in
-``GLOBAL_STATS``), recovery from a worker that died, and the
-shared-memory graph export/attach/cleanup lifecycle the pool is built on.
+``GLOBAL_STATS``), recovery from a worker that died, fault flips
+between pooled calls, the size of what a task ships, and the
+shared-memory lifecycles the pool is built on: the graph export and
+each call's block.
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ import gc
 import os
 import signal
 import time
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import shared_memory
 
 import pytest
 
 from repro import errors
+from repro.arch import graph as graph_mod
 from repro.arch import wires
 from repro.arch.graph import (
     SharedGraphExport,
@@ -39,6 +44,11 @@ from repro.device.faults import FaultModel
 from repro.routers import NetSpec, route_pathfinder
 from repro.routers import pathfinder as pathfinder_mod
 from repro.routers.pathfinder import build_partition_tree, shutdown_process_pools
+from tests.routers.test_batch_parity import (
+    _counting,
+    _init_worker_in_process,
+    _worker_task_in_process,
+)
 
 PART = "XCV50"
 
@@ -84,7 +94,7 @@ def _disjoint_workload(device):
 def _clusters_workload(device):
     """Two separable clusters of five nets, each funnelled into the
     *same two* sink wires: the sharing can never resolve, so every
-    iteration reroutes and ships a fresh (small) congestion delta."""
+    iteration reroutes against fresh congestion state."""
 
     def cluster(r0, c0):
         out = []
@@ -125,6 +135,31 @@ def _assert_same(a, b, label) -> None:
     assert a.plans == b.plans, label
     assert a.stats.as_dict() == b.stats.as_dict(), label
     assert a.workers == b.workers, label
+
+
+@pytest.fixture()
+def call_blocks(monkeypatch):
+    """Names of the shared-memory blocks pooled calls create, in order."""
+    names = []
+    real = pathfinder_mod._call_block
+
+    def recording(*args):
+        block = real(*args)
+        names.append(block.meta["name"])
+        return block
+
+    monkeypatch.setattr(pathfinder_mod, "_call_block", recording)
+    return names
+
+
+def _assert_unlinked(names) -> None:
+    """Every named block is gone, and each is named for CI's
+    ``/dev/shm/jroute_*`` leak check."""
+    assert names
+    for name in names:
+        assert name.startswith("jroute_"), name
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
 
 
 class TestBackendParity:
@@ -225,11 +260,12 @@ class TestRouterWorkers:
 
 
 class TestPoolRecovery:
-    def test_killed_worker_pool_is_replaced(self):
+    def test_killed_worker_pool_is_replaced(self, call_blocks):
         """A worker killed between calls breaks the cached pool.  The
-        call that meets the broken pool may raise, but the pool must
-        leave the cache: the next call converges on a fresh pool, with
-        the plans and stats of an undisturbed run."""
+        call that meets the broken pool may raise, but it unlinks its
+        block and the pool must leave the cache: the next call converges
+        on a fresh pool, with the plans and stats of an undisturbed
+        run."""
         want = _route(2)
         assert want.workers == 2
         pool = pathfinder_mod._POOLS[(PART, 2)]
@@ -241,10 +277,12 @@ class TestPoolRecovery:
             except BrokenProcessPool:
                 break
             assert time.monotonic() < give_up, "the pool never broke"
+        del call_blocks[:]
         try:
             _route(2)
         except BrokenProcessPool:
             pass  # the call that meets the broken pool may fail
+        _assert_unlinked(call_blocks)
         got = _route(2)
         assert pathfinder_mod._POOLS[(PART, 2)] is not pool
         _assert_same(got, want, "after a worker was killed")
@@ -275,50 +313,213 @@ class TestFaultyFabric:
             _assert_same(runs["process"], runs["again"], seed)
 
 
-class TestDeltaShipping:
-    """Per-iteration IPC payloads must scale with the congestion delta,
-    not with the device."""
+class TestTaskPayloads:
+    """A task ships the block's meta and its node's nets and scalars;
+    the device state stays in the call's block."""
 
-    def test_bytes_shipped_scale_with_delta_not_device(self):
-        """PR 8's process backend re-shipped ``blocked.tobytes()`` plus
-        full use-count/history snapshots to every worker every
-        iteration.  The delta protocol ships the call-static config once
-        per worker and sparse per-iteration deltas after that, so after
-        warm-up an iteration's total payload must be a small fraction of
-        the device's wire count — not a multiple of it."""
+    def test_every_iteration_ships_less_than_the_device(self):
+        """Six iterations of a workload that never converges, clean and
+        faulty: no iteration's task arguments, the first included, reach
+        an eighth of the wire count (PR 8 shipped a multiple of it every
+        iteration; the blocked bitmap alone is one byte per wire), and a
+        reused pool replays the fresh pool's run exactly."""
+        arch = VirtexArch(PART)
+        n_nodes = routing_graph(arch).n_nodes
+        for rate in (0.0, 0.05):
 
-        n_nodes = Device(PART).routing_graph().n_nodes
-        res, again = _fresh_then_warm(
-            _route, 2, _clusters_workload, max_iterations=6
-        )
-        assert res.workers == 2
-        assert len(res.ipc_bytes) == res.iterations == 6
-        # warm-up carries each worker's one-time config (dominated by
-        # the blocked bitmap: one byte per wire per worker)
-        assert res.ipc_bytes[0] > n_nodes
-        # steady state ships sparse deltas only: orders of magnitude
-        # below the device size PR 8 shipped every iteration
-        assert min(res.ipc_bytes[2:]) < n_nodes // 8
+            def run():
+                faults = (
+                    FaultModel.random(arch, seed=3, stuck_open_rate=rate)
+                    if rate
+                    else None
+                )
+                device = Device(PART, faults=faults)
+                return route_pathfinder(
+                    device,
+                    _clusters_workload(device),
+                    workers=2,
+                    apply=False,
+                    max_iterations=6,
+                )
+
+            res, again = _fresh_then_warm(run)
+            assert res.workers == 2, rate
+            assert len(res.ipc_bytes) == res.iterations == 6, rate
+            assert max(res.ipc_bytes) < n_nodes // 8, (rate, res.ipc_bytes)
+            _assert_same(res, again, rate)
         # a serial run does no IPC at all
         assert _route(1, _clusters_workload, max_iterations=6).ipc_bytes == []
-        # six delta-synced iterations replay exactly on the reused pool
-        _assert_same(res, again, "delta-synced iterations")
 
-    def test_delta_suffixes_match_full_history(self, monkeypatch):
-        """Suffix shipping must leave every worker's ledger where the
-        full history would.  With ``_DeltaShipper.seen`` a no-op the
-        parent never learns a worker's version, so every payload ships
-        the config and the whole delta log from version 0 — the oracle
-        neither slices a suffix nor syncs a ledger from mid-history."""
-        n_nodes = Device(PART).routing_graph().n_nodes
-        suffix = _route(2, _clusters_workload, max_iterations=6)
+
+class _InProcessPool:
+    """An executor that runs each task in this process as it is submitted."""
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+class _Unmapped:
+    """Stands in for a mapped segment that was never mapped."""
+
+    def close(self) -> None:
+        pass
+
+
+class TestBlockTransport:
+    """The block carries exactly the parent's state to every task."""
+
+    def test_pool_tasks_see_the_parents_state(self, monkeypatch):
+        """Six iterations on a four-worker pool (more workers than a
+        2-CPU host has cores), each rewriting ``use_count`` and
+        ``history`` in the block at the barrier, give the results of the
+        same tree whose tasks run one by one in this process against the
+        parent's own columns, with no block in between.  A write the
+        workers missed would price a later iteration differently."""
+
+        def workload(device):
+            return _clusters_workload(device) + _random_workload(device, n=8)
+
+        want = _route(4, workload, max_iterations=6)
+        assert want.workers == 4 and want.iterations == 6
+
+        parent_cols: dict = {}
+        real = pathfinder_mod._call_block
+
+        def capturing(graph, device, use_count, history):
+            parent_cols.update(
+                use_count=use_count,
+                history=history,
+                blocked=device.state.occupied,
+            )
+            return real(graph, device, use_count, history)
+
+        _init_worker_in_process(monkeypatch, VirtexArch(PART))
+        monkeypatch.setattr(pathfinder_mod, "_call_block", capturing)
         monkeypatch.setattr(
-            pathfinder_mod._DeltaShipper, "seen", lambda *_: None
+            pathfinder_mod, "_process_pool", lambda arch, workers: _InProcessPool()
         )
-        full = _route(2, _clusters_workload, max_iterations=6)
-        assert min(suffix.ipc_bytes[2:]) < n_nodes // 8
-        assert min(full.ipc_bytes) > n_nodes  # config every iteration
-        _assert_same(full, suffix, "suffix vs full-history shipping")
+        monkeypatch.setattr(
+            pathfinder_mod,
+            "attach_columns",
+            lambda meta: (_Unmapped(), dict(parent_cols)),
+        )
+        _assert_same(want, _route(4, workload, max_iterations=6), "in-process")
+
+
+class TestCallBlockLifecycle:
+    """A pooled call's block is unlinked however the call ends."""
+
+    def test_converged_call_unlinks_its_block(self, call_blocks):
+        assert _route(2).converged
+        _assert_unlinked(call_blocks)
+
+    def test_unroutable_call_unlinks_its_block(self, call_blocks):
+        with pytest.raises(errors.UnroutableError):
+            _route(2, max_nodes_per_net=1)
+        _assert_unlinked(call_blocks)
+
+    def test_worker_error_surfaces_as_itself(self, monkeypatch):
+        """An unexpected error inside a task leaves views of the block in
+        its traceback's frames; the task still unmaps the block, and the
+        error surfaces as itself, not as the ``BufferError`` an unmap
+        under live views raises."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("search blew up")
+
+        device = Device(PART)
+        nets = _random_workload(device)
+        monkeypatch.setattr(pathfinder_mod, "dijkstra_batch", broken)
+        with pytest.raises(RuntimeError, match="search blew up"):
+            _worker_task_in_process(monkeypatch, device, nets)
+
+    def test_timed_out_call_unlinks_its_block(self, call_blocks):
+        device = Device(PART)
+        res = route_pathfinder(
+            device, _random_workload(device), workers=2, deadline=Deadline(0.0)
+        )
+        assert res.timed_out and res.workers == 2
+        _assert_unlinked(call_blocks)
+
+
+class TestFaultFlipsBetweenCalls:
+    """Fault flips between pooled calls reach every search, and the
+    parent's fault masks are the only ones built."""
+
+    def test_pooled_calls_route_around_fault_flips(self):
+        """One router, two ``route_nets`` calls on its pool: a PIP of
+        one routed net stuck open and a wire of another killed in
+        between.  The second call avoids both, and routes as the same
+        call on a fresh pool and a fresh device with the same faults."""
+        arch = VirtexArch(PART)
+        pairs = [
+            (n.source, n.sinks[0])
+            for n in random_p2p_nets(arch, 8, seed=5, min_span=2, max_span=10)
+        ]
+
+        def model():
+            return FaultModel.random(arch, seed=2, stuck_open_rate=0.05)
+
+        faults = model()
+        router = JRouter(part=PART, attach_jbits=False, faults=faults, workers=2)
+        first = router.route_nets(pairs)
+        assert first.converged and first.workers == 2
+        row, col, frm, to = first.plans[0][0]
+        pip = (arch.canonicalize(row, col, frm), arch.canonicalize(row, col, to))
+        row, col, _frm, to = first.plans[1][-2]  # a wire short of the sink
+        wire = arch.canonicalize(row, col, to)
+
+        def flipped(faults):
+            faults.break_pip(*pip)
+            faults.kill_wire(wire)
+            return faults
+
+        flipped(faults)
+        for src, _sink in pairs:
+            router.unroute(src)
+        assert not router.device.state.pip_of
+        second = router.route_nets(pairs)
+        assert second.converged
+        for rec in router.device.state.pip_of.values():
+            assert not faults.pip_blocked(rec.canon_from, rec.canon_to)
+        assert second.plans != first.plans
+
+        shutdown_process_pools()
+        fresh = JRouter(
+            part=PART, attach_jbits=False, faults=flipped(model()), workers=2
+        )
+        _assert_same(second, fresh.route_nets(pairs), "fresh pool and device")
+
+    def test_fault_masks_built_once_per_fault_version(self, monkeypatch):
+        """Counting ``FaultEdgeMask`` constructions: the parent builds
+        one per fault-model version, and a worker task builds none,
+        reading the parent's masks from the block."""
+        arch = VirtexArch(PART)
+        faults = FaultModel.random(arch, seed=4, stuck_open_rate=0.05)
+        device = Device(PART, faults=faults)
+        nets = _random_workload(device)
+        builds = _counting(monkeypatch, graph_mod, "FaultEdgeMask")
+
+        def pooled():
+            res = route_pathfinder(device, nets, workers=2, apply=False)
+            assert res.converged and res.workers == 2
+            return res
+
+        first = pooled()
+        assert len(builds) == 1
+        pooled()
+        assert len(builds) == 1  # unchanged version: nothing rebuilt
+        kind, _out, stats = _worker_task_in_process(monkeypatch, device, nets)
+        assert kind == "ok" and stats["faults_avoided"] > 0
+        assert len(builds) == 1  # the worker read the block's mask
+        row, col, frm, to = first.plans[0][0]
+        faults.break_pip(
+            arch.canonicalize(row, col, frm), arch.canonicalize(row, col, to)
+        )
+        pooled()
+        assert len(builds) == 2
 
 
 class TestStatsAccounting:
