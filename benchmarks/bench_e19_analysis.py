@@ -8,18 +8,20 @@ Measures what ``repro analyze`` costs and proves what it catches:
   predefined template library;
 * **WAL + checkpoint lint** — replay-legality scan of a real
   :class:`~repro.core.wal.DurableSession` journal;
-* **codelint sweep** — the per-file AST hazard pass over the ``repro``
-  package source;
-* **interprocedural sweep** — the whole-program layer on top (call
-  graph + CFG dataflow: RPR009-RPR012), reported as LoC/s and as
-  overhead versus the syntactic-only sweep;
+* **codelint sweep** — the per-file AST pass (RPR001, RPR003, RPR006,
+  RPR007) over the ``repro`` package source, parse included;
+* **interprocedural sweep** — the whole ``repro analyze`` run: the
+  per-file pass plus the call graph and CFG dataflow that own every
+  other code rule, reported as LoC/s and as overhead versus the
+  per-file pass alone;
 * **seeded-defect detection** (``--check``) — generate a corpus where
   *every* plan carries a deliberate drive conflict and require the
   linter to report each one, and none on the clean twin; plus the
   concurrency twin: the seeded defect corpus under
-  ``tests/analysis/fixtures/code`` must be detected at 100% per rule
-  (RPR009-RPR012) with zero findings on the good twins.  This is the
-  CI detection gate::
+  ``tests/analysis/fixtures/code`` (its table,
+  ``CODE_CORPUS_SEEDED``, lives in ``fixtures/regen.py``) must be
+  detected at 100% per rule with zero findings on the good twins.
+  This is the CI detection gate::
 
       PYTHONPATH=src python benchmarks/bench_e19_analysis.py --smoke --check
 
@@ -40,6 +42,7 @@ from repro.analysis import analyze_paths, default_target
 from repro.analysis.plans import load_plans, random_plan_corpus
 from repro.analysis import routelint
 from repro.arch.virtex import VirtexArch
+from repro.bench.experiments import syntactic_sweep
 from repro.bench.workloads import random_p2p_nets
 from repro.core import DurableSession, JRouter
 from repro.core.wal import write_checkpoint
@@ -49,19 +52,18 @@ DISPLACEMENTS = ((2, 3), (0, 4), (5, 0), (3, 3))
 
 BASELINE = Path(__file__).resolve().parent.parent / "BENCH_routing.json"
 
-#: the seeded concurrency-defect corpus (written by fixtures/regen.py)
-CODE_CORPUS_DIR = os.path.join(
+#: the analysis fixtures; ``code/`` holds the seeded concurrency corpus
+FIXTURES_DIR = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
-    os.pardir, "tests", "analysis", "fixtures", "code",
+    os.pardir, "tests", "analysis", "fixtures",
 )
-#: per-file (rule, seeded-count) contract — keep in sync with
-#: tests/analysis/fixtures/regen.py::CODE_CORPUS_SEEDED
-CODE_CORPUS_SEEDED = {
-    "bad_rpr009.py": ("RPR009", 2),
-    "bad_rpr010.py": ("RPR010", 1),
-    "bad_rpr011.py": ("RPR011", 1),
-    "bad_rpr012.py": ("RPR012", 2),
-}
+CODE_CORPUS_DIR = os.path.join(FIXTURES_DIR, "code")
+
+sys.path.insert(0, FIXTURES_DIR)
+#: per-file (rule, seeded-count) contract, keyed by fixture-relative path
+from regen import CODE_CORPUS_SEEDED  # noqa: E402
+
+sys.path.pop(0)
 
 
 def _package_loc(report) -> int:
@@ -151,7 +153,7 @@ def run(smoke: bool) -> int:
     dt_wal = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    syntactic = analyze_paths([default_target()], interprocedural=False)
+    n_files = syntactic_sweep(default_target())
     dt_syn = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -165,8 +167,8 @@ def run(smoke: bool) -> int:
           f"{dt_tpl * 1e3:8.1f} ms  ({tpl_findings} finding(s))")
     print(f"wal+ckpt lint                 {dt_wal * 1e3:8.1f} ms  "
           f"({len(wal_findings) + len(ckpt_findings)} finding(s))")
-    print(f"codelint    {len(syntactic.inputs):4d} files         "
-          f"{dt_syn * 1e3:8.1f} ms  (syntactic only)")
+    print(f"codelint    {n_files:4d} files         "
+          f"{dt_syn * 1e3:8.1f} ms  (per-file pass only)")
     print(f"interproc   {len(report.inputs):4d} files / {loc} LoC "
           f"{dt_code * 1e3:8.1f} ms  ({loc / dt_code:,.0f} LoC/s, "
           f"{(dt_code - dt_syn) * 1e3:+.1f} ms over syntactic, "
@@ -245,7 +247,7 @@ def concurrency_corpus_check() -> tuple[list[str], list[str], int]:
     report = analyze_paths([CODE_CORPUS_DIR])
     per_file: dict[str, dict[str, int]] = {}
     for f in report.findings:
-        name = os.path.basename(f.file)
+        name = _corpus_name(f.file)
         per_file.setdefault(name, {}).setdefault(f.rule, 0)
         per_file[name][f.rule] += 1
     missed: list[str] = []
@@ -259,12 +261,17 @@ def concurrency_corpus_check() -> tuple[list[str], list[str], int]:
         if got != planted:
             missed.append(f"{name}: {got}/{planted} {rule}")
     for f in report.findings:
-        name = os.path.basename(f.file)
-        if name.startswith("good_"):
+        name = _corpus_name(f.file)
+        if os.path.basename(name).startswith("good_"):
             noise.append(f"{name}:{f.line} {f.rule}")
         elif name in CODE_CORPUS_SEEDED and f.rule != CODE_CORPUS_SEEDED[name][0]:
             noise.append(f"{name}:{f.line} {f.rule} (off-target)")
     return missed, noise, detected
+
+
+def _corpus_name(path: str) -> str:
+    """A finding's file as ``CODE_CORPUS_SEEDED`` keys it."""
+    return os.path.relpath(path, FIXTURES_DIR).replace(os.sep, "/")
 
 
 def main(argv: list[str]) -> int:

@@ -1,17 +1,21 @@
 """Static analysis for routing artifacts and for our own source.
 
-Two engines, one finding format (:mod:`repro.analysis.findings`):
+Three layers, one finding format (:mod:`repro.analysis.findings`):
 
 * :mod:`repro.analysis.routelint` — Layer 1, fabric-aware validation of
   Paths, templates, port maps, serialized PIP plans, WALs and
   checkpoints against the architecture model, with no routing runs;
-* :mod:`repro.analysis.codelint` — Layer 2, an AST pass over the source
-  tree detecting the concurrency-hazard bug classes previous PRs fixed;
+* :mod:`repro.analysis.codelint` — Layer 2, a per-file AST pass over the
+  source tree for the bug classes one module shows on its own
+  (RPR001, RPR003, RPR006, RPR007) and ``# repro: noqa`` parsing;
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.cfg` /
   :mod:`repro.analysis.dataflow` — Layer 3, whole-program call graph,
-  per-function control-flow graphs and the interprocedural dataflow
-  passes (transitive blocking, lock ordering, spawn reachability,
-  resource paths) behind rules RPR009-RPR012.
+  per-function control-flow graphs and the dataflow passes behind every
+  other code rule (global mutation, deadline polling, shared-memory
+  and resource lifetimes, blocking calls, lock ordering).
+
+Each code rule is the verdict of exactly one pass, and every sweep runs
+all of them.
 
 ``repro analyze`` (see :mod:`repro.cli`) drives all of them; CI runs it
 with ``--strict`` as a merge gate and ``--diff`` on pull requests.  The

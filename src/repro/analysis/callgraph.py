@@ -35,10 +35,11 @@ Resolution is deliberately *best-effort and unsound* (documented in
 ``docs/ANALYSIS.md``): direct names, ``self``/``cls`` methods,
 single-assignment local types (``x = ClassName(...)``, annotated
 parameters, project constructors and annotated return types),
-``functools.partial`` and lambdas handed to executors all resolve;
-arbitrary higher-order flow and monkey-patching do not.  Unresolved
-calls simply produce no edge — the dataflow passes built on top treat
-missing edges as "no evidence", never as proof of safety.
+``functools.partial``, lambdas handed to executors and the builtin
+``open`` (unless an import, module global or local rebinds the name)
+all resolve; arbitrary higher-order flow and monkey-patching do not.
+Unresolved calls simply produce no edge — the dataflow passes built on
+top treat missing edges as "no evidence", never as proof of safety.
 """
 
 from __future__ import annotations
@@ -535,7 +536,6 @@ class CallGraph:
         #: every ``with <lock>:`` acquisition, per function
         self.acquisitions: dict[str, list[LockAcquisition]] = {}
         self._out: dict[str, list[CallSite]] = {}
-        self._in: dict[str, list[CallSite]] = {}
 
     @classmethod
     def build(cls, index: ProjectIndex) -> "CallGraph":
@@ -544,7 +544,6 @@ class CallGraph:
             _FunctionResolver(graph, info).run()
         for site in graph.edges:
             graph._out.setdefault(site.caller, []).append(site)
-            graph._in.setdefault(site.callee, []).append(site)
         return graph
 
     # -- queries -----------------------------------------------------------
@@ -552,17 +551,9 @@ class CallGraph:
     def callees(self, qual: str) -> list[CallSite]:
         return self._out.get(qual, [])
 
-    def callers(self, qual: str) -> list[CallSite]:
-        return self._in.get(qual, [])
-
-    def reachable(
-        self,
-        roots: Iterable[str],
-        *,
-        kinds: frozenset[str] | None = None,
-    ) -> set[str]:
-        """Project functions reachable from ``roots`` along edges whose
-        kind is in ``kinds`` (None = every kind)."""
+    def reachable(self, roots: Iterable[str]) -> set[str]:
+        """Project functions reachable from ``roots`` along edges of
+        every kind."""
         seen: set[str] = set()
         stack = [r for r in roots if r in self.index.functions]
         while stack:
@@ -571,8 +562,6 @@ class CallGraph:
                 continue
             seen.add(q)
             for site in self.callees(q):
-                if kinds is not None and site.kind not in kinds:
-                    continue
                 if not site.external and site.callee not in seen:
                     stack.append(site.callee)
         return seen
@@ -585,12 +574,9 @@ class CallGraph:
             if s.kind == "spawn-process" and not s.external
         }
 
-    def shortest_chain(
-        self, start: str, goal: "str | set[str]"
-    ) -> list[CallSite]:
-        """BFS chain of call-kind edges from ``start`` to ``goal``
-        (a callee qualname or a set of them); empty when unreachable."""
-        goals = {goal} if isinstance(goal, str) else set(goal)
+    def shortest_chain(self, start: str, goals: set[str]) -> list[CallSite]:
+        """BFS chain of call-kind edges from ``start`` to any callee in
+        ``goals``; empty when unreachable."""
         prev: dict[str, CallSite] = {}
         seen = {start}
         queue = [start]
@@ -718,6 +704,8 @@ class _FunctionResolver:
             ext = self.index.external_name(self.mod, node.id)
             if ext is not None and node.id in self.mod.imports:
                 return EXT_PREFIX + ext
+            if node.id == "open" and not self._shadowed(node.id):
+                return EXT_PREFIX + "open"  # the builtin
             return None
         if isinstance(node, ast.Attribute):
             text = _dotted_text(node)
@@ -740,6 +728,15 @@ class _FunctionResolver:
             if ext is not None:
                 return EXT_PREFIX + ext
         return None
+
+    def _shadowed(self, name: str) -> bool:
+        """True when a module global, a parameter or a local assignment
+        rebinds ``name`` (imports and defs resolve before this test)."""
+        return name in self.mod.globals or name in self.info.params or any(
+            isinstance(n, ast.Name) and n.id == name
+            and isinstance(n.ctx, ast.Store)
+            for n in ast.walk(self.info.node)
+        )
 
     def _self_attr_ref(self, dotted: str) -> str | None:
         """Resolve ``self.x`` / ``self.x.y`` through methods and the

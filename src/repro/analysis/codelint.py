@@ -1,20 +1,21 @@
-"""Layer 2: AST-based concurrency-hazard detection over our own source.
+"""Layer 2: the per-file AST pass over our own source.
 
-Every rule here (``RPR001``-``RPR007``) is a named, regression-proof
-form of a bug class a previous PR actually hit and fixed — ``id()``-keyed
-caches aliasing collected objects, module globals mutated off-lock from
-worker threads, executors constructed per loop iteration, search loops a
-deadline cannot bound, leaked shared-memory segments, broad excepts
-that swallow :class:`~repro.errors.RoutingFailure` context, and
+Each rule here is a named, regression-proof form of a bug class a
+previous PR actually hit and fixed: ``id()``-keyed caches aliasing
+collected objects (``RPR001``), executors constructed per loop
+iteration (``RPR003``), broad excepts that swallow
+:class:`~repro.errors.RoutingFailure` context (``RPR006``), and
 per-element Python loops over numpy arrays in paths the vectorized
-batch kernel exists to keep scalar-free.  The pass is
+batch kernel exists to keep scalar-free (``RPR007``).  The pass is
 purely syntactic (:mod:`ast`), needs no imports of the analysed code,
-and is fast enough to run on every commit.
+and sees one module at a time; every other code rule needs the call
+graph and lives in :mod:`repro.analysis.dataflow`.
 
 Suppression: a finding on a line containing ``# repro: noqa`` (all
 rules) or ``# repro: noqa RPR004`` (listed rules only) is moved to the
 report's ``suppressed`` list instead of dropped, so CI can still count
-justified exceptions.
+justified exceptions.  :func:`parse_noqa` and :func:`apply_noqa` serve
+every code rule, whichever pass emitted it.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import ast
 import io
 import re
 import tokenize
-from typing import Iterator
 
 from .findings import Finding, Severity
 
-__all__ = ["lint_source", "lint_parsed", "lint_file", "parse_noqa", "apply_noqa"]
+__all__ = ["lint_parsed", "parse_noqa", "apply_noqa"]
 
 #: ``# repro: noqa`` / ``# repro: noqa RPR001,RPR004`` (ids optional).
 #: Matched only inside a comment *token* (never a string literal), and a
@@ -42,23 +42,6 @@ _NOQA_RE = re.compile(
 
 #: call names whose first positional argument is a mapping key
 _KEYED_METHODS = {"get", "setdefault", "pop"}
-
-#: attribute calls that mutate their receiver in place
-_MUTATORS = {
-    "append",
-    "extend",
-    "insert",
-    "add",
-    "update",
-    "merge",
-    "clear",
-    "pop",
-    "popitem",
-    "remove",
-    "discard",
-    "setdefault",
-    "appendleft",
-}
 
 #: executor/pool constructors (RPR003)
 _POOLS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Pool"}
@@ -77,19 +60,6 @@ _SOA_ATTRS = {"cost", "backptr", "node_epoch"}
 
 #: project failure types whose silent discard loses structured context
 _FAILURES = {"JRouteError", "RoutingFailure"}
-
-#: dotted blocking calls that stall an event loop (RPR008)
-_BLOCKING_DOTTED = {
-    "time.sleep",
-    "subprocess.run",
-    "subprocess.call",
-    "subprocess.check_call",
-    "subprocess.check_output",
-    "subprocess.Popen",
-}
-
-#: bare names that block: builtin file I/O (RPR008)
-_BLOCKING_BARE = {"open"}
 
 
 def parse_noqa(source: str) -> dict[int, frozenset[str] | None]:
@@ -174,46 +144,20 @@ def _np_rooted(call: ast.Call) -> bool:
 class _CodeLinter(ast.NodeVisitor):
     """One pass over a module, accumulating findings.
 
-    The visitor keeps three bits of scope context while descending:
-    the enclosing loop stack (RPR003/RPR004), the enclosing ``with``
-    items (RPR002's lock-guard exemption), and the enclosing function
-    (RPR004's deadline parameter).
+    The visitor keeps two bits of scope context while descending: the
+    enclosing loop stack (RPR003) and, per function scope, the names
+    bound to numpy arrays (RPR007).
     """
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.source = source
-        self.tree = tree
         self.findings: list[Finding] = []
-        # module-level names bound to mutable containers / objects
-        self.module_globals = self._collect_module_globals(tree)
-        self.module_text_has_unlink = ".unlink" in source or re.search(
-            r"\batexit\.register\b", source
-        ) is not None
         self._loops: list[ast.For | ast.While] = []
-        self._withs: list[ast.With] = []
-        self._funcs: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
         # names bound to numpy arrays, one frame per scope; nested
         # functions see enclosing frames (closures over SoA columns)
         self._arrays: list[set[str]] = [set()]
 
     # -- plumbing ----------------------------------------------------------
-
-    @staticmethod
-    def _collect_module_globals(tree: ast.Module) -> set[str]:
-        out: set[str] = set()
-        for node in tree.body:
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-            else:
-                continue
-            for t in targets:
-                if isinstance(t, ast.Name):
-                    out.add(t.id)
-        return out
 
     def _emit(
         self,
@@ -235,31 +179,12 @@ class _CodeLinter(ast.NodeVisitor):
             )
         )
 
-    def _under_lock(self) -> bool:
-        """True inside a ``with`` whose context expression names a lock."""
-        for w in self._withs:
-            for item in w.items:
-                if "lock" in _dotted(item.context_expr).lower():
-                    return True
-        return False
-
-    def _is_module_global(self, name: str) -> bool:
-        return name in self.module_globals
-
     # -- scope tracking ----------------------------------------------------
 
-    def visit_With(self, node: ast.With) -> None:
-        self._withs.append(node)
-        self.generic_visit(node)
-        self._withs.pop()
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_deadline_loops(node)
-        self._funcs.append(node)
         self._arrays.append(set())
         self.generic_visit(node)
         self._arrays.pop()
-        self._funcs.pop()
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self.visit_FunctionDef(node)  # type: ignore[arg-type]
@@ -291,7 +216,7 @@ class _CodeLinter(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- RPR001 (keyed methods) / RPR003 / RPR005 --------------------------
+    # -- RPR001 (keyed methods) / RPR003 -----------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _call_name(node)
@@ -320,92 +245,9 @@ class _CodeLinter(ast.NodeVisitor):
                 "hoist the pool out of the loop and reuse its workers "
                 "across iterations",
             )
-        self._check_blocking_in_async(node)
-        if name == "SharedMemory" and any(
-            isinstance(k, ast.keyword)
-            and k.arg == "create"
-            and isinstance(k.value, ast.Constant)
-            and k.value.value is True
-            for k in node.keywords
-        ):
-            if not self.module_text_has_unlink:
-                self._emit(
-                    "RPR005",
-                    Severity.ERROR,
-                    node,
-                    "SharedMemory(create=True) in a module that never "
-                    "unlinks a segment",
-                    "register cleanup (atexit.register or a finally "
-                    "calling .close()/.unlink()) or the segment "
-                    "outlives the process",
-                )
-        self.generic_visit(node)
-
-    # -- RPR008: blocking calls inside async def ---------------------------
-
-    def _check_blocking_in_async(self, node: ast.Call) -> None:
-        """A synchronous stall inside a coroutine freezes the whole loop.
-
-        Only the *innermost* enclosing function matters: a blocking call
-        inside a nested sync ``def`` is fine (that function presumably
-        runs on a worker thread via ``asyncio.to_thread`` or an
-        executor); the same call directly in an ``async def`` body
-        stalls every connection the event loop is serving.
-        """
-        if not self._funcs or not isinstance(
-            self._funcs[-1], ast.AsyncFunctionDef
-        ):
-            return
-        dotted = _dotted(node.func)
-        blocking = dotted in _BLOCKING_DOTTED or (
-            isinstance(node.func, ast.Name) and node.func.id in _BLOCKING_BARE
-        )
-        if not blocking:
-            return
-        self._emit(
-            "RPR008",
-            Severity.ERROR,
-            node,
-            f"blocking call {dotted}(...) inside async def "
-            f"{self._funcs[-1].name!r}",
-            "the event loop stalls for every connection while this "
-            "runs; use the async equivalent (asyncio.sleep, "
-            "asyncio.to_thread, loop.run_in_executor, a subprocess "
-            "via asyncio.create_subprocess_exec)",
-        )
-
-    # -- RPR002: unguarded module-global mutation --------------------------
-
-    def _flag_global_mutation(self, node: ast.AST, name: str, how: str) -> None:
-        if not self._funcs or self._under_lock():
-            return
-        self._emit(
-            "RPR002",
-            Severity.ERROR,
-            node,
-            f"module global {name!r} {how} outside a lock guard",
-            "wrap the mutation in the module's lock (e.g. `with "
-            "_LOCK:`) or confine the state to one thread",
-        )
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        t = node.target
-        if isinstance(t, ast.Name) and self._is_module_global(t.id):
-            self._flag_global_mutation(node, t.id, "is aug-assigned")
-        elif isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name):
-            if self._is_module_global(t.value.id):
-                self._flag_global_mutation(
-                    node, t.value.id, "has an item aug-assigned"
-                )
         self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        for t in node.targets:
-            if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name):
-                if self._is_module_global(t.value.id):
-                    self._flag_global_mutation(
-                        node, t.value.id, "has an item assigned"
-                    )
         self._track_arrays(node)
         self.generic_visit(node)
 
@@ -490,111 +332,6 @@ class _CodeLinter(ast.NodeVisitor):
                     )
                     return
 
-    def visit_Expr(self, node: ast.Expr) -> None:
-        v = node.value
-        if (
-            isinstance(v, ast.Call)
-            and isinstance(v.func, ast.Attribute)
-            and v.func.attr in _MUTATORS
-            and isinstance(v.func.value, ast.Name)
-            and self._is_module_global(v.func.value.id)
-        ):
-            self._flag_global_mutation(
-                node, v.func.value.id, f"is mutated via .{v.func.attr}()"
-            )
-        self.generic_visit(node)
-
-    # -- RPR004: deadline-poll-missing -------------------------------------
-
-    def _check_deadline_loops(
-        self, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        params = {
-            a.arg
-            for a in [
-                *func.args.posonlyargs,
-                *func.args.args,
-                *func.args.kwonlyargs,
-            ]
-        }
-        if "deadline" not in params:
-            return
-        tracked = self._deadline_derived_names(func)
-        for loop, guarded in self._unbounded_loops(func, tracked):
-            if guarded:
-                continue
-            if _names_in(loop) & tracked:
-                continue
-            self._emit(
-                "RPR004",
-                Severity.WARNING,
-                loop,
-                f"unbounded loop in {func.name}() never polls the "
-                f"deadline parameter",
-                "call deadline.poll() (masked is fine) inside the "
-                "loop, or document why the loop is bounded and "
-                "suppress with `# repro: noqa RPR004`",
-            )
-
-    @staticmethod
-    def _deadline_derived_names(func: ast.AST) -> set[str]:
-        """``deadline`` plus every local name whose value is computed
-        from it (``fast = ... and deadline is None``): a branch on a
-        derived flag is a branch on the deadline.  The propagation is a
-        tiny intra-function dataflow fixpoint over assignments.
-        """
-        tracked = {"deadline"}
-        changed = True
-        while changed:
-            changed = False
-            for node in ast.walk(func):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if node is not func:
-                        continue
-                if not isinstance(node, ast.Assign):
-                    continue
-                if not _names_in(node.value) & tracked:
-                    continue
-                for t in node.targets:
-                    if isinstance(t, ast.Name) and t.id not in tracked:
-                        tracked.add(t.id)
-                        changed = True
-        return tracked
-
-    @staticmethod
-    def _unbounded_loops(
-        func: ast.AST, tracked: set[str] | None = None
-    ) -> Iterator[tuple[ast.While, bool]]:
-        """Yield ``(while_loop, deadline_guarded)`` for unbounded loops.
-
-        A loop is *unbounded* when its test is a constant true or a bare
-        name (``while heap:``) — the classic search-loop shapes.  It is
-        *guarded* when some ancestor ``if`` that dominates the loop
-        mentions ``deadline`` or a name derived from it (the compiled
-        kernel's ``fast`` flag), because the branch already encodes the
-        budget decision.
-        """
-        names = tracked if tracked is not None else {"deadline"}
-
-        def walk(node: ast.AST, guard: bool) -> Iterator[tuple[ast.While, bool]]:
-            for child in ast.iter_child_nodes(node):
-                g = guard
-                if isinstance(child, ast.If) and _names_in(child.test) & names:
-                    g = True
-                if isinstance(child, ast.While):
-                    test = child.test
-                    unbounded = (
-                        isinstance(test, ast.Constant) and bool(test.value)
-                    ) or isinstance(test, ast.Name)
-                    if unbounded:
-                        yield child, g
-                if not isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    yield from walk(child, g)
-
-        yield from walk(func, False)
-
     # -- RPR006: swallowed exceptions --------------------------------------
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
@@ -637,17 +374,15 @@ class _CodeLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_parsed(
-    path: str, source: str, tree: ast.Module
-) -> list[Finding]:
+def lint_parsed(path: str, tree: ast.Module) -> list[Finding]:
     """Raw syntactic findings for an already-parsed module.
 
-    No suppression is applied: the whole-program driver merges these
-    with the interprocedural findings first, *then* resolves
-    ``# repro: noqa`` once over the union (so a directive suppressing
-    only an interprocedural rule still counts as used).
+    No suppression is applied: the driver merges these with the
+    whole-program findings first, *then* resolves ``# repro: noqa`` once
+    over the union (so a directive suppressing only a whole-program rule
+    still counts as used).
     """
-    linter = _CodeLinter(path, source, tree)
+    linter = _CodeLinter(path)
     linter.visit(tree)
     return linter.findings
 
@@ -670,32 +405,3 @@ def apply_noqa(
         kept.append(f)
     kept.sort(key=lambda f: (f.line or 0, f.col or 0, f.rule))
     return kept, suppressed, used
-
-
-def lint_source(
-    source: str, path: str = "<input>"
-) -> tuple[list[Finding], list[Finding]]:
-    """Lint Python source text; returns ``(findings, suppressed)``."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as e:
-        f = Finding.make(
-            "RPR006",
-            Severity.ERROR,
-            f"cannot parse: {e.msg}",
-            hint="the code linter needs syntactically valid Python",
-            file=path,
-            line=e.lineno,
-            col=(e.offset - 1) if e.offset else None,
-        )
-        return [f], []
-    kept, suppressed, _ = apply_noqa(
-        lint_parsed(path, source, tree), parse_noqa(source)
-    )
-    return kept, suppressed
-
-
-def lint_file(path: str) -> tuple[list[Finding], list[Finding]]:
-    """Lint one Python file; returns ``(findings, suppressed)``."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return lint_source(fh.read(), path)

@@ -1,39 +1,43 @@
 """Forward dataflow passes over the call graph and per-function CFGs.
 
 This is the interprocedural layer of ``repro analyze``: the syntactic
-pass (:mod:`repro.analysis.codelint`) sees one function body at a time;
-the passes here see the whole program through the
+pass (:mod:`repro.analysis.codelint`) sees one module at a time; the
+passes here see the whole program through the
 :class:`~repro.analysis.callgraph.CallGraph` and the per-function
 :class:`~repro.analysis.cfg.CFG`, which is where the concurrency bugs
 this repo has actually shipped live — every hazard fixed by hand in
 PRs 4, 8 and 9 crossed a function boundary.
 
-Passes and the rules they feed:
+Each rule is the verdict of exactly one pass (the syntactic pass owns
+RPR001, RPR003, RPR006 and RPR007; the driver owns RPR013):
 
 * **blocking-call propagation** — the fixpoint closure of "calls a
   blocking primitive" over synchronous call edges.  Feeds RPR008
-  (import-alias-aware direct blocking in ``async def``) and RPR009
-  (*transitive* blocking reachable from an ``async def`` through sync
-  helpers — the call chain is printed in the finding).
+  (a blocking call directly in an ``async def``, import aliases and the
+  builtin ``open`` resolved) and RPR009 (*transitive* blocking
+  reachable from an ``async def`` through sync helpers — the call
+  chain is printed in the finding).
 * **lockset tracking** — every ``with <lock>:`` acquisition knows which
   locks are already held, including locks held across call edges into
   functions that acquire more.  A cycle in the resulting lock-order
   graph is RPR010 (two call paths can interleave into deadlock).
-* **spawn-reachability** — functions reachable from a
-  ``spawn-process`` entry point run in a child under ``spawn``: module
-  globals there are per-process copies.  A mutation of a global that
-  parent-side code also reads is RPR011 (the update silently never
-  crosses the process boundary).
-* **resource-escape analysis** — for every resource constructed and
-  bound to a local (``SharedMemory(create=True)``, executors, bare
-  ``open``), walk the CFG: if some path reaches the function exit (or a
-  rebinding of the name) without releasing or escaping the resource,
-  that path leaks it — RPR012, the path-sensitive generalisation of
-  RPR005.
-* **deadline-poll closure** — which functions (transitively) poll a
-  deadline token.  Feeds the interprocedural upgrade of RPR004: an
-  unbounded loop whose body *calls a polling helper* is bounded, no
-  ``# repro: noqa`` needed.
+* **module-global mutation** — one walker finds every item/aug
+  assignment, mutator call and ``global`` rebinding of a module global.
+  A mutation outside a ``with`` naming a lock is RPR002 (a data race
+  once threads share the module; bare rebinds excepted).  Functions
+  reachable from a ``spawn-process`` entry point run in a child under
+  ``spawn``: a mutation there of a global that parent-side code reads
+  is RPR011 (the update silently never crosses the process boundary).
+* **resource paths** — for every resource constructed and bound to a
+  local (``SharedMemory(create=True)``, executors, bare ``open``), walk
+  the CFG: if some path reaches the function exit (or a rebinding of
+  the name) without releasing or escaping the resource, that path
+  leaks it — RPR012.  Any other ``SharedMemory(create=True)`` segment
+  (returned, stored, handed off or closed) in a module that never
+  unlinks is RPR005.
+* **deadline polling** — an unbounded loop in a ``deadline``-taking
+  function that neither mentions the deadline nor calls a function
+  that (transitively) polls one is RPR004.
 
 Soundness limits are documented in ``docs/ANALYSIS.md`` — unresolved
 calls produce no edges, so these passes can miss (never invent)
@@ -44,23 +48,32 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .callgraph import (
     EXT_PREFIX,
     CallGraph,
-    CallSite,
     FunctionInfo,
+    ModuleInfo,
     ProjectIndex,
     _dotted_text,
 )
 from .cfg import CFG
-from .codelint import _BLOCKING_BARE, _BLOCKING_DOTTED
+from .codelint import _dotted, _names_in
 from .findings import Finding, Severity
 
 __all__ = ["InterproceduralResult", "analyze_project"]
 
-#: external dotted names that block the calling thread
-BLOCKING_EXT = frozenset(_BLOCKING_DOTTED) | frozenset(_BLOCKING_BARE)
+#: external dotted names that block the calling thread (RPR008/RPR009)
+BLOCKING_EXT = frozenset({
+    "time.sleep",
+    "subprocess.run",
+    "subprocess.call",
+    "subprocess.check_call",
+    "subprocess.check_output",
+    "subprocess.Popen",
+    "open",
+})
 
 #: resource constructors RPR012 tracks, by callee tail name
 _RESOURCE_CTORS = {
@@ -71,14 +84,14 @@ _RESOURCE_CTORS = {
     "open": "file handle",
 }
 
+#: the one kind RPR005 also judges
+_SEGMENT = _RESOURCE_CTORS["SharedMemory"]
+
 #: method names that release a tracked resource
 _RELEASERS = {
     "close", "unlink", "shutdown", "terminate", "join", "release",
     "cleanup", "stop",
 }
-
-#: container/registration mutators that make a stored value escape
-_STORE_METHODS = {"append", "add", "insert", "register", "put", "setdefault"}
 
 
 @dataclass(slots=True)
@@ -86,28 +99,17 @@ class InterproceduralResult:
     """Everything the driver needs from one whole-program pass."""
 
     findings: list[Finding] = field(default_factory=list)
-    #: ``(file, line)`` of syntactic RPR004 findings proven bounded by
-    #: a polling helper called inside the loop
-    rpr004_exempt: set[tuple[str, int]] = field(default_factory=set)
-    #: functions whose blocking-closure is non-empty (diagnostics)
-    blocking: dict[str, list[str]] = field(default_factory=dict)
-    #: lock-order edges observed: (outer, inner) -> witness site
-    lock_order: dict[tuple[str, str], tuple[str, int]] = field(
-        default_factory=dict
-    )
 
 
 def analyze_project(
-    index: ProjectIndex, graph: CallGraph | None = None
+    index: ProjectIndex, graph: CallGraph
 ) -> InterproceduralResult:
-    """Run every interprocedural pass; returns findings + exemptions."""
-    if graph is None:
-        graph = CallGraph.build(index)
+    """Run every whole-program pass; returns their findings."""
     result = InterproceduralResult()
     _blocking_pass(index, graph, result)
     _lock_order_pass(index, graph, result)
-    _spawn_globals_pass(index, graph, result)
-    _resource_path_pass(index, graph, result)
+    _global_mutation_pass(index, graph, result)
+    _resource_pass(index, result)
     _deadline_poll_pass(index, graph, result)
     result.findings.sort(
         key=lambda f: (f.file, f.line or 0, f.col or 0, f.rule)
@@ -116,15 +118,7 @@ def analyze_project(
 
 
 # ---------------------------------------------------------------------------
-# blocking-call propagation (RPR008 upgrade + RPR009)
-
-
-def _direct_blocking_sites(graph: CallGraph, qual: str) -> list[CallSite]:
-    return [
-        s
-        for s in graph.callees(qual)
-        if s.kind == "call" and s.external and s.target in BLOCKING_EXT
-    ]
+# blocking-call propagation (RPR008 + RPR009)
 
 
 def _blocking_closure(
@@ -136,10 +130,13 @@ def _blocking_closure(
     Async callees never propagate (calling one only builds a coroutine)
     and spawn/task edges never propagate (the work leaves this thread).
     """
-    blocking = {q: False for q in index.functions}
-    for q in blocking:
-        if _direct_blocking_sites(graph, q):
-            blocking[q] = True
+    blocking = {
+        q: any(
+            s.kind == "call" and s.external and s.target in BLOCKING_EXT
+            for s in graph.callees(q)
+        )
+        for q in index.functions
+    }
     changed = True
     while changed:
         changed = False
@@ -159,25 +156,18 @@ def _blocking_closure(
     return blocking
 
 
-def _chain_text(graph: CallGraph, start: str, short: bool = True) -> str:
-    """Render ``start -> helper -> time.sleep`` for a finding message."""
+def _chain_text(graph: CallGraph, start: str) -> str:
+    """Render ``start -> helper -> sleep`` for a finding message."""
     goals = {EXT_PREFIX + p for p in BLOCKING_EXT}
     chain = graph.shortest_chain(start, goals)
-    names = [start.rsplit(".", 1)[-1] if short else start]
-    for site in chain:
-        names.append(site.target.rsplit(".", 1)[-1] if short else site.target)
-    return " -> ".join(names)
+    names = [start, *(site.target for site in chain)]
+    return " -> ".join(n.rsplit(".", 1)[-1] for n in names)
 
 
 def _blocking_pass(
     index: ProjectIndex, graph: CallGraph, result: InterproceduralResult
 ) -> None:
     blocking = _blocking_closure(index, graph)
-    result.blocking = {
-        q: [s.target for s in _direct_blocking_sites(graph, q)]
-        for q, b in blocking.items()
-        if b
-    }
     for qual, info in index.functions.items():
         if not info.is_async:
             continue
@@ -185,18 +175,19 @@ def _blocking_pass(
             if site.kind != "call":
                 continue
             if site.external and site.target in BLOCKING_EXT:
-                # direct, but resolved through an import alias the
-                # syntactic RPR008 cannot see; the driver de-duplicates
-                # against codelint's own RPR008 on the same line
+                # only this function's own body: a nested sync def is
+                # its own node (it presumably runs off the loop)
                 result.findings.append(
                     Finding.make(
                         "RPR008",
                         Severity.ERROR,
                         f"blocking call {site.target}(...) inside async "
                         f"def {info.name!r}",
-                        hint="the event loop stalls while this runs; use "
-                        "the async equivalent (asyncio.sleep, "
-                        "asyncio.to_thread, loop.run_in_executor)",
+                        hint="the event loop stalls for every connection "
+                        "while this runs; use the async equivalent "
+                        "(asyncio.sleep, asyncio.to_thread, "
+                        "loop.run_in_executor, a subprocess via "
+                        "asyncio.create_subprocess_exec)",
                         file=site.file,
                         line=site.lineno,
                         col=site.col,
@@ -278,7 +269,6 @@ def _lock_order_pass(
         for inner in acquired.get(site.callee, ()):
             for outer in site.locks:
                 record(outer, inner, site.file, site.lineno)
-    result.lock_order = order
 
     # cycle detection over the order graph (iterative DFS)
     adj: dict[str, set[str]] = {}
@@ -330,17 +320,32 @@ def _lock_order_pass(
 
 
 # ---------------------------------------------------------------------------
-# spawn-reachable global mutation (RPR011)
+# module-global mutation: off-lock (RPR002) and spawn-lost (RPR011)
+
+#: attribute calls that mutate their receiver in place
+_MUTATORS = frozenset({
+    "append", "extend", "insert", "add", "update", "merge", "clear", "pop",
+    "popitem", "remove", "discard", "setdefault", "appendleft", "record",
+})
+
+#: RPR002's wording of a mutation shape (RPR011 says ``how`` as is)
+_OFF_LOCK_HOW = {
+    "aug-assigned": "is aug-assigned",
+    "item aug-assigned": "has an item aug-assigned",
+    "item-assigned": "has an item assigned",
+}
 
 
 @dataclass(slots=True)
 class _GlobalUse:
     name: str
-    node: ast.AST
+    node: ast.stmt
     how: str
+    #: inside a ``with`` whose context expression names a lock
+    locked: bool
 
 
-def _walk_own(root: ast.AST):
+def _walk_own(root: ast.AST) -> Iterator[ast.AST]:
     """Walk ``root``'s subtree without descending into nested function
     bodies (those are analysed as their own call-graph nodes)."""
     stack = list(ast.iter_child_nodes(root))
@@ -352,47 +357,52 @@ def _walk_own(root: ast.AST):
         stack.extend(ast.iter_child_nodes(node))
 
 
+#: the statement lists nested inside a compound statement (``try``
+#: handlers and ``match`` cases hold theirs one level down)
+_STMT_BLOCKS = ("body", "orelse", "finalbody")
+
+
+def _names_a_lock(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.With) and any(
+        "lock" in _dotted(item.context_expr).lower() for item in stmt.items
+    )
+
+
 def _global_mutations(
     info: FunctionInfo, module_globals: set[str]
 ) -> list[_GlobalUse]:
-    """Module-global mutations inside one function body (the RPR002
-    shapes: item/aug assignment, mutator method calls, rebinding under
-    a ``global`` declaration)."""
+    """Module-global mutations inside one function body: item or aug
+    assignment, a mutator method call, or a rebinding under a ``global``
+    declaration."""
     out: list[_GlobalUse] = []
-    declared_global: set[str] = set()
-    body = info.node.body if not isinstance(info.node, ast.Lambda) else []
-    for stmt in body:
-        for node in [stmt, *_walk_own(stmt)]:
+    declared: set[str] = set()
+
+    def add(name: str, node: ast.stmt, how: str, locked: bool) -> None:
+        if name in module_globals:
+            out.append(_GlobalUse(name, node, how, locked))
+
+    def walk(body: list[ast.stmt], locked: bool) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
             if isinstance(node, ast.Global):
-                declared_global.update(node.names)
+                declared.update(node.names)
             elif isinstance(node, ast.AugAssign):
                 t = node.target
-                if isinstance(t, ast.Name) and t.id in module_globals:
-                    out.append(_GlobalUse(t.id, node, "aug-assigned"))
-                elif (
-                    isinstance(t, ast.Subscript)
-                    and isinstance(t.value, ast.Name)
-                    and t.value.id in module_globals
+                if isinstance(t, ast.Name):
+                    add(t.id, node, "aug-assigned", locked)
+                elif isinstance(t, ast.Subscript) and isinstance(
+                    t.value, ast.Name
                 ):
-                    out.append(
-                        _GlobalUse(t.value.id, node, "item aug-assigned")
-                    )
+                    add(t.value.id, node, "item aug-assigned", locked)
             elif isinstance(node, ast.Assign):
                 for t in node.targets:
-                    if (
-                        isinstance(t, ast.Subscript)
-                        and isinstance(t.value, ast.Name)
-                        and t.value.id in module_globals
+                    if isinstance(t, ast.Subscript) and isinstance(
+                        t.value, ast.Name
                     ):
-                        out.append(
-                            _GlobalUse(t.value.id, node, "item-assigned")
-                        )
-                    elif (
-                        isinstance(t, ast.Name)
-                        and t.id in declared_global
-                        and t.id in module_globals
-                    ):
-                        out.append(_GlobalUse(t.id, node, "rebound"))
+                        add(t.value.id, node, "item-assigned", locked)
+                    elif isinstance(t, ast.Name) and t.id in declared:
+                        add(t.id, node, "rebound", locked)
             elif isinstance(node, ast.Expr) and isinstance(
                 node.value, ast.Call
             ):
@@ -400,19 +410,19 @@ def _global_mutations(
                 if (
                     isinstance(f, ast.Attribute)
                     and isinstance(f.value, ast.Name)
-                    and f.value.id in module_globals
-                    and f.attr
-                    in {
-                        "append", "extend", "insert", "add", "update",
-                        "merge", "clear", "pop", "popitem", "remove",
-                        "discard", "setdefault", "appendleft", "record",
-                    }
+                    and f.attr in _MUTATORS
                 ):
-                    out.append(
-                        _GlobalUse(
-                            f.value.id, node, f"mutated via .{f.attr}()"
-                        )
-                    )
+                    add(f.value.id, node, f"mutated via .{f.attr}()", locked)
+            inner = locked or _names_a_lock(node)
+            for block in _STMT_BLOCKS:
+                walk(getattr(node, block, []), inner)
+            for part in getattr(node, "handlers", []) or getattr(
+                node, "cases", []
+            ):
+                walk(part.body, inner)
+
+    if not isinstance(info.node, ast.Lambda):
+        walk(info.node.body, False)
     return out
 
 
@@ -467,12 +477,12 @@ def _atexit_registered(index: ProjectIndex) -> set[str]:
     return out
 
 
-def _spawn_globals_pass(
+def _global_mutation_pass(
     index: ProjectIndex, graph: CallGraph, result: InterproceduralResult
 ) -> None:
+    """RPR002 (off-lock) and RPR011 (spawn-lost) from one walk of each
+    function's module-global mutations."""
     roots = graph.spawn_process_roots()
-    if not roots:
-        return
     # everything a child process can execute, along any edge kind —
     # a thread inside the child is still inside the child
     child = graph.reachable(roots)
@@ -487,18 +497,26 @@ def _spawn_globals_pass(
     }
     maybe_worker |= _atexit_registered(index)
     workerish = child | graph.reachable(maybe_worker)
-    for qual in sorted(child):
-        info = index.functions.get(qual)
-        if info is None:
-            continue
-        mod = index.modules.get(info.module)
-        if mod is None:
-            continue
-        mutations = _global_mutations(info, mod.globals)
-        if not mutations:
-            continue
-        for mut in mutations:
-            if _memo_return(info, mut):
+    for qual, info in index.functions.items():
+        mod = index.modules[info.module]
+        for mut in _global_mutations(info, mod.globals):
+            line, col = mut.node.lineno, mut.node.col_offset
+            if not mut.locked and mut.how != "rebound":
+                how = _OFF_LOCK_HOW.get(mut.how, f"is {mut.how}")
+                result.findings.append(
+                    Finding.make(
+                        "RPR002",
+                        Severity.ERROR,
+                        f"module global {mut.name!r} {how} outside a "
+                        f"lock guard",
+                        hint="wrap the mutation in the module's lock (e.g. "
+                        "`with _LOCK:`) or confine the state to one thread",
+                        file=info.file,
+                        line=line,
+                        col=col,
+                    )
+                )
+            if qual not in child or _memo_return(info, mut):
                 continue
             # only a hazard when parent-side code *reads* the global:
             # a worker-private cache mutated and read only on child
@@ -528,28 +546,24 @@ def _spawn_globals_pass(
                     "or mark deliberately per-process state with "
                     "`# repro: noqa RPR011`",
                     file=info.file,
-                    line=getattr(mut.node, "lineno", info.lineno),
-                    col=getattr(mut.node, "col_offset", None),
+                    line=line,
+                    col=col,
                 )
             )
 
 
 # ---------------------------------------------------------------------------
-# resource-escape / release-on-every-path (RPR012)
+# resource paths: leaked locals (RPR012) and never-unlinked segments (RPR005)
 
 
 def _resource_kind(
-    index: ProjectIndex, info: FunctionInfo, call: ast.Call
+    index: ProjectIndex, mod: ModuleInfo, call: ast.Call
 ) -> str | None:
     """Classify a constructor call as a tracked resource, or None."""
-    text = _dotted_text(call.func)
+    f = call.func
+    tail = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+    text = _dotted_text(f) if tail in _RESOURCE_CTORS else None
     if text is None:
-        return None
-    tail = text.rsplit(".", 1)[-1]
-    if tail not in _RESOURCE_CTORS:
-        return None
-    mod = index.modules.get(info.module)
-    if mod is None:
         return None
     if tail == "open":
         # only the builtin: a project `open`/method named open is not a
@@ -662,76 +676,120 @@ def _rebinds(stmt: ast.stmt, name: str) -> bool:
     return False
 
 
-def _resource_path_pass(
-    index: ProjectIndex, graph: CallGraph, result: InterproceduralResult
-) -> None:
-    for qual, info in index.functions.items():
-        if isinstance(info.node, ast.Lambda):
-            continue
-        creations: list[tuple[ast.Assign, str, str]] = []
-        for stmt in ast.walk(info.node):
-            if not isinstance(stmt, ast.Assign):
-                continue
-            if (
-                len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-            ):
-                kind = _resource_kind(index, info, stmt.value)
+def _resource_pass(index: ProjectIndex, result: InterproceduralResult) -> None:
+    """RPR012 and RPR005 from one walk of each function's resource
+    constructors: a resource bound to a local that leaks on some CFG
+    path is RPR012's; every other ``create=True`` segment in a module
+    that never unlinks is RPR005's."""
+    unlinks: dict[str, bool] = {}
+    for info in index.functions.values():
+        mod = index.modules[info.module]
+        kinds: dict[ast.expr, str] = {}
+        bound: list[tuple[ast.Assign, str]] = []
+        for node in _walk_own(info.node):
+            if isinstance(node, ast.Call):
+                kind = _resource_kind(index, mod, node)
                 if kind is not None:
-                    creations.append((stmt, stmt.targets[0].id, kind))
-        if not creations:
+                    kinds[node] = kind
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name):
+                    bound.append((node, target.id))
+        if not kinds:
             continue
-        cfg = CFG.build(info.node)
-        for stmt, name, kind in creations:
-            start = cfg.node_for(stmt)
-            if start is None:
-                continue  # inside a nested function; its own pass sees it
-            stops = {
-                n.id
-                for n in cfg.nodes
-                if n.stmt is not None
-                and n.stmt is not stmt
-                and (_releases(n.stmt, name) or _escapes(n.stmt, name))
-            }
-            # a release anywhere inside a finally body counts for every
-            # path through that finally — a guard around the shutdown
-            # (``if pool is not None: pool.shutdown()``) usually
-            # correlates with the creation branch, which path-insensitive
-            # reachability cannot see
-            releasing_finals = _finally_releases(info.node, name)
-            stops |= {
-                n.id
-                for n in cfg.nodes
-                if n.stmt is not None and n.stmt in releasing_finals
-            }
-            leaks = {
-                n.id
-                for n in cfg.nodes
-                if n.stmt is not None
-                and n.stmt is not stmt
-                and _rebinds(n.stmt, name)
-            }
-            # a path that reaches exit (or rebinds the only name bound
-            # to the resource) without releasing/escaping leaks it
-            leaked = cfg.paths_escape(
-                start, stops=stops | leaks
-            ) or _reaches(cfg, start, leaks, stops)
-            if leaked:
-                result.findings.append(
-                    Finding.make(
-                        "RPR012",
-                        Severity.WARNING,
-                        f"{kind} {name!r} is not released on every path "
-                        f"out of {info.name}()",
-                        hint="release in a finally (or `with`), or hand "
-                        "ownership out explicitly (return it / store it "
-                        "/ atexit.register the cleanup) on every path",
-                        file=info.file,
-                        line=stmt.lineno,
-                        col=stmt.col_offset,
-                    )
+        leaked: set[ast.expr] = set()
+        cfg: CFG | None = None
+        for stmt, name in bound:
+            if stmt.value not in kinds:
+                continue
+            if cfg is None:
+                cfg = CFG.build(info.node)
+            if not _leaks(cfg, info.node, stmt, name):
+                continue
+            leaked.add(stmt.value)
+            result.findings.append(
+                Finding.make(
+                    "RPR012",
+                    Severity.WARNING,
+                    f"{kinds[stmt.value]} {name!r} is not released on every "
+                    f"path out of {info.name}()",
+                    hint="release in a finally (or `with`), or hand "
+                    "ownership out explicitly (return it / store it "
+                    "/ atexit.register the cleanup) on every path",
+                    file=info.file,
+                    line=stmt.lineno,
+                    col=stmt.col_offset,
                 )
+            )
+        for call, kind in kinds.items():
+            if kind != _SEGMENT or call in leaked:
+                continue
+            if info.module not in unlinks:
+                unlinks[info.module] = _module_unlinks(mod.tree)
+            if unlinks[info.module]:
+                continue
+            result.findings.append(
+                Finding.make(
+                    "RPR005",
+                    Severity.ERROR,
+                    "SharedMemory(create=True) in a module that never "
+                    "unlinks a segment",
+                    hint="register cleanup (atexit.register or a finally "
+                    "calling .close()/.unlink()) or the segment "
+                    "outlives the process",
+                    file=info.file,
+                    line=call.lineno,
+                    col=call.col_offset,
+                )
+            )
+
+
+def _module_unlinks(tree: ast.Module) -> bool:
+    """True when the module calls an ``unlink`` or ``atexit.register``
+    anywhere (RPR005's evidence of segment cleanup)."""
+    return any(
+        isinstance(node, ast.Attribute)
+        and (node.attr == "unlink" or _dotted_text(node) == "atexit.register")
+        for node in ast.walk(tree)
+    )
+
+
+def _leaks(
+    cfg: CFG, func: ast.AST, stmt: ast.Assign, name: str
+) -> bool:
+    """True when some CFG path from ``stmt`` reaches the function exit,
+    or a rebinding of ``name``, without releasing or handing off the
+    resource ``stmt`` bound to it."""
+    start = cfg.node_for(stmt)
+    if start is None:
+        return False  # inside a class body the CFG does not enter
+    stops = {
+        n.id
+        for n in cfg.nodes
+        if n.stmt is not None
+        and n.stmt is not stmt
+        and (_releases(n.stmt, name) or _escapes(n.stmt, name))
+    }
+    # a release anywhere inside a finally body counts for every path
+    # through that finally — a guard around the shutdown (``if pool is
+    # not None: pool.shutdown()``) usually correlates with the creation
+    # branch, which path-insensitive reachability cannot see
+    releasing_finals = _finally_releases(func, name)
+    stops |= {
+        n.id
+        for n in cfg.nodes
+        if n.stmt is not None and n.stmt in releasing_finals
+    }
+    leaks = {
+        n.id
+        for n in cfg.nodes
+        if n.stmt is not None
+        and n.stmt is not stmt
+        and _rebinds(n.stmt, name)
+    }
+    return cfg.paths_escape(start, stops=stops | leaks) or _reaches(
+        cfg, start, leaks, stops
+    )
 
 
 def _finally_releases(func: ast.AST, name: str) -> set[ast.stmt]:
@@ -773,7 +831,54 @@ def _reaches(
 
 
 # ---------------------------------------------------------------------------
-# deadline-poll closure (interprocedural RPR004 exemption)
+# deadline polling (RPR004)
+
+
+def _deadline_derived_names(func: ast.AST) -> set[str]:
+    """``deadline`` plus every local name whose value is computed from
+    it (``fast = ... and deadline is None``): a branch on a derived flag
+    is a branch on the deadline.  The propagation is a tiny
+    intra-function fixpoint over assignments."""
+    tracked = {"deadline"}
+    assigns = [n for n in _walk_own(func) if isinstance(n, ast.Assign)]
+    changed = True
+    while changed:
+        changed = False
+        for node in assigns:
+            if not _names_in(node.value) & tracked:
+                continue
+            for t in node.targets:
+                if isinstance(t, ast.Name) and t.id not in tracked:
+                    tracked.add(t.id)
+                    changed = True
+    return tracked
+
+
+def _unguarded_loops(func: ast.AST, tracked: set[str]) -> Iterator[ast.While]:
+    """Unbounded ``while`` loops (a constant-true or bare-name test, the
+    classic search-loop shapes) that no enclosing ``if`` on a
+    ``tracked`` name guards (the compiled kernel's ``fast`` flag: the
+    branch already encodes the budget decision)."""
+
+    def walk(node: ast.AST, guard: bool) -> Iterator[ast.While]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                continue
+            g = guard or (
+                isinstance(child, ast.If)
+                and bool(_names_in(child.test) & tracked)
+            )
+            if isinstance(child, ast.While) and not g:
+                test = child.test
+                if (
+                    isinstance(test, ast.Constant) and bool(test.value)
+                ) or isinstance(test, ast.Name):
+                    yield child
+            yield from walk(child, g)
+
+    yield from walk(func, False)
 
 
 def _polls_deadline_directly(info: FunctionInfo) -> bool:
@@ -818,25 +923,43 @@ def _polling_closure(index: ProjectIndex, graph: CallGraph) -> set[str]:
 def _deadline_poll_pass(
     index: ProjectIndex, graph: CallGraph, result: InterproceduralResult
 ) -> None:
-    """Mark ``while`` loops whose body calls a deadline-polling helper:
-    the syntactic RPR004 finding on that loop line is withdrawn."""
-    polls = _polling_closure(index, graph)
-    if not polls:
-        return
+    """An unbounded loop in a ``deadline``-taking function is bounded
+    when it mentions the deadline (or a name derived from it) or calls a
+    function that polls one; otherwise it is RPR004."""
+    polls: set[str] | None = None  # the closure, built on first need
     for qual, info in index.functions.items():
-        if isinstance(info.node, ast.Lambda):
+        if isinstance(info.node, ast.Lambda) or "deadline" not in info.params:
             continue
-        calls_by_line = [
-            s
+        tracked = _deadline_derived_names(info.node)
+        loops = [
+            loop
+            for loop in _unguarded_loops(info.node, tracked)
+            if not _names_in(loop) & tracked
+        ]
+        if not loops:
+            continue
+        if polls is None:
+            polls = _polling_closure(index, graph)
+        poll_lines = [
+            s.lineno
             for s in graph.callees(qual)
             if s.kind == "call" and not s.external and s.callee in polls
         ]
-        if not calls_by_line:
-            continue
-        for sub in ast.walk(info.node):
-            if not isinstance(sub, ast.While):
+        for loop in loops:
+            end = loop.end_lineno or loop.lineno
+            if any(loop.lineno <= n <= end for n in poll_lines):
                 continue
-            lo = sub.lineno
-            hi = getattr(sub, "end_lineno", lo) or lo
-            if any(lo <= s.lineno <= hi for s in calls_by_line):
-                result.rpr004_exempt.add((info.file, sub.lineno))
+            result.findings.append(
+                Finding.make(
+                    "RPR004",
+                    Severity.WARNING,
+                    f"unbounded loop in {info.name}() never polls the "
+                    f"deadline parameter",
+                    hint="call deadline.poll() (masked is fine) inside the "
+                    "loop, or document why the loop is bounded and "
+                    "suppress with `# repro: noqa RPR004`",
+                    file=info.file,
+                    line=loop.lineno,
+                    col=loop.col_offset,
+                )
+            )

@@ -1,15 +1,18 @@
 """Orchestration: sweep paths through all three analysis engines.
 
 ``analyze_paths`` is what the CLI and CI call: Python files are parsed
-once, swept by the AST hazard detector
-(:mod:`repro.analysis.codelint`), then indexed into a whole-program
-:class:`~repro.analysis.callgraph.CallGraph` for the interprocedural
-passes (:mod:`repro.analysis.dataflow` — blocking-call closure, lock
-ordering, spawn-reachability, resource paths).  Everything else is
-sniffed and routed to the artifact linter
-(:mod:`repro.analysis.routelint`).  Directories are walked recursively;
-with no paths at all, the installed ``repro`` package source is analysed
-— the self-hosting default that CI gates on.
+once, swept by the per-file AST pass (:mod:`repro.analysis.codelint`:
+RPR001, RPR003, RPR006, RPR007), then indexed into a whole-program
+:class:`~repro.analysis.callgraph.CallGraph` for the passes that own
+every other code rule (:mod:`repro.analysis.dataflow`).  Each rule is
+the verdict of one pass, so the driver merges findings without
+de-duplicating or withdrawing any; it only adds what belongs to the
+sweep itself: RPR006 for a file that does not parse and RPR013 for a
+``# repro: noqa`` that suppressed nothing.  Everything else is sniffed
+and routed to the artifact linter (:mod:`repro.analysis.routelint`).
+Directories are walked recursively; with no paths at all, the installed
+``repro`` package source is analysed — the self-hosting default that CI
+gates on.
 
 Two CI-shaped refinements ride on top:
 
@@ -74,7 +77,6 @@ def analyze_paths(
     *,
     part: str | None = None,
     rules: frozenset[str] | None = None,
-    interprocedural: bool = True,
     changed_only: "set[str] | None" = None,
     baseline: "dict[tuple[str, str, str], int] | None" = None,
 ) -> Report:
@@ -126,33 +128,19 @@ def analyze_paths(
             )
             continue
         py_items.append((path, source, tree))
-        per_file[path] = codelint.lint_parsed(path, source, tree)
+        per_file[path] = codelint.lint_parsed(path, tree)
 
     # -- pass 2: whole-program call graph + dataflow ----------------------
-    if interprocedural and py_items:
+    if py_items:
         index = ProjectIndex.build(py_items)
-        graph = CallGraph.build(index)
-        inter = dataflow.analyze_project(index, graph)
+        inter = dataflow.analyze_project(index, CallGraph.build(index))
         for f in inter.findings:
-            per_file.setdefault(f.file, []).append(f)
-        # withdraw syntactic RPR004 findings proven bounded by a
-        # deadline-polling helper called inside the loop
-        for path, findings in per_file.items():
-            per_file[path] = [
-                f
-                for f in findings
-                if not (
-                    f.rule == "RPR004"
-                    and (f.file, f.line or 0) in inter.rpr004_exempt
-                )
-            ]
+            per_file[f.file].append(f)
 
     # -- pass 3: per-file suppression + unused-directive accounting ------
-    sources = {path: source for path, source, _tree in py_items}
-    for path, _source, _tree in py_items:
-        findings = _dedupe(per_file.get(path, []))
-        noqa = codelint.parse_noqa(sources[path])
-        kept, suppressed, used = codelint.apply_noqa(findings, noqa)
+    for path, source, _tree in py_items:
+        noqa = codelint.parse_noqa(source)
+        kept, suppressed, used = codelint.apply_noqa(per_file[path], noqa)
         for line in sorted(set(noqa) - used):
             kept.append(
                 Finding.make(
@@ -209,20 +197,6 @@ def analyze_paths(
         report.findings = fresh
     report.sort()
     return report
-
-
-def _dedupe(findings: list[Finding]) -> list[Finding]:
-    """Drop same-rule-same-line duplicates (the syntactic and
-    interprocedural engines can both convict one call site)."""
-    seen: set[tuple[str, str, int]] = set()
-    out: list[Finding] = []
-    for f in findings:
-        key = (f.rule, f.file, f.line or 0)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(f)
-    return out
 
 
 def _unreadable(path: str, err: OSError) -> Finding:

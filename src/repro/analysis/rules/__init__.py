@@ -1,12 +1,17 @@
-"""Rule registry: every static-analysis rule, both layers, one catalog.
+"""Rule registry: every static-analysis rule, every layer, one catalog.
 
 Rule ids are *stable*: an id never changes meaning, and retired ids are
 never reused (tooling and suppression comments depend on this —
 ``tests/analysis/test_findings.py`` pins the catalog).  Artifact rules
 (``RL...``) belong to the fabric-aware route linter
-(:mod:`repro.analysis.routelint`); code rules (``RPR...``) belong to the
-AST concurrency-hazard detector (:mod:`repro.analysis.codelint`) and
-each encodes a bug class a previous PR actually fixed.
+(:mod:`repro.analysis.routelint`).  Each code rule (``RPR...``) encodes
+a bug class a previous PR actually fixed and is the verdict of exactly
+one pass (``tests/analysis/test_rule_passes.py`` pins that): the
+per-file AST pass (:mod:`repro.analysis.codelint`) owns RPR001, RPR003,
+RPR006 and RPR007; the whole-program passes
+(:mod:`repro.analysis.dataflow`) own RPR002, RPR004, RPR005 and
+RPR008-RPR012; the driver owns RPR013 (and reports a file that does not
+parse as RPR006).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ class Rule:
     """One registered rule: identity, default severity, documentation."""
 
     id: str
-    #: "artifact" (route lint) or "code" (AST pass)
+    #: "artifact" (route lint) or "code" (source analysis)
     layer: str
     #: short kebab-case name, stable like the id
     name: str
@@ -90,7 +95,7 @@ RL009 = _register(Rule(
     "mutually inconsistent",
 ))
 
-# -- Layer 2: code-level concurrency-hazard rules ------------------------------
+# -- Code rules -----------------------------------------------------------------
 # Each of these is a named, regression-proof form of a bug class fixed in
 # PRs 1-4 (see docs/ANALYSIS.md for the history and a minimal trigger).
 
@@ -138,12 +143,12 @@ RPR008 = _register(Rule(
     "a blocking call (time.sleep, builtin open, subprocess.run/…) sits "
     "directly inside an async def body: it stalls the event loop for "
     "every connection the daemon is serving; hop to a worker thread "
-    "(asyncio.to_thread) or use the async equivalent; since the "
-    "interprocedural upgrade, import-alias forms (from time import "
-    "sleep) resolve too",
+    "(asyncio.to_thread) or use the async equivalent; calls resolve "
+    "through the call graph, so import-alias forms (from time import "
+    "sleep) count too",
 ))
 
-# -- Interprocedural rules (call graph + CFG dataflow, this PR) ----------------
+# -- Interprocedural rules (call graph + CFG dataflow) --------------------------
 # These need the whole program: the hazards they encode crossed function
 # boundaries every time this repo hit them (PRs 4, 8, 9).
 
@@ -170,9 +175,9 @@ RPR011 = _register(Rule(
 RPR012 = _register(Rule(
     "RPR012", "code", "resource-path-leak", Severity.WARNING,
     "a resource (SharedMemory(create=True), an executor, a bare open) "
-    "is created but some CFG path reaches the function exit without "
-    "releasing or handing it off — the path-sensitive generalisation "
-    "of RPR005",
+    "is bound to a local but some CFG path reaches the function exit "
+    "without releasing or handing it off; a segment leaked this way is "
+    "RPR012's alone, every other never-unlinked segment is RPR005's",
 ))
 RPR013 = _register(Rule(
     "RPR013", "code", "unused-suppression", Severity.INFO,

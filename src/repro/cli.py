@@ -65,12 +65,13 @@ Usage (``python -m repro <command> ...``)::
             [--baseline FILE] [--write-baseline FILE]
                                   static analysis: lint routing artifacts
                                   (plans, template sets, WALs,
-                                  checkpoints) against the fabric, run
-                                  the AST concurrency-hazard detector
-                                  over Python sources, and run the
-                                  interprocedural call-graph/CFG passes
-                                  (transitive blocking, lock ordering,
-                                  spawn-lost globals, resource paths);
+                                  checkpoints) against the fabric, and
+                                  run every code rule over Python
+                                  sources: a per-file AST pass plus
+                                  the whole-program call-graph/CFG
+                                  passes (global mutation, deadline
+                                  polling, blocking calls, lock
+                                  ordering, resource lifetimes);
                                   default target is the installed repro
                                   package itself.  --diff reports only
                                   files changed vs a git ref (the call

@@ -33,7 +33,7 @@ def _write(name: str, text: str) -> None:
     print(f"wrote {name}")
 
 
-# -- seeded concurrency-defect corpus (interprocedural rules) -----------------
+# -- seeded concurrency-defect corpus (the whole-program rules) ---------------
 # Each bad_*.py seeds a known number of defects for exactly one rule and
 # nothing else; each good_*.py is the idiomatic twin and must stay
 # finding-free.  benchmarks/bench_e19_analysis.py --check gates on 100%
@@ -41,6 +41,164 @@ def _write(name: str, text: str) -> None:
 # the per-file counts.
 
 CODE_CORPUS: dict[str, str] = {
+    "code/bad_rpr002.py": '''\
+"""Seeded RPR002: module globals mutated with no lock held."""
+
+import threading
+
+_LOCK = threading.Lock()
+_HITS = {}
+_EVENTS = []
+
+
+def hit(key):
+    # seeded 1: item assignment off the lock
+    _HITS[key] = _HITS.get(key, 0) + 1
+
+
+def log(event):
+    # seeded 2: a mutator call off the lock
+    _EVENTS.append(event)
+
+
+def guarded_log(event):
+    with _LOCK:
+        _EVENTS.append(event)
+''',
+    "code/good_rpr002.py": '''\
+"""Twin of bad_rpr002: every mutation holds the module's lock."""
+
+import threading
+
+_LOCK = threading.Lock()
+_HITS = {}
+_EVENTS = []
+
+
+def hit(key):
+    with _LOCK:
+        _HITS[key] = _HITS.get(key, 0) + 1
+
+
+def log(event):
+    with _LOCK:
+        _EVENTS.append(event)
+''',
+    "code/bad_rpr004.py": '''\
+"""Seeded RPR004: search loops a deadline cannot bound."""
+
+
+def drain(heap, deadline):
+    # seeded 1: nothing in the loop polls the deadline
+    while heap:
+        heap.pop()
+
+
+def settle(queue, deadline):
+    if deadline is not None:
+        deadline.poll()
+    # seeded 2: a poll before the loop does not bound it
+    while True:
+        if not queue:
+            return
+        queue.pop()
+''',
+    "code/good_rpr004.py": '''\
+"""Twin of bad_rpr004: each loop polls, directly or through a helper."""
+
+
+class Search:
+    def __init__(self, deadline):
+        self._deadline = deadline
+
+    def _should_stop(self):
+        return self._deadline is not None and self._deadline.expired()
+
+    def drain(self, heap, deadline):
+        while heap:
+            if self._should_stop():
+                return
+            heap.pop()
+
+
+def settle(queue, deadline):
+    while True:
+        if deadline is not None:
+            deadline.poll()
+        if not queue:
+            return
+        queue.pop()
+''',
+    "code/bad_rpr005.py": '''\
+"""Seeded RPR005: segments that escape a module that never unlinks."""
+
+from multiprocessing import shared_memory
+
+
+class Table:
+    def __init__(self, n):
+        # seeded 1: stored on the object, never unlinked anywhere
+        self.seg = shared_memory.SharedMemory(create=True, size=n)
+
+
+def publish(n):
+    # seeded 2: handed to the caller, never unlinked anywhere
+    return shared_memory.SharedMemory(create=True, size=n)
+''',
+    "code/good_rpr005.py": '''\
+"""Twin of bad_rpr005: the module owns the segment's cleanup."""
+
+from multiprocessing import shared_memory
+
+
+class Table:
+    def __init__(self, n):
+        self.seg = shared_memory.SharedMemory(create=True, size=n)
+
+    def close(self):
+        self.seg.close()
+        self.seg.unlink()
+''',
+    "code/bad_rpr008.py": '''\
+"""Seeded RPR008: blocking calls directly in async defs."""
+
+import time
+from subprocess import run
+
+
+async def load(path):
+    # seeded 1: builtin file I/O on the event loop
+    with open(path) as fh:
+        return fh.read()
+
+
+async def pause():
+    # seeded 2: a sleep that stalls every connection
+    time.sleep(0.05)
+
+
+async def rotate(args):
+    # seeded 3: an import alias of subprocess.run
+    return run(args)
+''',
+    "code/good_rpr008.py": '''\
+"""Twin of bad_rpr008: the same work off the event loop."""
+
+import asyncio
+
+
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+async def load(path):
+    return await asyncio.to_thread(_read, path)
+
+
+async def pause():
+    await asyncio.sleep(0.05)
+''',
     "code/bad_rpr009.py": '''\
 """Seeded RPR009: async defs reaching blocking calls through helpers."""
 
@@ -88,6 +246,41 @@ async def handler(path):
 
 async def tick():
     await asyncio.sleep(0.05)
+''',
+    "code/bad_rpr009_open.py": '''\
+"""Seeded RPR009: an async def reaches builtin open through helpers."""
+
+
+def _load(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def _config(path):
+    return _load(path)
+
+
+async def handle(path):
+    # seeded 1: handle -> _config -> _load -> open
+    return _config(path)
+''',
+    "code/good_rpr009_open.py": '''\
+"""Twin of bad_rpr009_open: the helper chain runs on a worker thread."""
+
+import asyncio
+
+
+def _load(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def _config(path):
+    return _load(path)
+
+
+async def handle(path):
+    return await asyncio.to_thread(_config, path)
 ''',
     "code/bad_rpr010.py": '''\
 """Seeded RPR010: the two queue locks taken in opposite orders."""
@@ -230,7 +423,12 @@ def scratch(n):
 
 #: per-file seeded-defect counts the detection gate and tests pin on
 CODE_CORPUS_SEEDED: dict[str, tuple[str, int]] = {
+    "code/bad_rpr002.py": ("RPR002", 2),
+    "code/bad_rpr004.py": ("RPR004", 2),
+    "code/bad_rpr005.py": ("RPR005", 2),
+    "code/bad_rpr008.py": ("RPR008", 3),
     "code/bad_rpr009.py": ("RPR009", 2),
+    "code/bad_rpr009_open.py": ("RPR009", 1),
     "code/bad_rpr010.py": ("RPR010", 1),
     "code/bad_rpr011.py": ("RPR011", 1),
     "code/bad_rpr012.py": ("RPR012", 2),
@@ -296,7 +494,8 @@ def main() -> None:
         )
     print("wrote good.wal / good.ckpt")
 
-    data = open(wal, "r", encoding="ascii").read()
+    with open(wal, "r", encoding="ascii") as fh:
+        data = fh.read()
     # a torn tail: a record the crash cut short (recovery tolerates it)
     _write("torn.wal", data + '{"seq": 99, "torn')
     # corruption before intact frames: flip a CRC mid-file

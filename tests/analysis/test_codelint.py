@@ -1,13 +1,26 @@
-"""The AST hazard detector: each rule fires on bad and stays silent on
-good, and ``# repro: noqa`` suppression is honoured and accounted."""
+"""The code rules on one-file snippets: each rule fires on bad and stays
+silent on good, and ``# repro: noqa`` suppression is honoured and
+accounted.  Every snippet runs through the driver, so a rule is checked
+whichever pass owns it."""
 
 import textwrap
+from pathlib import Path
 
-from repro.analysis.codelint import lint_source, parse_noqa
+import pytest
+
+from repro.analysis import analyze_paths
+from repro.analysis.codelint import parse_noqa
 
 
-def _lint(src: str):
-    return lint_source(textwrap.dedent(src), "snippet.py")
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+
+def _lint(src: str, path: str = "snippet.py"):
+    Path(path).write_text(textwrap.dedent(src))
+    report = analyze_paths([path])
+    return report.findings, report.suppressed
 
 
 def rules_of(src: str) -> list[str]:
@@ -526,7 +539,8 @@ class TestNoqaSuppression:
                     heap.pop()
             """
         )
-        assert [f.rule for f in kept] == ["RPR004"]
+        # the directive suppressed nothing, so it is reported as unused
+        assert sorted(f.rule for f in kept) == ["RPR004", "RPR013"]
         assert suppressed == []
 
     def test_comma_separated_id_list(self):
@@ -548,7 +562,7 @@ class TestNoqaSuppression:
 
 class TestDiagnostics:
     def test_syntax_error_becomes_a_finding(self):
-        kept, suppressed = lint_source("def broken(:\n", "bad.py")
+        kept, suppressed = _lint("def broken(:\n", "bad.py")
         assert len(kept) == 1
         assert kept[0].severity.value == "error"
         assert kept[0].file == "bad.py"

@@ -104,6 +104,122 @@ class TestRPR009:
         assert [x for x in res.findings if x.rule == "RPR009"] == []
 
 
+class TestBuiltinOpen:
+    def test_open_chain_from_async_def_is_rpr009(self):
+        res = interproc(
+            (
+                "io_chain.py",
+                "def _load(path):\n"
+                "    with open(path) as fh:\n"
+                "        return fh.read()\n"
+                "def _config(path):\n    return _load(path)\n"
+                "async def handle(path):\n    return _config(path)\n",
+            )
+        )
+        (f,) = [x for x in res.findings if x.rule == "RPR009"]
+        assert "_config -> _load -> open" in f.message
+        assert f.line == 7
+
+    def test_open_directly_in_async_def_is_rpr008(self):
+        res = interproc(
+            (
+                "direct.py",
+                "async def handle(path):\n"
+                "    with open(path) as fh:\n"
+                "        return fh.read()\n",
+            )
+        )
+        (f,) = [x for x in res.findings if x.rule == "RPR008"]
+        assert f.message == "blocking call open(...) inside async def 'handle'"
+        assert (f.line, f.col) == (2, 9)
+
+    def test_a_rebound_open_is_not_the_builtin(self):
+        res = interproc(
+            (
+                "shadow.py",
+                "def make():\n    return print\n"
+                "async def by_param(path, open):\n    return open(path)\n"
+                "async def by_local(path):\n"
+                "    open = make()\n"
+                "    return open(path)\n",
+            ),
+            (
+                "glob.py",
+                "def make():\n    return print\n"
+                "open = make()\n"
+                "async def by_global(path):\n    return open(path)\n",
+            ),
+        )
+        assert res.findings == []
+
+
+class TestOneVerdictPerShape:
+    def test_leaked_local_segment_is_rpr012_alone(self, tmp_path):
+        (tmp_path / "leak.py").write_text(
+            "from multiprocessing import shared_memory\n"
+            "def scratch(n):\n"
+            "    seg = shared_memory.SharedMemory(create=True, size=n)\n"
+            "    return n\n"
+        )
+        report = analyze_paths([str(tmp_path)])
+        assert [(f.rule, f.line) for f in report.findings] == [("RPR012", 3)]
+
+    def test_escaped_segment_without_unlink_is_rpr005_alone(self):
+        res = interproc(
+            (
+                "esc.py",
+                "from multiprocessing import shared_memory\n"
+                "class Block:\n"
+                "    def __init__(self, n):\n"
+                "        self.seg = shared_memory.SharedMemory(\n"
+                "            create=True, size=n)\n"
+                "def make(n):\n"
+                "    seg = shared_memory.SharedMemory(create=True, size=n)\n"
+                "    return seg\n",
+            )
+        )
+        assert [(f.rule, f.line) for f in res.findings] == [
+            ("RPR005", 4),
+            ("RPR005", 7),
+        ]
+
+    def test_off_lock_worker_mutation_is_rpr002_and_rpr011(self):
+        res = interproc(
+            (
+                "both.py",
+                "from concurrent.futures import ProcessPoolExecutor\n"
+                "_DONE = {}\n"
+                "def _work(key):\n"
+                "    _DONE[key] = True\n"
+                "def run(keys):\n"
+                "    pool = ProcessPoolExecutor(2)\n"
+                "    try:\n"
+                "        return list(pool.map(_work, keys))\n"
+                "    finally:\n"
+                "        pool.shutdown()\n"
+                "def report():\n"
+                "    return dict(_DONE)\n",
+            )
+        )
+        assert [(f.rule, f.line) for f in res.findings] == [
+            ("RPR002", 4),
+            ("RPR011", 4),
+        ]
+
+    def test_bare_global_rebind_is_not_rpr002(self):
+        res = interproc(
+            (
+                "memo.py",
+                "_TABLE = None\n"
+                "def table():\n"
+                "    global _TABLE\n"
+                "    _TABLE = [1, 2]\n"
+                "    return _TABLE\n",
+            )
+        )
+        assert res.findings == []
+
+
 class TestRPR010:
     def test_inversion_across_a_call_edge(self):
         res = interproc(

@@ -23,13 +23,18 @@ def fx(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
+def fx_text(name: str) -> str:
+    with open(fx(name)) as fh:
+        return fh.read()
+
+
 def rules_of(findings) -> list[str]:
     return sorted({f.rule for f in findings})
 
 
 class TestPlanLint:
     def test_legal_corpus_is_clean(self, arch):
-        _, named = planio.load_plans(open(fx("good_plans.json")).read())
+        _, named = planio.load_plans(fx_text("good_plans.json"))
         assert routelint.lint_plans(arch, named) == []
 
     def test_rl001_unknown_wire(self, arch):
@@ -53,7 +58,7 @@ class TestPlanLint:
         assert rules_of(routelint.lint_plan(arch, bad)) == ["RL003"]
 
     def test_rl004_conflicting_plan_pair_fixture(self, arch):
-        _, named = planio.load_plans(open(fx("conflict_plans.json")).read())
+        _, named = planio.load_plans(fx_text("conflict_plans.json"))
         f = routelint.lint_plans(arch, named)
         assert rules_of(f) == ["RL004"]
         # the conflict names both plans involved
@@ -93,7 +98,7 @@ class TestPathLint:
 class TestTemplateLint:
     def test_generated_set_is_clean(self, arch):
         part, tpls, extras = planio.load_template_set(
-            open(fx("good_templates.json")).read()
+            fx_text("good_templates.json")
         )
         assert routelint.lint_template_set(
             arch,
@@ -123,7 +128,7 @@ class TestTemplateLint:
 
     def test_rl006_duplicate_and_displacement_fixture(self, arch):
         part, tpls, extras = planio.load_template_set(
-            open(fx("bad_templates.json")).read()
+            fx_text("bad_templates.json")
         )
         f = routelint.lint_template_set(
             arch,

@@ -7,6 +7,7 @@ uninterrupted run of the same event prefix.*
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,18 +127,18 @@ class TestWriteAheadLog:
 
     def test_corrupt_crc_stops_scan(self, wal_path):
         _journal(wal_path)
-        lines = open(wal_path).read().splitlines()
+        lines = Path(wal_path).read_text().splitlines()
         victim = json.loads(lines[3])
         victim["row"] += 1  # payload no longer matches its CRC
         lines[3] = json.dumps(victim, sort_keys=True)
-        open(wal_path, "w").write("\n".join(lines) + "\n")
+        Path(wal_path).write_text("\n".join(lines) + "\n")
         _, records, torn = WriteAheadLog.replay(wal_path)
         assert torn
         assert len(records) == 2  # header + 2 intact records before the hit
 
     def test_not_a_wal(self, tmp_path):
         p = str(tmp_path / "noise.txt")
-        open(p, "w").write("hello\n")
+        Path(p).write_text("hello\n")
         with pytest.raises(errors.TransactionError):
             WriteAheadLog.replay(p)
 
@@ -195,7 +196,7 @@ class TestCrashAtAnyOffset:
         _journal(wal_path)
         with open(wal_path, "rb") as fh:
             data = fh.read()
-        open(wal_path, "wb").write(data[: len(data) - 5])
+        Path(wal_path).write_bytes(data[: len(data) - 5])
         recovered, report = recover(wal_path)
         assert report.torn_tail
         assert recovered.device.state.check_invariants() == []
@@ -250,9 +251,9 @@ class TestCheckpointFile:
     def test_corrupt_checkpoint_rejected(self, wal_path):
         _journal(wal_path, final_checkpoint=True)
         ckpt = checkpoint_path_for(wal_path)
-        body = json.load(open(ckpt))
+        body = json.loads(Path(ckpt).read_text())
         body["seq"] += 1  # stale CRC
-        json.dump(body, open(ckpt, "w"))
+        Path(ckpt).write_text(json.dumps(body))
         with pytest.raises(errors.TransactionError):
             load_checkpoint(ckpt)
 

@@ -1,5 +1,7 @@
 """Job journal durability: torn tails, orphan recovery, tamper detection."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.service.jobs import Job, JobState
@@ -59,9 +61,9 @@ class TestTornTail:
         with JobJournal(path) as journal:
             journal.accepted(_job())
             journal.accepted(_job())
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[1] = lines[1][:-4] + "zzz}"  # damage a non-tail record
-        open(path, "w").write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="not the tail"):
             iter_journal(path)
 
