@@ -1,12 +1,18 @@
 """E18: durable-session costs and the kill-and-replay recovery check.
 
-Measures what durability costs and proves what it buys:
+Measures what durability costs and proves what it buys, one row of
+EXPERIMENTS.md's E18 table each:
 
 * **WAL overhead** — the same point-to-point workload routed bare vs
   journaled through a :class:`~repro.core.wal.DurableSession`;
-* **recovery latency** — rebuilding a session from checkpoint + WAL;
-* **scrub throughput** — a full frame scan + repair pass over a seeded
-  SEU burst;
+* **crash recovery** — rebuilding a session from checkpoint + WAL, and
+  whether its routing state and configuration memory match the live
+  session's;
+* **SEU scrub** — a full frame scan + repair pass over a seeded SEU
+  burst;
+* **deadline** — the workload again under a 0.05 ms budget per net:
+  every request ends as a partial report or a completed route, with no
+  hang and no exception;
 * **kill-and-replay** (``--recovery-check``) — simulate a crash at
   *every* record boundary of a real session's WAL, recover each
   truncation, and require the recovered state to be byte-identical to an
@@ -15,8 +21,9 @@ Measures what durability costs and proves what it buys:
 
       PYTHONPATH=src python benchmarks/bench_e18_durability.py --smoke --recovery-check
 
-Under pytest only the timing-free shape tests and pytest-benchmark
-timings run.
+Run without ``--recovery-check`` it prints the table (``--smoke``: 16
+nets and 6 upsets instead of 40 and 12).  Under pytest only the
+timing-free shape tests and pytest-benchmark timings run.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import tempfile
 import time
 
 from repro import errors
+from repro.bench.metrics import Table, time_call
 from repro.bench.workloads import random_p2p_nets
 from repro.core import DurableSession, JRouter, Scrubber, inject_seu, recover
 from repro.jbits.readback import verify_against_device
@@ -58,17 +66,18 @@ def _journaled_run(pairs, wal_path, *, checkpoint_every=None):
     return router
 
 
-def kill_and_replay(pairs, *, checkpoint_every=None, stride=1) -> tuple[int, int]:
+def kill_and_replay(
+    pairs, workdir: str, *, checkpoint_every=None, stride=1
+) -> tuple[int, int]:
     """Crash-at-every-offset recovery proof.
 
-    Runs one journaled session to produce a reference WAL, then for every
-    ``stride``-th record boundary: truncate a copy of the WAL there (the
-    simulated kill), recover it, and compare fingerprints with an
-    uninterrupted replay of the same prefix.  Returns
+    Runs one journaled session to produce a reference WAL in ``workdir``,
+    then for every ``stride``-th record boundary: truncate a copy of the
+    WAL there (the simulated kill), recover it, and compare fingerprints
+    with an uninterrupted replay of the same prefix.  Returns
     ``(crash_points_checked, mismatches)``.
     """
-    tmp = tempfile.mkdtemp(prefix="e18-killreplay-")
-    wal_path = os.path.join(tmp, "ref.wal")
+    wal_path = os.path.join(workdir, "ref.wal")
     _journaled_run(pairs, wal_path, checkpoint_every=checkpoint_every)
     with open(wal_path, "rb") as fh:
         lines = fh.readlines()
@@ -86,8 +95,8 @@ def kill_and_replay(pairs, *, checkpoint_every=None, stride=1) -> tuple[int, int
         prefix_fp.append(reference.device.state.fingerprint())
 
     checked = mismatches = 0
+    crash_wal = os.path.join(workdir, "crash.wal")
     for cut in range(0, len(records) + 1, stride):
-        crash_wal = os.path.join(tmp, f"crash-{cut}.wal")
         with open(crash_wal, "wb") as fh:
             fh.write(header)
             fh.writelines(records[:cut])
@@ -109,42 +118,63 @@ def kill_and_replay(pairs, *, checkpoint_every=None, stride=1) -> tuple[int, int
 
 
 def run(smoke: bool) -> int:
-    n = 16 if smoke else 40
-    router = JRouter(part="XCV50")
-    pairs = _workload(router.device.arch, n=n)
-
-    t0 = time.perf_counter()
-    _route_all(router, pairs)
-    dt_plain = time.perf_counter() - t0
-
-    tmp = tempfile.mkdtemp(prefix="e18-bench-")
-    wal_path = os.path.join(tmp, "session.wal")
-    t0 = time.perf_counter()
-    live = _journaled_run(pairs, wal_path, checkpoint_every=64)
-    dt_wal = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    recovered, report = recover(wal_path)
-    dt_rec = time.perf_counter() - t0
-    identical = (
-        recovered.device.state.fingerprint() == live.device.state.fingerprint()
+    """Print E18's table; 0 when recovery and scrub both restore state."""
+    n, n_seu = (16, 6) if smoke else (40, 12)
+    plain = JRouter(part="XCV50")
+    pairs = _workload(plain.device.arch, n=n)
+    # build the process-wide routing graph outside every timed stage
+    plain.device.routing_graph()
+    t = Table(
+        "E18: durable routing sessions (XCV50)",
+        ["stage", "detail", "result", "time (ms)"],
     )
 
-    scrubber = Scrubber(live.jbits.memory, device=live.device)
-    inject_seu(live.jbits.memory, n_flips=8, seed=23)
-    t0 = time.perf_counter()
-    scrub_report = scrubber.scrub()
-    dt_scrub = time.perf_counter() - t0
+    dt_plain, ok_plain = time_call(lambda: _route_all(plain, pairs))
+    t.add("route, no WAL", f"{n} p2p nets", f"{ok_plain} routed",
+          dt_plain * 1e3)
 
-    print(f"route {n} nets bare        {dt_plain * 1e3:8.1f} ms")
-    print(f"route {n} nets journaled   {dt_wal * 1e3:8.1f} ms "
-          f"({dt_wal / dt_plain:4.2f}x)")
-    print(f"recover ({report.summary()})")
-    print(f"recovery latency           {dt_rec * 1e3:8.1f} ms, "
-          f"state identical: {identical}")
-    print(f"scrub pass                 {dt_scrub * 1e3:8.1f} ms "
-          f"({scrub_report.summary()})")
-    return 0 if identical and not scrubber.scan().drifted_frames else 1
+    live = JRouter(part="XCV50")
+    with tempfile.TemporaryDirectory(prefix="e18-bench-") as tmp:
+        wal_path = os.path.join(tmp, "session.wal")
+        with DurableSession(live, wal_path, checkpoint_every=64) as session:
+            dt_wal, ok_wal = time_call(lambda: _route_all(live, pairs))
+            events = session.seq
+        t.add("route, WAL + ckpt/64", f"{events} events journaled",
+              f"{ok_wal} routed "
+              f"(+{100 * (dt_wal - dt_plain) / dt_plain:.0f}% overhead)",
+              dt_wal * 1e3)
+        # crash recovery: rebuild from the log, prove state identity
+        dt_rec, (recovered, report) = time_call(lambda: recover(wal_path))
+    identical = (
+        recovered.device.state.fingerprint() == live.device.state.fingerprint()
+        and recovered.jbits.memory == live.jbits.memory
+    )
+    t.add("crash recovery", report.summary(),
+          f"state identical: {identical}", dt_rec * 1e3)
+
+    scrubber = Scrubber(live.jbits.memory, device=live.device)
+    inject_seu(live.jbits.memory, n_flips=n_seu, seed=23)
+    dt_scrub, scrub_report = time_call(scrubber.scrub)
+    coherent = not verify_against_device(live.jbits.memory, live.device)
+    t.add("SEU scrub", scrub_report.summary(),
+          f"coherent after repair: {coherent}", dt_scrub * 1e3)
+
+    # deadline-bounded search: each request completes or ends as a
+    # partial report, never a hang or an escaped exception
+    bounded = JRouter(part="XCV50", deadline_ms=0.05)
+    partial = 0
+    t0 = time.perf_counter()
+    for src, sink in pairs:
+        bounded.route(src, sink)
+        rep = bounded.last_report
+        partial += rep is not None and (rep.timed_out or rep.breaker_open)
+    dt_deadline = time.perf_counter() - t0
+    t.add("deadline 0.05 ms/net", f"{partial} partial, {n - partial} completed",
+          "no hang, no exception escape", dt_deadline * 1e3)
+    t.note("WAL overhead buys replayable sessions; scrub target: 100% of "
+           "seeded upsets repaired without touching clean frames")
+    t.print()
+    return 0 if identical and coherent and scrubber.scan().clean else 1
 
 
 def recovery_check(smoke: bool) -> int:
@@ -152,7 +182,8 @@ def recovery_check(smoke: bool) -> int:
     router = JRouter(part="XCV50")
     pairs = _workload(router.device.arch, n=8 if smoke else 20)
     stride = 4 if smoke else 1
-    checked, mismatches = kill_and_replay(pairs, stride=stride)
+    with tempfile.TemporaryDirectory(prefix="e18-killreplay-") as tmp:
+        checked, mismatches = kill_and_replay(pairs, tmp, stride=stride)
     print(f"kill-and-replay: {checked} crash point(s) checked, "
           f"{mismatches} state mismatch(es)")
     if mismatches:
@@ -174,10 +205,9 @@ def main(argv: list[str]) -> int:
 # Timing-free durability guarantees, pinned under pytest/CI.
 
 
-def test_shape_recovered_state_is_identical(router):
+def test_shape_recovered_state_is_identical(router, tmp_path):
     pairs = _workload(router.device.arch, n=6)
-    tmp = tempfile.mkdtemp(prefix="e18-shape-")
-    wal_path = os.path.join(tmp, "s.wal")
+    wal_path = str(tmp_path / "s.wal")
     live = _journaled_run(pairs, wal_path, checkpoint_every=16)
     recovered, report = recover(wal_path)
     assert recovered.device.state.fingerprint() == live.device.state.fingerprint()
@@ -185,9 +215,9 @@ def test_shape_recovered_state_is_identical(router):
     assert report.fingerprint == live.device.state.fingerprint()
 
 
-def test_shape_kill_and_replay_every_fourth_offset(router):
+def test_shape_kill_and_replay_every_fourth_offset(router, tmp_path):
     pairs = _workload(router.device.arch, n=4)
-    checked, mismatches = kill_and_replay(pairs, stride=4)
+    checked, mismatches = kill_and_replay(pairs, str(tmp_path), stride=4)
     assert checked > 1
     assert mismatches == 0
 
@@ -204,15 +234,14 @@ def test_shape_scrub_repairs_all_seeded_upsets(router):
     assert verify_against_device(router.jbits.memory, router.device) == []
 
 
-def test_wal_journaling_overhead(benchmark, router):
-    """Cost of the fsync-per-event WAL on a small routing batch."""
+def test_wal_journaling_overhead(benchmark, router, tmp_path):
+    """Cost of the flush-per-event WAL on a small routing batch."""
     pairs = _workload(router.device.arch, n=6)
-    tmp = tempfile.mkdtemp(prefix="e18-perf-")
     counter = iter(range(10_000))
 
     def run_once():
         r = JRouter(part="XCV50")
-        wal_path = os.path.join(tmp, f"w{next(counter)}.wal")
+        wal_path = str(tmp_path / f"w{next(counter)}.wal")
         with DurableSession(r, wal_path):
             return _route_all(r, pairs)
 

@@ -94,7 +94,6 @@ def run_phases(smoke: bool, seed: int = 20) -> dict:
     n_burst = config.queue_depth * 2
     # the idle phase's pairs come last, so the other phases keep theirs
     pairs = _pairs(n_load + n_burst + n_chaos + N_IDLE, seed)
-    data_dir = tempfile.mkdtemp(prefix="e20-bench-")
     results: dict = {
         "mode": "smoke" if smoke else "full",
         "cpus": os.cpu_count(),
@@ -102,79 +101,81 @@ def run_phases(smoke: bool, seed: int = 20) -> dict:
         "queue_depth": config.queue_depth,
     }
 
-    with running_service(config, data_dir) as svc:
-        host, port = svc.host, svc.port
+    with tempfile.TemporaryDirectory(prefix="e20-bench-") as data_dir:
+        with running_service(config, data_dir) as svc:
+            host, port = svc.host, svc.port
 
-        load = drive_load(host, port, pairs[:n_load], threads=4)
-        results["load"] = {
-            "jobs": n_load,
-            "rps": round(load.rps, 2),
-            "p50_ms": round(load.p(50) * 1e3, 1),
-            "p99_ms": round(load.p(99) * 1e3, 1),
-            "succeeded": load.succeeded,
-            "failed": load.failed,
-        }
-        print(f"load     {load.row()}")
+            load = drive_load(host, port, pairs[:n_load], threads=4)
+            results["load"] = {
+                "jobs": n_load,
+                "rps": round(load.rps, 2),
+                "p50_ms": round(load.p(50) * 1e3, 1),
+                "p99_ms": round(load.p(99) * 1e3, 1),
+                "succeeded": load.succeeded,
+                "failed": load.failed,
+            }
+            print(f"load     {load.row()}")
 
-        idle = drive_load(host, port, pairs[-N_IDLE:], threads=1)
-        results["idle"] = {
-            "jobs": N_IDLE,
-            "p50_ms": round(idle.p(50) * 1e3, 1),
-            "p99_ms": round(idle.p(99) * 1e3, 1),
-            "succeeded": idle.succeeded,
-            "failed": idle.failed,
-        }
-        print(f"idle     {idle.row()}")
+            idle = drive_load(host, port, pairs[-N_IDLE:], threads=1)
+            results["idle"] = {
+                "jobs": N_IDLE,
+                "p50_ms": round(idle.p(50) * 1e3, 1),
+                "p99_ms": round(idle.p(99) * 1e3, 1),
+                "succeeded": idle.succeeded,
+                "failed": idle.failed,
+            }
+            print(f"idle     {idle.row()}")
 
-        for wid in range(config.workers):
-            svc.supervisor.send_chaos(wid, {"stall_s": 1.0})
-        accepted, rejected = burst(
-            host, port, pairs[n_load:n_load + n_burst]
-        )
-        await_terminal(host, port, accepted)
-        results["overload"] = {
-            "burst": n_burst,
-            "shed": rejected,
-            "accepted": len(accepted),
-        }
-        print(f"overload {rejected} shed / {len(accepted)} accepted "
-              f"(bound {config.queue_depth})")
+            for wid in range(config.workers):
+                svc.supervisor.send_chaos(wid, {"stall_s": 1.0})
+            accepted, rejected = burst(
+                host, port, pairs[n_load:n_load + n_burst]
+            )
+            await_terminal(host, port, accepted)
+            results["overload"] = {
+                "burst": n_burst,
+                "shed": rejected,
+                "accepted": len(accepted),
+            }
+            print(f"overload {rejected} shed / {len(accepted)} accepted "
+                  f"(bound {config.queue_depth})")
 
-        monkey = ChaosMonkey(
-            svc.supervisor, seed=seed, period_s=0.25,
-            kill=True, stall_s=2.5, truncate_bytes=256, fault_rate=0.02,
-        )
-        # scripted worker-kill recovery (the CI gate requires ≥1 restart);
-        # deterministic plain SIGKILL — the cadence kills below may also
-        # truncate the dead worker's WAL tail
-        saved, monkey.truncate_bytes = monkey.truncate_bytes, 0
-        monkey.inject_kill(0)
-        monkey.truncate_bytes = saved
-        monkey.start()
-        t0 = time.monotonic()
-        chaos = drive_load(
-            host, port,
-            pairs[n_load + n_burst:][:n_chaos],
-            threads=4,
-        )
-        monkey.stop()
-        results["chaos"] = {
-            "jobs": n_chaos,
-            "wall_s": round(time.monotonic() - t0, 2),
-            "rps": round(chaos.rps, 2),
-            "p99_ms": round(chaos.p(99) * 1e3, 1),
-            "succeeded": chaos.succeeded,
-            "failed": chaos.failed,
-            "injections": len(monkey.events),
-            "kills": sum(
-                1 for e in monkey.events if e["action"] == "kill"
-            ),
-        }
-        print(f"chaos    {chaos.row()} "
-              f"[{results['chaos']['kills']} kill(s)]")
+            monkey = ChaosMonkey(
+                svc.supervisor, seed=seed, period_s=0.25,
+                kill=True, stall_s=2.5, truncate_bytes=256, fault_rate=0.02,
+            )
+            # scripted worker-kill recovery (the CI gate requires ≥1 restart);
+            # deterministic plain SIGKILL — the cadence kills below may also
+            # truncate the dead worker's WAL tail
+            saved, monkey.truncate_bytes = monkey.truncate_bytes, 0
+            monkey.inject_kill(0)
+            monkey.truncate_bytes = saved
+            monkey.start()
+            t0 = time.monotonic()
+            chaos = drive_load(
+                host, port,
+                pairs[n_load + n_burst:][:n_chaos],
+                threads=4,
+            )
+            monkey.stop()
+            results["chaos"] = {
+                "jobs": n_chaos,
+                "wall_s": round(time.monotonic() - t0, 2),
+                "rps": round(chaos.rps, 2),
+                "p99_ms": round(chaos.p(99) * 1e3, 1),
+                "succeeded": chaos.succeeded,
+                "failed": chaos.failed,
+                "injections": len(monkey.events),
+                "kills": sum(
+                    1 for e in monkey.events if e["action"] == "kill"
+                ),
+            }
+            print(f"chaos    {chaos.row()} "
+                  f"[{results['chaos']['kills']} kill(s)]")
 
+        # audit the drained journal before the directory goes
+        audit = audit_journal(os.path.join(data_dir, "jobs.journal"))
     stats = svc.supervisor.stats()
-    audit = audit_journal(os.path.join(data_dir, "jobs.journal"))
     results["restarts"] = sum(w["restarts"] for w in stats["workers"])
     results["audit"] = {
         "accepted": audit["accepted"],

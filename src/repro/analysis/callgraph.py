@@ -280,6 +280,11 @@ class ProjectIndex:
         cls: str | None,
     ) -> FunctionInfo:
         qual = f"{prefix}.{node.name}"
+        if prefix in self.functions and qual in self.functions:
+            # a nested name defined twice (one closure per branch): the
+            # repeat gets its own key, as a lambda does, so both bodies
+            # are indexed
+            qual = f"{qual}<def:{node.lineno}>"
         info = FunctionInfo(
             qualname=qual,
             module=mod.name,

@@ -91,17 +91,20 @@ def analyze_paths(
     always produces a report.
     """
     report = Report()
-    work: list[tuple[str, bool]] = []
+    # each file once, however often it is listed (a repeat, or a file
+    # inside a listed directory): the first listing names it, and it is
+    # explicit if any listing names it directly
+    work: dict[str, tuple[str, bool]] = {}
     for p in paths if paths else [default_target()]:
-        if os.path.isdir(p):
-            work.extend(_walk(p))
-        else:
-            work.append((p, True))
+        for path, explicit in _walk(p) if os.path.isdir(p) else [(p, True)]:
+            key = os.path.realpath(path)
+            first, named = work.get(key, (path, False))
+            work[key] = (first, named or explicit)
 
     # -- pass 1: parse every Python module once ---------------------------
     py_items: list[tuple[str, str, ast.Module]] = []
     per_file: dict[str, list[Finding]] = {}
-    for path, explicit in work:
+    for path, explicit in work.values():
         ext = os.path.splitext(path)[1].lower()
         if ext != ".py":
             continue
@@ -158,7 +161,7 @@ def analyze_paths(
         report.suppressed.extend(suppressed)
 
     # -- artifacts --------------------------------------------------------
-    for path, explicit in work:
+    for path, explicit in work.values():
         ext = os.path.splitext(path)[1].lower()
         if ext == ".py":
             continue

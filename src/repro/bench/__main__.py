@@ -1,12 +1,16 @@
-"""CLI: regenerate the experiment tables of EXPERIMENTS.md.
+"""CLI: regenerate EXPERIMENTS.md's E1–E16 tables.
 
 Usage::
 
-    python -m repro.bench                      # all experiments
+    python -m repro.bench                      # E1-E16
     python -m repro.bench e3 e11               # a subset
     python -m repro.bench --experiment faults  # one, by name or alias
     python -m repro.bench --experiment faults --smoke   # CI smoke run
     python -m repro.bench e10 --profile        # + search-kernel counters
+
+E17–E20 run as scripts: ``python benchmarks/bench_e18_durability.py``
+(likewise ``bench_e17_kernel.py``, ``bench_e19_analysis.py`` and
+``bench_e20_service.py``), each with ``--smoke``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
-"""Experiment harness: one runner per experiment of EXPERIMENTS.md.
+"""Experiment harness: the runners of EXPERIMENTS.md's E1–E16 tables.
 
 The paper's evaluation is qualitative (one figure, no numeric tables);
 each ``run_eN`` function here quantifies one of its claims and returns a
 printable :class:`~repro.bench.metrics.Table`.  ``run_all`` regenerates
-every table; the CLI (``python -m repro.bench``) drives it.
+these tables; the CLI (``python -m repro.bench``) drives it.  E17–E20
+gate and record numbers, so each runs as its own script under
+``benchmarks/`` (``bench_e17_kernel.py`` ... ``bench_e20_service.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .workloads import (
 __all__ = [
     "run_e1", "run_e2", "run_e3", "run_e4", "run_e5", "run_e6",
     "run_e7", "run_e8", "run_e9", "run_e10", "run_e11", "run_e12", "run_e13", "run_e14",
-    "run_e15", "run_e16", "run_e18", "run_e19", "run_e20",
+    "run_e15", "run_e16",
     "run_all", "EXPERIMENTS", "SMOKE_MATRIX",
 ]
 
@@ -803,323 +805,20 @@ def run_e16(
     return t
 
 
-# ---------------------------------------------------------------------------
-# E18: durable sessions — WAL overhead, crash recovery, scrubbing, deadlines
-# ---------------------------------------------------------------------------
-
-def run_e18(
-    n_nets: int = 40,
-    seed: int = 23,
-    n_seu: int = 12,
-    smoke: bool = False,
-) -> Table:
-    """Durability costs and guarantees: WAL, recovery, scrub, deadlines."""
-    import os
-    import tempfile
-
-    from ..core import DurableSession, Scrubber, inject_seu, recover
-    from ..jbits.readback import verify_against_device
-
-    if smoke:
-        n_nets = min(n_nets, 16)
-        n_seu = min(n_seu, 6)
-    t = Table(
-        "E18: durable routing sessions (XCV50)",
-        ["stage", "detail", "result", "time (ms)"],
-    )
-    arch = VirtexArch("XCV50")
-    nets = random_p2p_nets(arch, n_nets, seed=seed)
-
-    def route_all(router):
-        ok = 0
-        for net in nets:
-            try:
-                ok += bool(router.route(net.source, net.sinks[0]))
-            # unroutable nets only lower the ok count; the bench
-            # compares ok across configurations
-            except errors.JRouteError:  # repro: noqa RPR006
-                pass
-        return ok
-
-    # baseline vs journaled session (WAL fsync-per-event overhead)
-    plain = JRouter(part="XCV50")
-    dt_plain, ok_plain = time_call(lambda: route_all(plain))
-    t.add("route, no WAL", f"{n_nets} p2p nets", f"{ok_plain} routed",
-          dt_plain * 1e3)
-    tmp = tempfile.mkdtemp(prefix="e18-")
-    wal_path = os.path.join(tmp, "session.wal")
-    live = JRouter(part="XCV50")
-    with DurableSession(live, wal_path, checkpoint_every=64) as session:
-        dt_wal, ok_wal = time_call(lambda: route_all(live))
-        events = session.seq
-    t.add("route, WAL + ckpt/64", f"{events} events journaled",
-          f"{ok_wal} routed "
-          f"(+{100 * (dt_wal - dt_plain) / dt_plain:.0f}% overhead)",
-          dt_wal * 1e3)
-
-    # crash recovery: rebuild from the log, prove state identity
-    dt_rec, (recovered, report) = time_call(lambda: recover(wal_path))
-    identical = (
-        recovered.device.state.fingerprint() == live.device.state.fingerprint()
-        and recovered.jbits.memory == live.jbits.memory
-    )
-    t.add("crash recovery", report.summary(),
-          f"state identical: {identical}", dt_rec * 1e3)
-
-    # scrubbing: seeded SEUs detected, classified, repaired
-    scrubber = Scrubber(live.jbits.memory, device=live.device)
-    inject_seu(live.jbits.memory, n_flips=n_seu, seed=seed)
-    dt_scrub, scrub_report = time_call(scrubber.scrub)
-    coherent = not verify_against_device(live.jbits.memory, live.device)
-    t.add("SEU scrub", scrub_report.summary(),
-          f"coherent after repair: {coherent}", dt_scrub * 1e3)
-
-    # deadline-bounded search: tiny budget => partial reports, no hangs
-    bounded = JRouter(part="XCV50", deadline_ms=0.05)
-    partial = full = 0
-    t0 = time.perf_counter()
-    for net in nets:
-        bounded.route(net.source, net.sinks[0])
-        rep = bounded.last_report
-        if rep is not None and (rep.timed_out or rep.breaker_open):
-            partial += 1
-        else:
-            full += 1
-    dt_deadline = (time.perf_counter() - t0) * 1e3
-    t.add("deadline 0.05 ms/net", f"{partial} partial, {full} completed",
-          "no hang, no exception escape", dt_deadline)
-    t.note("WAL overhead buys replayable sessions; scrub target: 100% of "
-           "seeded upsets repaired without touching clean frames")
-    return t
-
-
-def syntactic_sweep(root: str) -> int:
-    """E19's per-file layer alone over every module under ``root``: read,
-    parse and run :func:`~repro.analysis.codelint.lint_parsed`, with no
-    call graph and no suppression.  Returns the number of files."""
-    import ast
-    from pathlib import Path as FilePath
-
-    from ..analysis import codelint
-
-    files = sorted(FilePath(root).rglob("*.py"))
-    for path in files:
-        source = path.read_text(encoding="utf-8", errors="replace")
-        codelint.lint_parsed(str(path), ast.parse(source, filename=str(path)))
-    return len(files)
-
-
-def run_e19(
-    n_plans: int = 256,
-    seed: int = 19,
-    smoke: bool = False,
-) -> Table:
-    """Static-analysis throughput and the seeded-defect detection rate."""
-    import os
-    import tempfile
-
-    from ..analysis import analyze_paths, default_target
-    from ..analysis import routelint
-    from ..analysis.plans import load_plans, random_plan_corpus
-    from ..core import DurableSession
-    from ..core.wal import write_checkpoint
-
-    if smoke:
-        n_plans = min(n_plans, 32)
-    t = Table(
-        "E19: static analysis — lint throughput and detection",
-        ["stage", "detail", "result", "time (ms)"],
-    )
-    arch = VirtexArch("XCV50")
-
-    _, named = load_plans(
-        random_plan_corpus("XCV50", n_plans=n_plans, seed=seed)
-    )
-    n_pips = sum(len(pips) for _, pips in named)
-    dt, findings = time_call(lambda: routelint.lint_plans(arch, named))
-    t.add("plan lint", f"{n_plans} plans / {n_pips} pips",
-          f"{len(findings)} findings, {n_pips / dt:,.0f} pips/s", dt * 1e3)
-
-    _, seeded = load_plans(
-        random_plan_corpus(
-            "XCV50", n_plans=n_plans, seed=seed, conflict_rate=1.0
-        )
-    )
-    planted = next(
-        (len(p) for name, p in seeded if name == "conflict-seed"), 0
-    )
-    dt, findings = time_call(lambda: routelint.lint_plans(arch, seeded))
-    hits = sum(1 for f in findings if f.rule == "RL004")
-    t.add("conflict detection", f"{planted} conflicts planted",
-          f"{hits}/{planted} detected", dt * 1e3)
-
-    tmp = tempfile.mkdtemp(prefix="e19-")
-    wal_path = os.path.join(tmp, "session.wal")
-    ckpt_path = os.path.join(tmp, "session.ckpt")
-    router = JRouter(part="XCV50")
-    pairs = [(net.source, net.sinks[0])
-             for net in random_p2p_nets(arch, 8 if smoke else 24, seed=seed)]
-    with DurableSession(router, wal_path) as session:
-        for src, sink in pairs:
-            router.route(src, sink)
-        write_checkpoint(ckpt_path, router.device, seq=session.seq,
-                         netdb=router.netdb)
-    dt, findings = time_call(
-        lambda: routelint.lint_wal_file(wal_path)
-        + routelint.lint_checkpoint_file(ckpt_path, wal_path=wal_path)
-    )
-    t.add("wal+ckpt lint", f"{len(pairs)}-net session journal",
-          f"{len(findings)} findings", dt * 1e3)
-
-    dt_syn, n_files = time_call(
-        lambda: syntactic_sweep(default_target())
-    )
-    t.add("codelint sweep", f"{n_files} source files",
-          "syntactic layers only", dt_syn * 1e3)
-    dt, report = time_call(lambda: analyze_paths([default_target()]))
-    t.add("interproc sweep", f"{len(report.inputs)} source files",
-          f"{len(report.findings)} findings, "
-          f"{len(report.suppressed)} suppressed", dt * 1e3)
-    t.note("merge gate: `repro analyze --strict` requires 0 findings on "
-           "the package source (call-graph/CFG passes included); "
-           "suppressions stay visible, never silent")
-    return t
-
-
-def run_e20(
-    n_jobs: int = 200,
-    seed: int = 20,
-    smoke: bool = False,
-) -> Table:
-    """Service-level robustness: the daemon under load, overload & chaos.
-
-    Boots a real ``repro serve`` stack (HTTP front door, admission
-    queue, spawned process workers with WAL shards) and drives it
-    through five phases: steady concurrent load, sequential jobs on the
-    idle service (one request's round trip), an overload burst that
-    must shed, a chaos window (worker SIGKILL + WAL truncation during
-    live traffic), and a graceful drain — then audits the job journal
-    for the zero-lost-jobs / exactly-once invariant.
-    """
-    import os
-    import tempfile
-
-    from ..service import ChaosMonkey, ServiceConfig
-    from ..service.loadgen import (
-        audit_journal, await_terminal, burst, drive_load, running_service,
-    )
-
-    if smoke:
-        n_jobs = min(n_jobs, 48)
-    n_idle = 30
-    t = Table(
-        "E20: routing-as-a-service — load, overload shedding, chaos",
-        ["phase", "detail", "result", "time (ms)"],
-    )
-    arch = VirtexArch("XCV50")
-    nets = random_p2p_nets(arch, n_jobs + 96 + n_idle, seed=seed,
-                           min_span=2, max_span=8)
-    pairs = [
-        (
-            (net.source.row, net.source.col, net.source.wire),
-            (net.sinks[0].row, net.sinks[0].col, net.sinks[0].wire),
-        )
-        for net in nets
-    ]
-    data_dir = tempfile.mkdtemp(prefix="e20-")
-    config = ServiceConfig(
-        workers=2,
-        queue_depth=32,
-        tenant_quota=24,
-        heartbeat_s=0.2,
-        heartbeat_misses=8,
-        default_deadline_ms=30_000.0,
-        job_max_attempts=4,
-        # the post-run audit needs the full accepted/terminal trail
-        journal_max_bytes=None,
-    )
-    with running_service(config, data_dir) as svc:
-        host, port = svc.host, svc.port
-
-        dt, load = time_call(lambda: drive_load(
-            host, port, pairs[:n_jobs], threads=4,
-        ))
-        t.add("load", f"{n_jobs} jobs, 4 clients", load.row(), dt * 1e3)
-
-        dt, idle = time_call(lambda: drive_load(
-            host, port, pairs[-n_idle:], threads=1,
-        ))
-        t.add("idle", f"{n_idle} sequential jobs, 1 client", idle.row(),
-              dt * 1e3)
-
-        # stall both workers through their next batch so the burst hits
-        # a queue that cannot drain: depth past the bound must shed 429
-        for wid in range(config.workers):
-            svc.supervisor.send_chaos(wid, {"stall_s": 1.0})
-        dt, (accepted, rejected) = time_call(lambda: burst(
-            host, port, pairs[: config.queue_depth * 2],
-        ))
-        await_terminal(host, port, accepted)
-        t.add(
-            "overload", f"{config.queue_depth * 2} job burst "
-            f"(queue bound {config.queue_depth}, workers stalled)",
-            f"{rejected} shed with retry-after, "
-            f"{len(accepted)} accepted, all terminal",
-            dt * 1e3,
-        )
-
-        monkey = ChaosMonkey(
-            svc.supervisor, seed=seed, period_s=0.25,
-            kill=True, stall_s=2.5, truncate_bytes=256,
-        )
-        monkey.inject_kill(0)  # scripted: one guaranteed mid-load kill
-        monkey.start()
-        dt, chaos = time_call(lambda: drive_load(
-            host, port, pairs[n_jobs:n_jobs + 48], threads=4,
-        ))
-        monkey.stop()
-        kills = sum(1 for e in monkey.events if e["action"] == "kill")
-        t.add(
-            "chaos", f"48 jobs under {len(monkey.events)} injections "
-            f"({kills} kills)",
-            chaos.row(), dt * 1e3,
-        )
-    audit = audit_journal(os.path.join(data_dir, "jobs.journal"))
-    restarts = sum(
-        w["restarts"] for w in svc.supervisor.stats()["workers"]
-    )
-    t.add(
-        "audit", f"{audit['accepted']} accepted, {restarts} worker "
-        f"restart(s)",
-        f"lost={len(audit['lost'])} dup={len(audit['duplicates'])} "
-        f"drained={audit['drained']}",
-        0.0,
-    )
-    assert not audit["lost"], f"jobs lost: {audit['lost']}"
-    assert not audit["duplicates"], f"dup terminals: {audit['duplicates']}"
-    return t
-
-
 EXPERIMENTS = {
     "e1": run_e1, "e2": run_e2, "e3": run_e3, "e4": run_e4,
     "e5": run_e5, "e6": run_e6, "e7": run_e7, "e8": run_e8,
     "e9": run_e9, "e10": run_e10, "e11": run_e11, "e12": run_e12,
     "e13": run_e13, "e14": run_e14, "e15": run_e15, "e16": run_e16,
-    "e18": run_e18,
-    "e19": run_e19,
-    "e20": run_e20,
-    # aliases for the CLI's --experiment flag
+    # alias for the CLI's --experiment flag
     "faults": run_e16,
-    "durability": run_e18,
-    "analysis": run_e19,
-    "service": run_e20,
 }
 
 #: the experiments `--smoke` runs when none are named.  EXPLICIT so that
 #: adding an experiment forces a decision about CI coverage — a new entry
 #: either joins the matrix or is visibly absent from it, never silently
 #: dropped.
-SMOKE_MATRIX = ("e16", "e18", "e19", "e20")
+SMOKE_MATRIX = ("e16",)
 
 
 def run_all(

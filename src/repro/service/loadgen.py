@@ -1,8 +1,8 @@
 """Load generation and invariant auditing for the routing daemon.
 
-Shared by the E20 experiment (:func:`repro.bench.experiments.run_e20`)
-and ``benchmarks/bench_e20_service.py`` so the CI gate and the
-experiment table measure the same thing: concurrent clients driving the
+Used by E20 (``benchmarks/bench_e20_service.py``, the experiment's
+table and its CI gate) and by the end-to-end ``service`` workload:
+concurrent clients driving the
 HTTP front door, and an after-the-fact audit of the job journal proving
 the service's one hard invariant — **every accepted job reached a
 terminal state exactly once** — held through whatever the run threw at

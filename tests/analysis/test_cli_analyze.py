@@ -107,6 +107,39 @@ class TestDiffAndBaselineFlags:
         capsys.readouterr()
 
 
+class TestRepeatedInputs:
+    """A file listed twice, or inside a listed directory, is analysed once."""
+
+    BAD = fx(os.path.join("code", "bad_rpr002.py"))  # seeded with 2 RPR002
+
+    def _report(self, capsys, *paths: str) -> Report:
+        main(["analyze", "--json", *paths])
+        return Report.from_json(capsys.readouterr().out)
+
+    def test_a_file_listed_twice(self, capsys):
+        report = self._report(capsys, self.BAD, self.BAD)
+        assert report.inputs == [self.BAD]
+        assert [f.rule for f in report.findings] == ["RPR002", "RPR002"]
+
+    def test_a_directory_and_a_file_inside_it(self, capsys):
+        alone = self._report(capsys, fx("code"))
+        inside = os.path.join(FIXTURES, "code", os.pardir, "code",
+                              "bad_rpr002.py")
+        both = self._report(capsys, fx("code"), inside)
+        assert both.inputs == alone.inputs
+        assert len(both.findings) == len(alone.findings)
+
+    def test_a_baseline_counts_each_finding_once(self, capsys, tmp_path):
+        bl = tmp_path / "findings.json"
+        main(["analyze", "--write-baseline", str(bl), self.BAD, self.BAD])
+        assert len(json.loads(bl.read_text())["findings"]) == 2
+        main(["analyze", "--write-baseline", str(bl), self.BAD])
+        assert main(
+            ["analyze", "--strict", "--baseline", str(bl), self.BAD, self.BAD]
+        ) == 0
+        capsys.readouterr()
+
+
 class TestSelfHosting:
     def test_repo_source_is_strict_clean(self, capsys):
         # the merge gate: our own tree must produce zero findings

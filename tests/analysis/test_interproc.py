@@ -220,6 +220,25 @@ class TestOneVerdictPerShape:
         assert res.findings == []
 
 
+class TestNestedDefs:
+    def test_both_bodies_of_a_repeated_nested_name_are_walked(self):
+        res = interproc(
+            (
+                "closures.py",
+                "_HITS = {}\n"
+                "def make(flag):\n"
+                "    if flag:\n"
+                "        def h(k):\n"
+                "            _HITS[k] = 1\n"
+                "    else:\n"
+                "        def h(k):\n"
+                "            return k\n"
+                "    return h\n",
+            )
+        )
+        assert [(f.rule, f.line) for f in res.findings] == [("RPR002", 5)]
+
+
 class TestRPR010:
     def test_inversion_across_a_call_edge(self):
         res = interproc(
