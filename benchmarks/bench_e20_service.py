@@ -11,8 +11,11 @@ measures it from the client side:
   which no queueing hides;
 * **overload** — with the workers stalled, a burst past the queue bound
   must come back ``429 Retry-After`` (shed), never buffer unboundedly;
-* **chaos** — worker ``SIGKILL`` (one scripted, more on a cadence),
-  hung-worker stalls and WAL tail truncation during live traffic;
+* **chaos** — one scripted worker ``SIGKILL``, then a fixed count of
+  seeded kills, hung-worker stalls, WAL tail truncations and fault
+  flips, one each time a fixed number of further jobs is accepted, so
+  every injection lands in live traffic however fast the service
+  drains;
 * **drain** — graceful shutdown, then the journal audit: every accepted
   job terminal **exactly once** (zero lost, zero duplicates).
 
@@ -34,6 +37,7 @@ import json
 import os
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -76,10 +80,25 @@ def _pairs(n: int, seed: int) -> list[tuple[tuple, tuple]]:
     ]
 
 
+def inject_by_progress(supervisor, monkey, count: int, stride: int,
+                       stop: threading.Event) -> None:
+    """Inject ``count`` times, once each time ``stride`` more jobs are
+    accepted; returns early when ``stop`` is set."""
+    base = supervisor.stats()["accepted"]
+    for k in range(1, count + 1):
+        while supervisor.stats()["accepted"] < base + k * stride:
+            if stop.wait(0.01):
+                return
+        monkey.inject()
+
+
 def run_phases(smoke: bool, seed: int = 20) -> dict:
     """All four phases against one service instance; returns the numbers."""
     n_load = 48 if smoke else 300
     n_chaos = 32 if smoke else 96
+    # seeded chaos injections after the scripted kill, spread evenly
+    # over the chaos phase's accepted jobs
+    n_inject = 4 if smoke else 10
     config = ServiceConfig(
         workers=2,
         queue_depth=32,
@@ -141,23 +160,31 @@ def run_phases(smoke: bool, seed: int = 20) -> dict:
                   f"(bound {config.queue_depth})")
 
             monkey = ChaosMonkey(
-                svc.supervisor, seed=seed, period_s=0.25,
+                svc.supervisor, seed=seed,
                 kill=True, stall_s=2.5, truncate_bytes=256, fault_rate=0.02,
             )
             # scripted worker-kill recovery (the CI gate requires ≥1 restart);
-            # deterministic plain SIGKILL — the cadence kills below may also
+            # deterministic plain SIGKILL — the seeded kills below may also
             # truncate the dead worker's WAL tail
             saved, monkey.truncate_bytes = monkey.truncate_bytes, 0
             monkey.inject_kill(0)
             monkey.truncate_bytes = saved
-            monkey.start()
+            stride = n_chaos // (n_inject + 1)
+            stop = threading.Event()
+            injector = threading.Thread(
+                target=inject_by_progress,
+                args=(svc.supervisor, monkey, n_inject, stride, stop),
+                name="e20-chaos", daemon=True,
+            )
+            injector.start()
             t0 = time.monotonic()
             chaos = drive_load(
                 host, port,
                 pairs[n_load + n_burst:][:n_chaos],
                 threads=4,
             )
-            monkey.stop()
+            stop.set()
+            injector.join()
             results["chaos"] = {
                 "jobs": n_chaos,
                 "wall_s": round(time.monotonic() - t0, 2),
@@ -166,12 +193,14 @@ def run_phases(smoke: bool, seed: int = 20) -> dict:
                 "succeeded": chaos.succeeded,
                 "failed": chaos.failed,
                 "injections": len(monkey.events),
+                "jobs_per_injection": stride,
                 "kills": sum(
                     1 for e in monkey.events if e["action"] == "kill"
                 ),
             }
             print(f"chaos    {chaos.row()} "
-                  f"[{results['chaos']['kills']} kill(s)]")
+                  f"[{results['chaos']['injections']} injection(s), "
+                  f"{results['chaos']['kills']} kill(s)]")
 
         # audit the drained journal before the directory goes
         audit = audit_journal(os.path.join(data_dir, "jobs.journal"))

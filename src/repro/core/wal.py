@@ -41,7 +41,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -106,6 +106,10 @@ class WalFrame:
 
 def _crc(payload: dict) -> int:
     return zlib.crc32(json.dumps(payload, sort_keys=True).encode("ascii"))
+
+
+#: ``json.dumps(obj, sort_keys=True)`` without building an encoder per call
+_dumps_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 def _trim_torn_tail(path: str) -> None:
@@ -224,19 +228,21 @@ class WriteAheadLog:
         survives a ``kill -9`` of this process.  There is no fsync: a
         host crash or power loss can still lose the records the kernel
         had not yet written out.
+
+        The line is the sorted-key JSON of the record's six fields, with
+        ``crc`` at its sorted place (second); the CRC covers that JSON
+        without ``crc``, as :func:`_crc` computes it.  Both are
+        formatted straight from the fields, one encoding per record.
         """
         on, rec = event
         seq = self.next_seq
-        payload = {
-            "seq": seq,
-            "on": bool(on),
-            "row": rec.row,
-            "col": rec.col,
-            "from": rec.from_name,
-            "to": rec.to_name,
-        }
-        payload["crc"] = _crc(payload)
-        self._fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        head = f'{{"col": {rec.col}, '
+        tail = (
+            f'"from": {rec.from_name}, "on": {"true" if on else "false"}, '
+            f'"row": {rec.row}, "seq": {seq}, "to": {rec.to_name}}}'
+        )
+        crc = zlib.crc32((head + tail).encode("ascii"))
+        self._fh.write(f'{head}"crc": {crc}, {tail}\n')
         self._fh.flush()
         self.next_seq = seq + 1
         return seq
@@ -305,6 +311,15 @@ def _replay_legal_pips(device: Device) -> list[list[int]]:
     return out
 
 
+def _object(fields: Iterable[tuple[str, str]]) -> str:
+    """A JSON object from ``(key, encoded value)`` pairs, in their order.
+
+    ``json.dumps``'s separators; the keys are field names, which need no
+    escapes.
+    """
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields) + "}"
+
+
 def checkpoint_path_for(wal_path: str) -> str:
     """Default checkpoint path alongside a WAL."""
     return wal_path + ".ckpt"
@@ -325,6 +340,14 @@ def write_checkpoint(
     PIP events do not.  The file is written to a temporary name and
     renamed into place, so a crash mid-checkpoint leaves the previous
     checkpoint intact.
+
+    The file is one JSON object with keys in the order ``ckpt``,
+    ``part``, ``seq``, ``pips``, ``nets`` (each net ``sinks`` then
+    ``ep``), ``memory`` (``n_bits``, ``b64``, ``dirty``; only with
+    ``memory``) and ``crc`` last; the CRC covers the sorted-key JSON of
+    everything but ``crc``, as :func:`_crc` computes it.  The PIP list
+    and the memory image are encoded once, and their text is placed in
+    both key orders.
     """
     nets = {}
     if netdb is not None:
@@ -337,24 +360,33 @@ def write_checkpoint(
                 # objects); fall back to the source wire's primary pin
                 ep_ser = None
             nets[str(src)] = {"sinks": sorted(sinks), "ep": ep_ser}
-    body: dict = {
-        "ckpt": CKPT_VERSION,
-        "part": device.arch.part.name,
-        "seq": seq,
-        "pips": _replay_legal_pips(device),
-        "nets": nets,
-    }
+    fields = [
+        ("ckpt", json.dumps(CKPT_VERSION)),
+        ("part", json.dumps(device.arch.part.name)),
+        ("seq", json.dumps(seq)),
+        ("pips", json.dumps(_replay_legal_pips(device))),
+    ]
+    # the two texts order the nets map's keys differently at both levels;
+    # the map is small, and encoding it once per order costs less than
+    # splicing per-net texts together
+    crc_fields = fields + [("nets", _dumps_sorted(nets))]
+    fields.append(("nets", json.dumps(nets)))
     if memory is not None:
         packed = np.packbits(memory.bits)
-        body["memory"] = {
-            "n_bits": int(len(memory.bits)),
-            "b64": base64.b64encode(packed.tobytes()).decode("ascii"),
-            "dirty": sorted(memory.dirty_frames),
-        }
-    body["crc"] = _crc(body)
+        mem = [
+            ("n_bits", json.dumps(int(len(memory.bits)))),
+            # the base64 alphabet needs no JSON escapes
+            ("b64", f'"{base64.b64encode(packed.tobytes()).decode("ascii")}"'),
+            ("dirty", json.dumps(sorted(memory.dirty_frames))),
+        ]
+        fields.append(("memory", _object(mem)))
+        crc_fields.append(("memory", _object(sorted(mem))))
+    crc = zlib.crc32(_object(sorted(crc_fields)).encode("ascii"))
+    fields.append(("crc", json.dumps(crc)))
+    text = _object(fields)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(body, fh)
+        fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

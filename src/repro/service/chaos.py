@@ -28,7 +28,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from threading import Event, Thread
 
 from .supervisor import RoutingSupervisor
 
@@ -48,14 +47,13 @@ def truncate_tail(path: str, nbytes: int) -> int:
 
 
 class ChaosMonkey:
-    """Injects failures on a cadence while load is running."""
+    """Injects seeded failures into a live service, one per call."""
 
     def __init__(
         self,
         supervisor: RoutingSupervisor,
         *,
         seed: int = 0,
-        period_s: float = 0.5,
         kill: bool = True,
         stall_s: float = 0.0,
         truncate_bytes: int = 0,
@@ -63,16 +61,11 @@ class ChaosMonkey:
     ) -> None:
         self.supervisor = supervisor
         self.rng = random.Random(seed)
-        self.period_s = period_s
         self.kill = kill
         self.stall_s = stall_s
         self.truncate_bytes = truncate_bytes
         self.fault_rate = fault_rate
         self.events: list[dict] = []
-        self._stop = Event()
-        self._thread: Thread | None = None
-
-    # -- single injections (also usable scripted, without the thread) --------
 
     def inject_kill(self, wid: int | None = None) -> dict:
         wid = self._pick(wid)
@@ -112,18 +105,8 @@ class ChaosMonkey:
         self.events.append(ev)
         return ev
 
-    # -- background cadence --------------------------------------------------
-
-    def start(self) -> None:
-        self._thread = Thread(target=self._run, name="chaos", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-
-    def _run(self) -> None:
+    def inject(self) -> dict:
+        """One injection of an enabled kind, picked by the seeded generator."""
         actions = []
         if self.kill:
             actions.append(self.inject_kill)
@@ -131,7 +114,4 @@ class ChaosMonkey:
             actions.append(self.inject_stall)
         if self.fault_rate is not None:
             actions.append(self.inject_fault_flip)
-        if not actions:
-            return
-        while not self._stop.wait(self.period_s):
-            self.rng.choice(actions)()
+        return self.rng.choice(actions)()

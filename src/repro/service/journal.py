@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from threading import Lock
 
-from ..core.wal import _crc, _trim_torn_tail
+from ..core.wal import _crc, _dumps_sorted, _trim_torn_tail
 from .jobs import Job, JobState
 
 __all__ = ["JobJournal", "iter_journal", "recover_jobs"]
@@ -34,9 +35,15 @@ JOURNAL_VERSION = 1
 
 
 def _frame(payload: dict) -> str:
-    frame = dict(payload)
-    frame["crc"] = _crc(payload)
-    return json.dumps(frame, sort_keys=True) + "\n"
+    """``payload`` as one line: sorted-key JSON with ``crc`` in its place.
+
+    Every journal key (``ev``, ``job``, ``job_id``, ``jobwal``,
+    ``state``) sorts after ``crc``, so the field opens the line.  The
+    payload is encoded once, and the CRC covers that text, which is what
+    :func:`~repro.core.wal._crc` computes.
+    """
+    text = _dumps_sorted(payload)
+    return f'{{"crc": {zlib.crc32(text.encode("ascii"))}, {text[1:]}\n'
 
 
 class JobJournal:

@@ -1,7 +1,7 @@
 """Supervisor end-to-end: real spawned workers, a real SIGKILL, a drain.
 
 Slower than the unit files (each test boots process workers) but still
-small; the full HTTP stack and the chaos cadence are exercised by
+small; the full HTTP stack and the chaos injections are exercised by
 ``benchmarks/bench_e20_service.py`` and the E20 experiment.  The
 ``TestSupervisorUnits`` class at the bottom exercises supervisor logic
 that needs no worker pool (probe accounting, kill reentrancy, bounds).
