@@ -11,7 +11,8 @@ measures it from the client side:
   which no queueing hides;
 * **overload** — with the workers stalled, a burst past the queue bound
   must come back ``429 Retry-After`` (shed), never buffer unboundedly;
-* **chaos** — one scripted worker ``SIGKILL``, then a fixed count of
+* **chaos** — one scripted worker ``SIGKILL`` whose WAL shard is then
+  cut inside its last record, then a fixed count of
   seeded kills, hung-worker stalls, WAL tail truncations and fault
   flips, one each time a fixed number of further jobs is accepted, so
   every injection lands in live traffic however fast the service
@@ -44,6 +45,7 @@ from pathlib import Path
 from repro.bench.workloads import random_p2p_nets
 from repro.arch.virtex import VirtexArch
 from repro.service import ChaosMonkey, ServiceConfig
+from repro.service.chaos import truncate_tail
 from repro.service.loadgen import (
     audit_journal,
     await_terminal,
@@ -66,6 +68,10 @@ P99_BOUND_S = 12.0
 IDLE_P50_BOUND_MS = 12.0
 #: sequential jobs in the idle phase
 N_IDLE = 30
+#: bytes the scripted kill cuts off the dead worker's WAL shard: inside
+#: its last record line (about 90 bytes), or inside the header of a
+#: shard that holds no record yet
+SCRIPTED_CUT = 16
 
 
 def _pairs(n: int, seed: int) -> list[tuple[tuple, tuple]]:
@@ -163,12 +169,20 @@ def run_phases(smoke: bool, seed: int = 20) -> dict:
                 svc.supervisor, seed=seed,
                 kill=True, stall_s=2.5, truncate_bytes=256, fault_rate=0.02,
             )
-            # scripted worker-kill recovery (the CI gate requires ≥1 restart);
-            # deterministic plain SIGKILL — the seeded kills below may also
-            # truncate the dead worker's WAL tail
-            saved, monkey.truncate_bytes = monkey.truncate_bytes, 0
-            monkey.inject_kill(0)
-            monkey.truncate_bytes = saved
+            # scripted worker-kill recovery (the CI gate requires ≥1
+            # restart): a deterministic SIGKILL whose WAL shard then loses
+            # a fixed cut inside its last record, so every run respawns a
+            # worker on a torn shard; the seeded kills below may truncate
+            # too
+            svc.supervisor.kill_worker(
+                0,
+                reason="chaos-kill",
+                mutate=lambda wal_path: truncate_tail(wal_path, SCRIPTED_CUT),
+            )
+            monkey.events.append(
+                {"action": "kill", "t": time.monotonic(), "wid": 0,
+                 "truncated": True}
+            )
             stride = n_chaos // (n_inject + 1)
             stop = threading.Event()
             injector = threading.Thread(
@@ -197,10 +211,15 @@ def run_phases(smoke: bool, seed: int = 20) -> dict:
                 "kills": sum(
                     1 for e in monkey.events if e["action"] == "kill"
                 ),
+                "truncated_kills": sum(
+                    1 for e in monkey.events
+                    if e["action"] == "kill" and e["truncated"]
+                ),
             }
             print(f"chaos    {chaos.row()} "
                   f"[{results['chaos']['injections']} injection(s), "
-                  f"{results['chaos']['kills']} kill(s)]")
+                  f"{results['chaos']['kills']} kill(s), "
+                  f"{results['chaos']['truncated_kills']} truncating]")
 
         # audit the drained journal before the directory goes
         audit = audit_journal(os.path.join(data_dir, "jobs.journal"))

@@ -7,8 +7,9 @@ session starts.  This module validates:
 
 * :class:`~repro.core.path.Path` objects and serialized PIP plans —
   wire/PIP existence, tile adjacency, direction legality (RL001-RL003);
-* plan *sets* — cross-plan drive-conflict prediction, the static form of
-  the paper's ``isOn`` contention exception (RL004);
+* plan *sets* — cross-plan drive-conflict and loop prediction, the
+  static form of the paper's ``isOn`` contention exception (RL004) and
+  of the device's loop check (RL010);
 * :class:`~repro.core.template.Template` values and predefined template
   sets — per-step transition legality and fabric bounds (RL005),
   dead/duplicate entries (RL006);
@@ -25,14 +26,15 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
+from ..arch import devices, wires
 from ..arch import templates as tmpl
-from ..arch import wires
 from ..arch.templates import TemplateValue
 from ..arch.virtex import VirtexArch
 from ..core.endpoints import Port, PortDirection
 from ..core.path import Path
 from ..core.template import Template
-from ..core.wal import iter_wal_frames, load_checkpoint
+from ..core.wal import is_torn_header, iter_wal_frames, load_checkpoint
+from ..device.state import CONTENTION, SAME, drive_verdict
 from ..errors import JRouteError
 from ..routers.base import PlanPip
 from .findings import Finding, Severity
@@ -65,20 +67,11 @@ def _name(n: int) -> str:
     return wires.wire_name(n) if 0 <= n < wires.N_NAMES else f"<{n}>"
 
 
-def _check_pip(
-    arch: VirtexArch,
-    r: int,
-    c: int,
-    f: int,
-    t: int,
-    *,
-    file: str,
-    line: int | None = None,
-    **context: int | str | None,
-) -> Finding | None:
-    reason = arch.pip_legal_at(r, c, f, t)
-    if reason is None:
-        return None
+def _illegal(
+    reason: str, r: int, c: int, f: int, t: int, **where: int | str | None
+) -> Finding:
+    """The finding for a :meth:`VirtexArch.pip_legal_at` reason code;
+    ``where`` holds the file, line and context keys that locate it."""
     rule, detail = _PIP_REASONS[reason]
     return Finding.make(
         rule,
@@ -90,11 +83,9 @@ def _check_pip(
             else "pick a connection the architecture provides "
             "(see Device.fanout_pips)"
         ),
-        file=file,
-        line=line,
         at=(r, c),
         wire=_name(t),
-        **context,
+        **where,
     )
 
 
@@ -109,46 +100,59 @@ def lint_plan(
     plan_name: str | int = 0,
     driven: dict[int, tuple[int, str | int, int]] | None = None,
 ) -> list[Finding]:
-    """Validate one PIP plan: existence, adjacency, drive conflicts.
+    """Validate one PIP plan as ``turn_on`` would apply it, in order:
+    legality (RL001-RL003), then against the accepted steps a second
+    driver (RL004) or a loop (RL010); a refused step is skipped.
 
-    ``driven`` is the cross-plan driver map (canonical wire ->
-    ``(canon_from, plan_name, step)``); pass the same dict across plans
-    of one deployment set to get the static ``isOn`` conflict analysis
-    (RL004) *between* plans as well as within one.
+    ``driven`` maps each accepted wire to ``(canon_from, plan_name,
+    step)``; pass one dict across the plans of a deployment set to judge
+    them *between* plans as well as within one.
     """
     findings: list[Finding] = []
     driven = {} if driven is None else driven
+
+    def driver_of(canon: int) -> int:
+        prior = driven.get(canon)
+        return -1 if prior is None else prior[0]
+
     for step, (r, c, f, t) in enumerate(plan):
-        bad = _check_pip(
-            arch, r, c, f, t, file=file, plan=plan_name, step=step
-        )
-        if bad is not None:
-            findings.append(bad)
-            continue
-        canon_from = arch.canonicalize(r, c, f)
-        canon_to = arch.canonicalize(r, c, t)
-        assert canon_from is not None and canon_to is not None
-        prior = driven.get(canon_to)
-        if prior is not None and prior[0] != canon_from:
-            _, other_plan, other_step = prior
+        reason, canon_from, canon_to = arch.pip_legal_at(r, c, f, t)
+        if reason is not None:
             findings.append(
-                Finding.make(
-                    "RL004",
-                    Severity.ERROR,
-                    f"{_name(t)} at ({r},{c}) is driven twice: plan "
-                    f"{plan_name!r} step {step} conflicts with plan "
-                    f"{other_plan!r} step {other_step}",
-                    hint="the device would raise ContentionError on the "
-                    "second turn_on; reroute one of the nets",
-                    file=file,
-                    plan=plan_name,
-                    step=step,
-                    at=(r, c),
-                    wire=_name(t),
-                )
+                _illegal(reason, r, c, f, t, file=file, plan=plan_name, step=step)
             )
-        else:
+            continue
+        verdict = drive_verdict(driver_of, canon_from, canon_to)
+        if verdict is None or verdict == SAME:
             driven[canon_to] = (canon_from, plan_name, step)
+            continue
+        if verdict == CONTENTION:
+            _, other_plan, other_step = driven[canon_to]
+            rule, message = "RL004", (
+                f"{_name(t)} at ({r},{c}) is driven twice: plan "
+                f"{plan_name!r} step {step} conflicts with plan "
+                f"{other_plan!r} step {other_step}"
+            )
+            hint = "ContentionError on the second turn_on; reroute one of the nets"
+        else:
+            rule, message = "RL010", (
+                f"plan {plan_name!r} step {step}: {_name(f)} -> "
+                f"{_name(t)} at ({r},{c}) closes a routing loop"
+            )
+            hint = "RoutingLoopError on this turn_on; a net must not feed itself"
+        findings.append(
+            Finding.make(
+                rule,
+                Severity.ERROR,
+                message,
+                hint="the device would raise " + hint,
+                file=file,
+                plan=plan_name,
+                step=step,
+                at=(r, c),
+                wire=_name(t),
+            )
+        )
     return findings
 
 
@@ -171,61 +175,12 @@ def lint_plans(
 def lint_path(
     arch: VirtexArch, path: Path, *, file: str = ""
 ) -> list[Finding]:
-    """Validate a level-2 :class:`Path` without resolving it on a device.
-
-    Walks the same presence-point logic as :meth:`Path.resolve` but
-    reports findings instead of raising at the first illegal step.
-    """
+    """Validate a level-2 :class:`Path` without resolving it on a device:
+    the step :meth:`Path.place` (the walk behind :meth:`Path.resolve`)
+    could not place, and every placed step whose target is undrivable."""
+    plan, stuck = path.place(arch)
     findings: list[Finding] = []
-    canon0 = arch.canonicalize(path.row, path.col, path.wires[0])
-    if canon0 is None:
-        findings.append(
-            Finding.make(
-                "RL001",
-                Severity.ERROR,
-                f"path start {_name(path.wires[0])} does not exist at "
-                f"({path.row},{path.col})",
-                hint="start a path on a wire the tile owns",
-                file=file,
-                at=(path.row, path.col),
-                wire=_name(path.wires[0]),
-            )
-        )
-        return findings
-    here = sorted(
-        arch.presences(canon0),
-        key=lambda p: (p[0], p[1]) != (path.row, path.col),
-    )
-    for step, to_wire in enumerate(path.wires[1:], start=1):
-        # mirror Path.resolve's placement search exactly, so the lint
-        # walks the same plan the runtime would build
-        placed = None
-        for r, c, from_name in here:
-            if not arch.pip_exists(from_name, to_wire):
-                continue
-            canon_to = arch.canonicalize(r, c, to_wire)
-            if canon_to is None:
-                continue
-            placed = (r, c, from_name, to_wire, canon_to)
-            break
-        if placed is None:
-            r0, c0, n0 = here[0]
-            findings.append(
-                Finding.make(
-                    "RL002",
-                    Severity.ERROR,
-                    f"path step {step}: cannot drive {_name(to_wire)} "
-                    f"from {_name(n0)} near ({r0},{c0})",
-                    hint="insert an intermediate resource the "
-                    "architecture connects, or drop to a template",
-                    file=file,
-                    at=(r0, c0),
-                    wire=_name(to_wire),
-                    step=step,
-                )
-            )
-            return findings
-        r, c, from_name, _, canon_to = placed
+    for step, (r, c, _, to_wire) in enumerate(plan, start=1):
         if not arch.drivable(r, c, to_wire):
             findings.append(
                 Finding.make(
@@ -241,8 +196,36 @@ def lint_path(
                     step=step,
                 )
             )
-        here = sorted(
-            arch.presences(canon_to), key=lambda p: (p[0], p[1]) == (r, c)
+    if stuck is None:
+        return findings
+    step, r0, c0, n0 = stuck
+    if step == 0:
+        findings.append(
+            Finding.make(
+                "RL001",
+                Severity.ERROR,
+                f"path start {_name(n0)} does not exist at ({r0},{c0})",
+                hint="start a path on a wire the tile owns",
+                file=file,
+                at=(r0, c0),
+                wire=_name(n0),
+            )
+        )
+    else:
+        to_wire = path.wires[step]
+        findings.append(
+            Finding.make(
+                "RL002",
+                Severity.ERROR,
+                f"path step {step}: cannot drive {_name(to_wire)} "
+                f"from {_name(n0)} near ({r0},{c0})",
+                hint="insert an intermediate resource the "
+                "architecture connects, or drop to a template",
+                file=file,
+                at=(r0, c0),
+                wire=_name(to_wire),
+                step=step,
+            )
         )
     return findings
 
@@ -493,22 +476,32 @@ def lint_wal_file(
     """Validate a write-ahead log: frames (RL007) and replay (RL008).
 
     Frame checks mirror what recovery tolerates: a torn *tail* is the
-    expected crash artifact (warning), while corruption *before* intact
+    expected crash artifact (warning), and so is a header torn before
+    its newline (for ``part``, or for any catalogue part when ``part``
+    is None), while corruption *before* intact
     frames, CRC mismatches and sequence gaps mean the log cannot be
-    trusted (error).  Replay checks simulate the driver map the device
-    would build, so contention and loop protection trips are predicted
-    offline.
+    trusted (error).  Replay checks apply the device's own rules
+    (:meth:`VirtexArch.pip_legal_at`, then
+    :func:`~repro.device.state.drive_verdict` over the drives replayed so
+    far), so contention and loop protection trips are predicted offline.
     """
     findings: list[Finding] = []
     header, frames = iter_wal_frames(path)
     if header is None:
+        # a header torn before its newline is what creating the log
+        # leaves on a crash; recovery reads it as an empty log
+        parts = (part,) if part is not None else devices.part_names(None)
+        torn = any(is_torn_header(path, p) for p in parts)
         return [
             Finding.make(
                 "RL007",
-                Severity.ERROR,
-                "not a WAL: bad or missing header",
-                hint="line 1 must be the JSON header the "
-                "WriteAheadLog writes",
+                Severity.WARNING if torn else Severity.ERROR,
+                "torn tail record (crash artifact)"
+                if torn
+                else "not a WAL: bad or missing header",
+                hint="recovery drops a torn tail automatically"
+                if torn
+                else "line 1 must be the JSON header the WriteAheadLog writes",
                 file=path,
                 line=1,
             )
@@ -539,7 +532,11 @@ def lint_wal_file(
             )
         ]
     expect = 0
-    driver: dict[int, int] = {}  # canon_to -> canon_from
+    driver: dict[int, int] = {}  # canon_to -> canon_from, as replay leaves it
+
+    def driver_of(canon: int) -> int:
+        return driver.get(canon, -1)
+
     for i, frame in enumerate(frames):
         rec = frame.record
         if rec is None:
@@ -579,86 +576,44 @@ def lint_wal_file(
             expect = rec.seq + 1
         else:
             expect += 1
-        bad = _check_pip(
-            arch,
-            rec.row,
-            rec.col,
-            rec.from_name,
-            rec.to_name,
-            file=path,
-            line=frame.line,
-            seq=rec.seq,
-        )
-        if bad is not None:
-            findings.append(bad)
+        r, c, f, t = rec.row, rec.col, rec.from_name, rec.to_name
+        where = dict(file=path, line=frame.line, seq=rec.seq)
+        reason, canon_from, canon_to = arch.pip_legal_at(r, c, f, t)
+        if reason is not None:
+            findings.append(_illegal(reason, r, c, f, t, **where))
             continue
-        canon_from = arch.canonicalize(rec.row, rec.col, rec.from_name)
-        canon_to = arch.canonicalize(rec.row, rec.col, rec.to_name)
-        assert canon_from is not None and canon_to is not None
-        if rec.on:
-            prior = driver.get(canon_to)
-            if prior is not None and prior != canon_from:
-                findings.append(
-                    Finding.make(
-                        "RL008",
-                        Severity.ERROR,
-                        f"seq {rec.seq}: {_name(rec.to_name)} at "
-                        f"({rec.row},{rec.col}) is already driven; "
-                        f"replay would raise ContentionError",
-                        hint="the journal interleaves two sessions or "
-                        "skipped an off-event",
-                        file=path,
-                        line=frame.line,
-                        seq=rec.seq,
-                        at=(rec.row, rec.col),
-                        wire=_name(rec.to_name),
-                    )
-                )
-                continue
-            # loop protection: driving an ancestor closes a cycle
-            node, hops = canon_from, 0
-            while node in driver and hops <= len(driver):
-                node = driver[node]
-                hops += 1
-            if node == canon_to and prior is None:
-                findings.append(
-                    Finding.make(
-                        "RL008",
-                        Severity.ERROR,
-                        f"seq {rec.seq}: turning on "
-                        f"{_name(rec.from_name)} -> "
-                        f"{_name(rec.to_name)} closes a routing loop",
-                        hint="replay would raise RoutingLoopError",
-                        file=path,
-                        line=frame.line,
-                        seq=rec.seq,
-                        at=(rec.row, rec.col),
-                        wire=_name(rec.to_name),
-                    )
-                )
-                continue
+        verdict = drive_verdict(driver_of, canon_from, canon_to)
+        if rec.on and (verdict is None or verdict == SAME):
             driver[canon_to] = canon_from
+            continue
+        if not rec.on and verdict == SAME:
+            del driver[canon_to]
+            continue
+        severity = Severity.ERROR
+        if not rec.on:
+            severity = Severity.WARNING
+            message = f"off-event for a PIP that is not on ({_name(f)} -> {_name(t)})"
+            hint = "idempotent replay skips it, but the journal and the session disagree"
+        elif verdict == CONTENTION:
+            message = (
+                f"{_name(t)} at ({r},{c}) is already driven; "
+                f"replay would raise ContentionError"
+            )
+            hint = "the journal interleaves two sessions or skipped an off-event"
         else:
-            prior = driver.get(canon_to)
-            if prior is None or prior != canon_from:
-                findings.append(
-                    Finding.make(
-                        "RL008",
-                        Severity.WARNING,
-                        f"seq {rec.seq}: off-event for a PIP that is "
-                        f"not on ({_name(rec.from_name)} -> "
-                        f"{_name(rec.to_name)})",
-                        hint="idempotent replay skips it, but the "
-                        "journal and the session disagree",
-                        file=path,
-                        line=frame.line,
-                        seq=rec.seq,
-                        at=(rec.row, rec.col),
-                        wire=_name(rec.to_name),
-                    )
-                )
-            else:
-                del driver[canon_to]
+            message = f"turning on {_name(f)} -> {_name(t)} closes a routing loop"
+            hint = "replay would raise RoutingLoopError"
+        findings.append(
+            Finding.make(
+                "RL008",
+                severity,
+                f"seq {rec.seq}: {message}",
+                hint=hint,
+                at=(r, c),
+                wire=_name(t),
+                **where,
+            )
+        )
     return findings
 
 
@@ -709,13 +664,10 @@ def lint_checkpoint_file(
     driven: set[int] = set()
     for step, pip in enumerate(body.get("pips", [])):
         r, c, f, t = pip
-        illegal = _check_pip(arch, r, c, f, t, file=path, step=step)
-        if illegal is not None:
-            findings.append(illegal)
+        reason, canon_from, canon_to = arch.pip_legal_at(r, c, f, t)
+        if reason is not None:
+            findings.append(_illegal(reason, r, c, f, t, file=path, step=step))
             continue
-        canon_from = arch.canonicalize(r, c, f)
-        canon_to = arch.canonicalize(r, c, t)
-        assert canon_from is not None and canon_to is not None
         if canon_to in driven:
             findings.append(
                 bad(

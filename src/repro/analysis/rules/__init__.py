@@ -94,6 +94,11 @@ RL009 = _register(Rule(
     "a checkpoint's PIP preorder, net records or WAL linkage are "
     "mutually inconsistent",
 ))
+RL010 = _register(Rule(
+    "RL010", "artifact", "plan-routing-loop", Severity.ERROR,
+    "a plan step drives a wire its own source descends from "
+    "(the static form of the runtime loop check)",
+))
 
 # -- Code rules -----------------------------------------------------------------
 # Each of these is a named, regression-proof form of a bug class fixed in

@@ -52,11 +52,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import connectivity, wires
-from .virtex import _BASE_COST, N_OWNED, VirtexArch
-from .wires import WireClass
+from .virtex import _BASE_COST, N_OWNED, NAME_DRIVABLE, VirtexArch
 
 __all__ = [
-    "NAME_DRIVABLE",
     "DRIVES_DRIVABLE",
     "NAME_COST",
     "RoutingGraph",
@@ -68,31 +66,6 @@ __all__ = [
     "attach_shared_graph",
     "release_shared_exports",
 ]
-
-# Name-level drivability: pure sources, globals and the direct-connect
-# alias of a neighbour's OMUX can never be the target of a PIP; odd hexes
-# cannot be driven through their far-end (south/west) alias names.
-_HS0 = wires.HEX_S[0]
-
-
-def _name_drivable(name: int) -> bool:
-    info = wires.wire_info(name)
-    cls = info.wire_class
-    if cls in (
-        WireClass.SLICE_OUT,
-        WireClass.GCLK,
-        WireClass.DIRECT,
-        WireClass.IOB_IN,
-    ):
-        return False
-    if cls is WireClass.HEX and name >= _HS0 and info.index % 2 == 1:
-        return False
-    return True
-
-
-NAME_DRIVABLE: tuple[bool, ...] = tuple(
-    _name_drivable(n) for n in range(wires.N_NAMES)
-)
 
 #: Name-level fan-out restricted to drivable targets, precomputed once.
 DRIVES_DRIVABLE: tuple[tuple[int, ...], ...] = tuple(

@@ -160,7 +160,7 @@ def legal_transition(a: TemplateValue, b: TemplateValue) -> bool:
     consecutive values ``a, b`` to be routable anywhere on the fabric.
     """
     from .connectivity import DRIVES
-    from .graph import NAME_DRIVABLE
+    from .virtex import NAME_DRIVABLE
 
     return any(
         template_value_of(t) is b and NAME_DRIVABLE[t]

@@ -43,7 +43,7 @@ from __future__ import annotations
 from . import connectivity, devices, wires
 from .wires import Direction, WireClass
 
-__all__ = ["VirtexArch", "N_OWNED"]
+__all__ = ["VirtexArch", "N_OWNED", "NAME_DRIVABLE"]
 
 # Owned-slot layout within one tile.
 _LOCAL_COUNT = 42  # OUT + slice outs + slice ins + ctl: names 0..41 == slots
@@ -75,6 +75,26 @@ _DW0 = wires.DIRECT_W_OUT[0]
 _II0 = wires.IOB_IN[0]
 _IO0 = wires.IOB_OUT[0]
 _N_NAMES = wires.N_NAMES
+
+
+def _name_drivable(name: int) -> bool:
+    """Can any PIP drive wire ``name``?  The bidirectionality rules of
+    Section 2: singles and long lines may be driven from any access
+    point; even-indexed hexes are bidirectional ("some hexes are
+    bi-directional") while odd-indexed hexes may only be driven from
+    their origin end, not through their far-end (south/west) alias;
+    pure sources (slice outputs, globals, pad inputs) and the direct
+    alias of a neighbour's OMUX are never PIP-driven."""
+    info = wires.wire_info(name)
+    cls = info.wire_class
+    if cls in (WireClass.SLICE_OUT, WireClass.GCLK, WireClass.DIRECT, WireClass.IOB_IN):
+        return False
+    return not (cls is WireClass.HEX and name >= _HS0 and info.index % 2 == 1)
+
+
+#: :func:`_name_drivable` per name: the one drivability table the
+#: device, the compiled graph and the linter read.
+NAME_DRIVABLE: tuple[bool, ...] = tuple(_name_drivable(n) for n in range(_N_NAMES))
 
 
 class VirtexArch:
@@ -319,60 +339,43 @@ class VirtexArch:
             return [(r, col, _LV0 + i) for r in range(i % 6, self.rows, 6)]
         return [(0, 0, _GC0 + (canon - self._gclk_base))]
 
-    # -- drivability ---------------------------------------------------------
+    # -- drivability and PIP legality ----------------------------------------
 
     def drivable(self, row: int, col: int, name: int) -> bool:
         """Can a PIP located at ``(row, col)`` drive wire ``name``?
 
-        Encodes the bidirectionality rules of Section 2: singles and long
-        lines may be driven from any access point; even-indexed hexes are
-        bidirectional ("some hexes are bi-directional") while odd-indexed
-        hexes may only be driven from their origin end; pure sources
-        (slice outputs, globals) and alias views of a neighbour's OMUX are
-        never PIP-driven.
+        :data:`NAME_DRIVABLE` for a wire that exists at the tile.
         """
-        info = wires.wire_info(name)
-        cls = info.wire_class
-        if cls in (
-            WireClass.SLICE_OUT,
-            WireClass.GCLK,
-            WireClass.DIRECT,
-            WireClass.IOB_IN,
-        ):
-            return False
-        if cls is WireClass.HEX and name >= _HS0 and info.index % 2 == 1:
-            # odd hexes are unidirectional: the S/W alias is the far end
-            return False
-        return self.canonicalize(row, col, name) is not None
+        return NAME_DRIVABLE[name] and self.canonicalize(row, col, name) is not None
 
     def pip_legal_at(
         self, row: int, col: int, from_name: int, to_name: int
-    ) -> str | None:
-        """Offline legality of configuring a PIP at ``(row, col)``.
+    ) -> tuple[str | None, int, int]:
+        """Static legality of the PIP ``from_name -> to_name`` at
+        ``(row, col)``, with both wires resolved.
 
-        The static mirror of the checks :meth:`Device.turn_on
-        <repro.device.fabric.Device.turn_on>` performs before touching
-        state, for tooling that validates artifacts *without* a device
-        (``repro analyze``).  Returns ``None`` when the PIP could be
-        configured on an empty fabric, else a reason code:
-        ``"unknown-name"``, ``"missing-pip"``, ``"missing-from"``,
-        ``"missing-to"``, ``"undrivable"`` or ``"self-drive"``.
+        Returns ``(reason, canon_from, canon_to)``: ``reason`` is None
+        when the PIP could be configured on an empty fabric, else the
+        first failed check (``"unknown-name"``, ``"missing-pip"``,
+        ``"missing-from"``, ``"missing-to"``, ``"undrivable"``,
+        ``"self-drive"``); an id the checks did not reach is -1.
+        ``Device.turn_on`` raises from it and ``repro analyze`` reports it.
         """
         if not (0 <= from_name < _N_NAMES and 0 <= to_name < _N_NAMES):
-            return "unknown-name"
+            return "unknown-name", -1, -1
         if not connectivity.pip_exists(from_name, to_name):
-            return "missing-pip"
+            return "missing-pip", -1, -1
         canon_from = self.canonicalize(row, col, from_name)
         if canon_from is None:
-            return "missing-from"
+            return "missing-from", -1, -1
         canon_to = self.canonicalize(row, col, to_name)
         if canon_to is None:
-            return "missing-to"
-        if not self.drivable(row, col, to_name):
-            return "undrivable"
+            return "missing-to", canon_from, -1
+        if not NAME_DRIVABLE[to_name]:
+            return "undrivable", canon_from, canon_to
         if canon_from == canon_to:
-            return "self-drive"
-        return None
+            return "self-drive", canon_from, canon_to
+        return None, canon_from, canon_to
 
     def is_bidirectional(self, name: int) -> bool:
         """True if the named wire class can be driven from both ends."""

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .. import errors
 from ..arch import wires
+from ..arch.virtex import VirtexArch
 from ..device.fabric import Device
 from ..routers.base import PlanPip
 
@@ -51,43 +52,48 @@ class Path:
         current tile).  Raises :class:`~repro.errors.InvalidPipError` when
         the path is not realisable.
         """
-        arch = device.arch
-        plan: list[PlanPip] = []
-        # presence points of the signal after the previous step
-        here = [(self.row, self.col, self.wires[0])]
+        plan, stuck = self.place(device.arch)
+        if stuck is not None:
+            step, r, c, name = stuck
+            if step == 0:
+                raise errors.InvalidResourceError(
+                    f"{wires.wire_name(name)} does not exist at ({r},{c})"
+                )
+            raise errors.InvalidPipError(
+                f"path step {step}: cannot drive "
+                f"{wires.wire_name(self.wires[step])} from "
+                f"{wires.wire_name(name)} near ({r},{c})"
+            )
+        return plan
+
+    def place(
+        self, arch: VirtexArch
+    ) -> tuple[list[PlanPip], tuple[int, int, int, int] | None]:
+        """The placement walk of :meth:`resolve` and the path lint.
+
+        Returns ``(plan, stuck)``: the PIPs of the steps placed, and None
+        or ``(step, row, col, name)`` for the first step not placed --
+        step 0 when the start wire is missing, else the presence point
+        the signal was preferred at when none could drive the step.
+        """
         canon0 = arch.canonicalize(self.row, self.col, self.wires[0])
         if canon0 is None:
-            raise errors.InvalidResourceError(
-                f"{wires.wire_name(self.wires[0])} does not exist at "
-                f"({self.row},{self.col})"
-            )
-        here = [
-            (r, c, n)
-            for r, c, n in arch.presences(canon0)
-        ]
-        # prefer the user's stated start tile
+            return [], (0, self.row, self.col, self.wires[0])
+        plan: list[PlanPip] = []
+        # presence points of the signal after the previous step, the
+        # user's stated start tile first
+        here = arch.presences(canon0)
         here.sort(key=lambda p: (p[0], p[1]) != (self.row, self.col))
-
         for step, to_wire in enumerate(self.wires[1:], start=1):
-            placed = None
             for r, c, from_name in here:
-                if not arch.pip_exists(from_name, to_wire):
-                    continue
-                canon_to = arch.canonicalize(r, c, to_wire)
-                if canon_to is None:
-                    continue
-                placed = (r, c, from_name, to_wire, canon_to)
-                break
-            if placed is None:
-                raise errors.InvalidPipError(
-                    f"path step {step}: cannot drive "
-                    f"{wires.wire_name(to_wire)} from "
-                    f"{wires.wire_name(here[0][2])} near "
-                    f"({here[0][0]},{here[0][1]})"
-                )
-            r, c, from_name, to_wire, canon_to = placed
+                if arch.pip_exists(from_name, to_wire):
+                    canon_to = arch.canonicalize(r, c, to_wire)
+                    if canon_to is not None:
+                        break
+            else:
+                return plan, (step, *here[0])
             plan.append((r, c, from_name, to_wire))
             here = arch.presences(canon_to)
             # prefer continuing away from the tile we just used
             here.sort(key=lambda p: (p[0], p[1]) == (r, c))
-        return plan
+        return plan, None

@@ -698,9 +698,12 @@ class JRouter:
     ) -> list[P2PRouteOutcome]:
         """Route many independent point-to-point pairs in one batched search.
 
-        Each entry is a ``(source, sink)`` endpoint pair routed with
-        level-4 semantics.  Template attempts stay scalar (they are
-        lookup-bound); every template miss rides a single
+        Each entry is a ``(source, sink)`` endpoint pair, handled as a
+        level-4 call is except for its search: a template miss runs
+        unbiased Dijkstra, not A*, under the same expansion budget, so a
+        long pair can exhaust the budget where :meth:`route` finds it
+        (E10's corner pair on XCV1000).  Template attempts stay scalar
+        (they are lookup-bound); every template miss rides a single
         :func:`~repro.routers.maze.route_maze_batch` call, so the fixed
         costs (fault-mask lookup, stats publication) are paid once per
         batch instead of once per net.  That call runs every miss as

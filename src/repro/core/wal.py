@@ -60,6 +60,7 @@ __all__ = [
     "WalFrame",
     "WriteAheadLog",
     "iter_wal_frames",
+    "is_torn_header",
     "write_checkpoint",
     "load_checkpoint",
     "DurableSession",
@@ -135,6 +136,21 @@ def _trim_torn_tail(path: str) -> None:
         fh.truncate(keep)
 
 
+def wal_header(part: str) -> str:
+    """The header line of ``part``'s WAL, without its newline."""
+    return json.dumps({"wal": WAL_VERSION, "part": part})
+
+
+def is_torn_header(path: str, part: str) -> bool:
+    """True when the file is a proper prefix of ``part``'s WAL header:
+    what creating the log leaves if the process dies mid-write, before
+    any record.  Resume and recovery read it as an empty log."""
+    header = wal_header(part).encode("ascii")
+    with open(path, "rb") as fh:
+        data = fh.read(len(header))
+    return len(data) < len(header) and header.startswith(data)
+
+
 def iter_wal_frames(path: str) -> tuple[dict | None, list[WalFrame]]:
     """Scan a WAL file frame by frame without judging it.
 
@@ -199,7 +215,7 @@ class WriteAheadLog:
         self.part = part
         self.next_seq = 0
         if os.path.exists(path) and os.path.getsize(path) > 0:
-            header, records, _torn = self._scan(path)
+            header, records, _torn = self._scan(path, part)
             if header.get("part") != part:
                 raise errors.TransactionError(
                     f"WAL is for part {header.get('part')!r}, not {part!r}",
@@ -214,9 +230,7 @@ class WriteAheadLog:
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         self._fh = open(path, "a", encoding="ascii")
         if fresh:
-            self._fh.write(
-                json.dumps({"wal": WAL_VERSION, "part": part}) + "\n"
-            )
+            self._fh.write(wal_header(part) + "\n")
             self._fh.flush()
 
     # -- writing ---------------------------------------------------------------
@@ -260,11 +274,14 @@ class WriteAheadLog:
     # -- reading ---------------------------------------------------------------
 
     @staticmethod
-    def _scan(path: str) -> tuple[dict, list[WalRecord], bool]:
+    def _scan(path: str, part: str | None) -> tuple[dict, list[WalRecord], bool]:
         """Parse header + intact records; a torn/corrupt tail stops the
-        scan (everything after the first bad line is ignored)."""
+        scan (everything after the first bad line is ignored), and a
+        torn header of ``part``'s WAL scans as an empty, torn log."""
         header, frames = iter_wal_frames(path)
         if header is None:
+            if part is not None and is_torn_header(path, part):
+                return {"wal": WAL_VERSION, "part": part}, [], True
             raise errors.TransactionError(
                 "not a WAL (bad header)", path=path, line=1
             )
@@ -281,13 +298,15 @@ class WriteAheadLog:
         return header, records, torn
 
     @classmethod
-    def replay(cls, path: str) -> tuple[str, list[WalRecord], bool]:
-        """Read a WAL for recovery.
+    def replay(
+        cls, path: str, part: str | None = None
+    ) -> tuple[str, list[WalRecord], bool]:
+        """Read a WAL for recovery, as ``part``'s when given.
 
         Returns ``(part, records, torn)`` where ``records`` are the
         intact prefix (a torn tail — the crash artifact — is dropped).
         """
-        header, records, torn = cls._scan(path)
+        header, records, torn = cls._scan(path, part)
         return header["part"], records, torn
 
 
@@ -556,14 +575,15 @@ def recover(
     The checkpoint restores the bulk state; the WAL suffix past its
     sequence number is replayed idempotently; finally the behavioural
     state is reconciled against the recovered bitstream
-    (:func:`reconcile`).  Returns the fresh
+    (:func:`reconcile`).  A torn header of the WAL of the part that
+    ``router_kwargs`` names reads as an empty log.  Returns the fresh
     :class:`~repro.core.router.JRouter` and a :class:`RecoveryReport`.
     """
     from .router import JRouter  # local import: router imports this module's deps
 
-    part, records, torn = WriteAheadLog.replay(wal_path)
-    report = RecoveryReport(torn_tail=torn)
     kwargs = dict(router_kwargs or {})
+    part, records, torn = WriteAheadLog.replay(wal_path, kwargs.get("part"))
+    report = RecoveryReport(torn_tail=torn)
     kwargs.setdefault("part", part)
     kwargs["attach_jbits"] = True
     router = JRouter(**kwargs)

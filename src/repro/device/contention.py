@@ -5,7 +5,10 @@ The hard contention *enforcement* lives in
 drivers.  This module adds the advisory queries routers and user tools
 use to avoid tripping that enforcement: dry-run checks for a single PIP
 or for a whole planned path, and an audit that verifies the invariant
-over a device's entire state (used by tests and the debug tools).
+over a device's entire state (used by tests and the debug tools).  The
+dry runs apply the device's own rules: the static legality of
+:meth:`~repro.arch.virtex.VirtexArch.pip_legal_at` and the
+order-dependent :func:`~repro.device.state.drive_verdict`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..arch import connectivity, wires
-from .fabric import Device, _NAME_DRIVABLE
+from .fabric import Device
+from .state import CONTENTION, SAME, drive_verdict
 
 __all__ = ["would_contend", "path_conflicts", "audit_no_contention"]
 
@@ -22,15 +26,11 @@ def would_contend(device: Device, row: int, col: int, from_name: int, to_name: i
     """True if turning on this PIP would raise
     :class:`~repro.errors.ContentionError` (the target wire already has a
     different driver).  Nonexistent resources/PIPs also report True —
-    they cannot be turned on."""
-    if not connectivity.pip_exists(from_name, to_name) or not _NAME_DRIVABLE[to_name]:
-        return True
-    canon_from = device.arch.canonicalize(row, col, from_name)
-    canon_to = device.arch.canonicalize(row, col, to_name)
-    if canon_from is None or canon_to is None or canon_from == canon_to:
-        return True
-    rec = device.state.pip_of.get(canon_to)
-    return rec is not None and rec.canon_from != canon_from
+    they cannot be turned on.  A PIP that would close a loop is not
+    contention."""
+    reason, canon_from, canon_to = device.arch.pip_legal_at(row, col, from_name, to_name)
+    live = device.state.driver.item
+    return reason is not None or drive_verdict(live, canon_from, canon_to) == CONTENTION
 
 
 def path_conflicts(
@@ -38,24 +38,26 @@ def path_conflicts(
 ) -> list[tuple[int, int, int, int]]:
     """Dry-run a planned sequence of PIPs ``(row, col, from, to)``.
 
-    Returns the subset that would conflict, considering both the current
-    device state and conflicts *within* the plan (two planned PIPs driving
-    the same wire).  An empty result means the plan can be applied.
+    Returns the steps ``turn_on`` would refuse, applied in order: an
+    illegal PIP, a second driver or a drive that closes a loop, against
+    the device state plus the plan's earlier accepted steps (a refused
+    ``turn_on`` changes nothing).  Nothing is turned on and no listener
+    fires.  An empty result means the plan can be applied, unless the
+    device's fault model, which is not consulted here, refuses a step.
     """
     conflicts: list[tuple[int, int, int, int]] = []
-    planned_targets: dict[int, int] = {}
-    for row, col, from_name, to_name in pips:
-        canon_to = device.arch.canonicalize(row, col, to_name)
-        canon_from = device.arch.canonicalize(row, col, from_name)
-        if would_contend(device, row, col, from_name, to_name):
-            conflicts.append((row, col, from_name, to_name))
-            continue
-        assert canon_to is not None and canon_from is not None
-        prev = planned_targets.get(canon_to)
-        if prev is not None and prev != canon_from:
-            conflicts.append((row, col, from_name, to_name))
-            continue
-        planned_targets[canon_to] = canon_from
+    accepted: dict[int, int] = {}  # canon_to -> canon_from, plan steps
+    live = device.state.driver.item
+
+    def driver_of(canon: int) -> int:
+        return accepted[canon] if canon in accepted else live(canon)
+
+    for pip in pips:
+        reason, canon_from, canon_to = device.arch.pip_legal_at(*pip)
+        if reason is None and drive_verdict(driver_of, canon_from, canon_to) in (None, SAME):
+            accepted[canon_to] = canon_from
+        else:
+            conflicts.append(tuple(pip))
     return conflicts
 
 

@@ -17,19 +17,27 @@ from typing import Callable, Iterator
 
 from .. import errors
 from ..arch import connectivity, wires
-
-# The name-level drivability tables moved to the compiled-graph module so
-# the CSR builder and the behavioural device share one definition.
 from ..arch.graph import DRIVES_DRIVABLE as _DRIVES_DRIVABLE
-from ..arch.graph import NAME_DRIVABLE as _NAME_DRIVABLE
 from ..arch.graph import routing_graph as _routing_graph
+from ..arch.virtex import NAME_DRIVABLE as _NAME_DRIVABLE
 from ..arch.virtex import VirtexArch
-from .state import PipRecord, RoutingState
+from .state import CONTENTION, LOOP, SAME, PipRecord, RoutingState, drive_verdict
 
 __all__ = ["Device", "PipEvent"]
 
 #: (on: bool, record) passed to configuration listeners.
 PipEvent = tuple[bool, PipRecord]
+
+#: :meth:`VirtexArch.pip_legal_at` reason -> the exception ``turn_on``
+#: raises and its message, over the wire labels ``f``/``t`` and the tile
+_REFUSALS: dict[str, tuple[type[errors.JRouteError], str]] = {
+    "missing-pip": (errors.InvalidPipError, "no PIP {f} -> {t} in the architecture"),
+    "missing-from": (errors.InvalidResourceError, "{f} does not exist at CLB ({row},{col}) on {part}"),
+    "missing-to": (errors.InvalidResourceError, "{t} does not exist at CLB ({row},{col}) on {part}"),
+    "undrivable": (errors.InvalidPipError, "{t} cannot be driven at ({row},{col})"),
+    "self-drive": (errors.InvalidPipError, "{f} and {t} are the same physical wire at ({row},{col})"),
+}
+_REFUSALS["unknown-name"] = _REFUSALS["missing-pip"]
 
 
 class Device:
@@ -122,11 +130,22 @@ class Device:
         """Canonicalize a wire name at a tile, raising if it doesn't exist."""
         canon = self.arch.canonicalize(row, col, name)
         if canon is None:
-            raise errors.InvalidResourceError(
-                f"{wires.wire_name(name)} does not exist at CLB ({row},{col}) "
-                f"on {self.arch.part.name}"
-            )
+            raise self._refusal("missing-to", row, col, name, name)
         return canon
+
+    def _refusal(
+        self, reason: str, row: int, col: int, from_name: int, to_name: int
+    ) -> errors.JRouteError:
+        """The exception :meth:`turn_on` raises for a
+        :meth:`VirtexArch.pip_legal_at` reason code (:meth:`resolve`
+        raises the ``"missing-to"`` one for a lone wire)."""
+        cls, message = _REFUSALS[reason]
+        f, t = (
+            wires.wire_name(n) if 0 <= n < wires.N_NAMES else str(n)
+            for n in (from_name, to_name)
+        )
+        part = self.arch.part.name
+        return cls(message.format(f=f, t=t, row=row, col=col, part=part))
 
     # -- PIP mutation --------------------------------------------------------------
 
@@ -138,27 +157,15 @@ class Device:
         connection creates neither contention (two drivers on one wire) nor
         a combinational routing loop.  Idempotent for an already-on PIP.
         """
-        if not connectivity.pip_exists(from_name, to_name):
-            raise errors.InvalidPipError(
-                f"no PIP {wires.wire_name(from_name)} -> "
-                f"{wires.wire_name(to_name)} in the architecture"
-            )
-        canon_from = self.resolve(row, col, from_name)
-        canon_to = self.resolve(row, col, to_name)
-        if not _NAME_DRIVABLE[to_name]:
-            raise errors.InvalidPipError(
-                f"{wires.wire_name(to_name)} cannot be driven at ({row},{col})"
-            )
-        if canon_from == canon_to:
-            raise errors.InvalidPipError(
-                f"{wires.wire_name(from_name)} and {wires.wire_name(to_name)} "
-                f"are the same physical wire at ({row},{col})"
-            )
+        reason, canon_from, canon_to = self.arch.pip_legal_at(
+            row, col, from_name, to_name
+        )
+        if reason is not None:
+            raise self._refusal(reason, row, col, from_name, to_name)
         if self.faults is not None:
-            if self.faults.wire_blocked(canon_from) or self.faults.wire_blocked(
-                canon_to
-            ):
-                bad = canon_from if self.faults.wire_blocked(canon_from) else canon_to
+            blocked = self.faults.wire_blocked
+            if blocked(canon_from) or blocked(canon_to):
+                bad = canon_from if blocked(canon_from) else canon_to
                 kind = "dead" if self.faults.dead[bad] else "pre-driven"
                 raise errors.FaultError(
                     f"wire {wires.wire_name(to_name if bad == canon_to else from_name)} "
@@ -169,11 +176,13 @@ class Device:
                     f"PIP {wires.wire_name(from_name)} -> "
                     f"{wires.wire_name(to_name)} at ({row},{col}) is stuck open"
                 )
-        existing = self.state.driver_of(canon_to)
-        if existing != -1:
-            prev = self.state.pip_of[canon_to]
-            if prev.canon_from == canon_from:
-                return prev  # identical connection, idempotent
+        state = self.state
+        # the live driver array is the rule's driver lookup
+        verdict = drive_verdict(state.driver.item, canon_from, canon_to)
+        if verdict == SAME:
+            return state.pip_of[canon_to]  # identical connection, idempotent
+        if verdict == CONTENTION:
+            prev = state.pip_of[canon_to]
             raise errors.ContentionError(
                 f"{wires.wire_name(to_name)} at ({row},{col}) is already "
                 f"driven by {wires.wire_name(prev.from_name)} at "
@@ -182,30 +191,28 @@ class Device:
                 row=row,
                 col=col,
                 wire=wires.wire_name(to_name),
-                net=self.state.root_of(canon_to),
+                net=state.root_of(canon_to),
             )
-        if self.state.is_ancestor(canon_to, canon_from):
+        if verdict == LOOP:
             raise errors.RoutingLoopError(
                 f"connecting {wires.wire_name(from_name)} -> "
                 f"{wires.wire_name(to_name)} at ({row},{col}) closes a loop"
             )
         rec = PipRecord(row, col, from_name, to_name, canon_from, canon_to)
-        self.state.add_pip(rec)
+        state.add_pip(rec)
         self._emit(True, rec)
         return rec
 
     def turn_off(self, row: int, col: int, from_name: int, to_name: int) -> None:
         """Turn off a previously-on PIP.  Raises if it is not on."""
         canon_to = self.resolve(row, col, to_name)
-        rec = self.state.pip_of.get(canon_to)
         canon_from = self.resolve(row, col, from_name)
-        if rec is None or rec.canon_from != canon_from:
+        if drive_verdict(self.state.driver.item, canon_from, canon_to) != SAME:
             raise errors.InvalidPipError(
                 f"PIP {wires.wire_name(from_name)} -> {wires.wire_name(to_name)} "
                 f"at ({row},{col}) is not on"
             )
-        self.state.remove_pip(canon_to)
-        self._emit(False, rec)
+        self._emit(False, self.state.remove_pip(canon_to))
 
     def turn_off_driver(self, canon_to: int) -> PipRecord:
         """Turn off whatever PIP drives ``canon_to`` (unrouter primitive)."""
@@ -233,13 +240,10 @@ class Device:
 
     def pip_is_on(self, row: int, col: int, from_name: int, to_name: int) -> bool:
         canon_to = self.arch.canonicalize(row, col, to_name)
-        if canon_to is None:
-            return False
-        rec = self.state.pip_of.get(canon_to)
-        if rec is None:
-            return False
         canon_from = self.arch.canonicalize(row, col, from_name)
-        return canon_from is not None and rec.canon_from == canon_from
+        if canon_to is None or canon_from is None:
+            return False
+        return self.state.driver.item(canon_to) == canon_from
 
     # -- wire-graph neighbourhood (what routers expand) ---------------------------
 

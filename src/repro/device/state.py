@@ -14,13 +14,45 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ..arch.virtex import VirtexArch
 
-__all__ = ["PipRecord", "RoutingState"]
+__all__ = ["PipRecord", "RoutingState", "drive_verdict", "SAME", "CONTENTION", "LOOP"]
+
+#: :func:`drive_verdict`'s answers; None means the drive is free.
+SAME, CONTENTION, LOOP = "same", "contention", "loop"
+
+
+def _descends(driver_of: Callable[[int], int], canon: int, ancestor: int) -> bool:
+    """True if ``ancestor`` is on ``canon``'s driver chain (inclusive)."""
+    w = canon
+    while w != -1:
+        if w == ancestor:
+            return True
+        w = driver_of(w)
+    return False
+
+
+def drive_verdict(
+    driver_of: Callable[[int], int], canon_from: int, canon_to: int
+) -> str | None:
+    """The order-dependent half of the paper's contention protection
+    (Section 3.4): judge the drive ``canon_from -> canon_to`` against
+    the drives ``driver_of`` reports (a wire's driver, or -1).
+
+    :data:`SAME` when ``canon_from`` already drives ``canon_to`` (a
+    no-op), :data:`CONTENTION` when another wire does, :data:`LOOP` when
+    ``canon_from`` descends from ``canon_to``, else None.  The device
+    judges its live state; the dry runs and the artifact linter judge
+    the drives they have accepted so far.
+    """
+    existing = driver_of(canon_to)
+    if existing != -1:
+        return SAME if existing == canon_from else CONTENTION
+    return LOOP if _descends(driver_of, canon_from, canon_to) else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,12 +149,7 @@ class RoutingState:
     def is_ancestor(self, maybe_ancestor: int, canon: int) -> bool:
         """True if ``maybe_ancestor`` appears on the driver chain of
         ``canon`` (inclusive of ``canon`` itself)."""
-        w = canon
-        while w != -1:
-            if w == maybe_ancestor:
-                return True
-            w = int(self.driver[w])
-        return False
+        return _descends(self.driver.item, canon, maybe_ancestor)
 
     def subtree(self, canon: int) -> Iterator[int]:
         """Yield ``canon`` and every wire reachable through on-PIPs."""

@@ -20,6 +20,7 @@ EXPECTED_RULES = {
     "RL007": ("artifact", "wal-frame", Severity.ERROR),
     "RL008": ("artifact", "replay-illegal", Severity.ERROR),
     "RL009": ("artifact", "checkpoint-inconsistent", Severity.ERROR),
+    "RL010": ("artifact", "plan-routing-loop", Severity.ERROR),
     "RPR001": ("code", "id-keyed-cache", Severity.ERROR),
     "RPR002": ("code", "unguarded-global-mutation", Severity.ERROR),
     "RPR003": ("code", "pool-in-loop", Severity.WARNING),

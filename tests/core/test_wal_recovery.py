@@ -143,6 +143,54 @@ class TestWriteAheadLog:
             WriteAheadLog.replay(p)
 
 
+class TestTornHeader:
+    """A crash while creating the log leaves a proper prefix of its
+    header and no newline; no record can follow, so it is an empty log."""
+
+    HEADER = '{"wal": 1, "part": "XCV50"}'  # test_durable_bytes pins it
+
+    def test_every_proper_prefix_boots_clean(self, wal_path):
+        for n in range(len(self.HEADER)):
+            Path(wal_path).write_text(self.HEADER[:n])
+            router, report = recover(
+                wal_path, router_kwargs={"part": "XCV50"}
+            )
+            assert router.device.state.n_pips_on == 0
+            assert report.replayed == 0 and report.torn_tail
+            with DurableSession(router, wal_path) as session:
+                router.route(SRC, SINK)
+                assert session.seq > 0
+            _, records, torn = WriteAheadLog.replay(wal_path)
+            assert not torn and records[0].seq == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "hello",  # no newline, not a header prefix
+            '{"wal": 1, "part": "XCV3',  # another part's header
+            '{"wal": 1, "part": "XCV50"}x',  # past the header
+            '{"wal": 1,\n',  # a newline: not a torn header
+        ],
+    )
+    def test_a_foreign_file_still_raises(self, wal_path, text):
+        Path(wal_path).write_text(text)
+        with pytest.raises(errors.TransactionError, match="not a WAL"):
+            WriteAheadLog(wal_path, part="XCV50")
+        with pytest.raises(errors.TransactionError, match="not a WAL"):
+            recover(wal_path, router_kwargs={"part": "XCV50"})
+
+    def test_lint_reads_it_as_a_torn_tail(self, wal_path):
+        from repro.analysis import routelint
+        from repro.analysis.findings import Severity
+
+        Path(wal_path).write_text(self.HEADER[:1])
+        findings = routelint.lint_wal_file(wal_path)
+        assert [(f.rule, f.severity) for f in findings] == [
+            ("RL007", Severity.WARNING)
+        ]
+        assert "torn tail" in findings[0].message
+
+
 class TestCrashAtAnyOffset:
     """The property test: every record boundary is a survivable crash."""
 

@@ -20,6 +20,7 @@ from repro.arch.virtex import VirtexArch
 from repro.bench.workloads import random_p2p_nets
 from repro.service import RoutingSupervisor, ServiceConfig
 from repro.service import supervisor as supervisor_mod
+from repro.service.chaos import truncate_tail
 from repro.service.jobs import JobState
 from repro.service.journal import JobJournal
 from repro.service.loadgen import audit_journal
@@ -95,18 +96,24 @@ def _await_state(job, state: JobState, timeout: float = 10.0) -> None:
         time.sleep(0.005)
 
 
-def test_kill_midstream_loses_no_accepted_job(tmp_path):
+def _kill_midstream(tmp_path, mutate=None) -> None:
+    """SIGKILL the only worker with work in flight, run ``mutate`` on its
+    WAL shard, and check that every accepted job still succeeds once."""
     sup = RoutingSupervisor(_config(), str(tmp_path))
     sup.start()
     try:
+        if mutate is not None:
+            _await_ready(sup)  # the shard exists before it is cut
         jobs = []
         for i, (src, sink) in enumerate(_pairs(8)):
             adm, job = sup.submit(f"tenant-{i % 2}", src, sink)
             assert adm.accepted
             jobs.append(job)
             if i == 3:  # SIGKILL the only worker with work in flight
-                sup.kill_worker(0, reason="test-kill")
-        _await_terminal(jobs)
+                if mutate is not None:
+                    _await_terminal(jobs[:1])  # a record to cut into
+                sup.kill_worker(0, reason="test-kill", mutate=mutate)
+        _await_terminal(jobs, sup=sup)
         assert all(j.state is JobState.SUCCEEDED for j in jobs)
         stats = sup.stats()
         assert stats["workers"][0]["restarts"] >= 1
@@ -118,6 +125,21 @@ def test_kill_midstream_loses_no_accepted_job(tmp_path):
     assert audit["accepted"] == 8
     assert audit["lost"] == [] and audit["duplicates"] == []
     assert audit["drained"]
+
+
+def test_kill_midstream_loses_no_accepted_job(tmp_path):
+    _kill_midstream(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [16, 1 << 30],  # a few bytes; everything but the header's first byte
+    ids=["inside-last-record", "header-prefix"],
+)
+def test_kill_midstream_on_a_torn_shard_loses_no_accepted_job(tmp_path, cut):
+    """The respawned worker recovers a shard cut as a crash mid-append
+    leaves it; a header with no newline reads as an empty log."""
+    _kill_midstream(tmp_path, lambda wal_path: truncate_tail(wal_path, cut))
 
 
 class TestDispatch:
